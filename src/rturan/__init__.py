@@ -18,8 +18,8 @@ from .graphs import (ColoredGraph, GraphSkeleton, ProperColoringReport,
                      parse_graph, save_graph, serialize_graph,
                      serialize_graph_json, validate_proper)
 from .search import (ExistsOutcome, RainbowPath, SearchOutcome,
-                     enumerate_rainbow_paths_on, has_rainbow_path, is_rainbow,
-                     longest_rainbow_path, path_from_vertices,
+                     has_rainbow_path, is_rainbow, longest_rainbow_path,
+                     path_from_vertices, spanning_rainbow_ends_from,
                      spanning_rainbow_path_between, spanning_rainbow_path_from)
 from .constructions import (BoundTableRow, bipartite_f2k, blowup, bound_table,
                             bound_table_row, lower_bound_edges,

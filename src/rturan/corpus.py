@@ -31,6 +31,11 @@ from .terminals import (_checked_fire, build_aux_oracle, build_aux_rules,
 
 KINDS = ("random", "bare_path")
 
+# RunConfig field -> accepted types; bool is never an accepted int
+_FIELD_TYPES = {"seed": (int,), "instances": (int,), "n_min": (int,),
+                "n_max": (int,), "edge_prob": (int, float), "kind": (str,),
+                "budget": (int, type(None)), "tamper": (bool,)}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -44,6 +49,14 @@ class RunConfig:
     tamper: bool = False
 
     def __post_init__(self):
+        for name, types in _FIELD_TYPES.items():
+            val = getattr(self, name)
+            if not isinstance(val, types) or (isinstance(val, bool)
+                                              and bool not in types):
+                allowed = " or ".join("null" if t is type(None) else t.__name__
+                                      for t in types)
+                raise ValueError(f"config field {name!r} must be {allowed}, "
+                                 f"got {val!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown instance kind {self.kind!r}")
         if not (2 <= self.n_min <= self.n_max):

@@ -80,6 +80,8 @@ class ColoredGraph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphError("negative vertex count")
+        if self.num_colors < 0:
+            raise GraphError("negative palette size")
         seen: set[Edge] = set()
         for (u, v, c) in self.edges:
             if not (0 <= u < v < self.n):

@@ -10,14 +10,28 @@ pass establishes the exact length, then a second ordered pass retrieves the
 lexicographically least witness of that length (the first one found in
 ascending DFS order; since the reverse of a path is also a path, that
 sequence necessarily starts at its smaller endpoint).
+
+The spanning searches (paths whose vertex set is a given set, the terminal
+and auxiliary oracles' question) share one recursive kernel, _span_ends. It
+walks from a root in ascending order and returns at its first hit, or, in
+its second mode, keeps going until it has reached every wanted end, so one
+search per root answers all of that root's endpoint pairs. Two prunes keep
+it sound and small. Each remaining vertex is scored by its live neighbours
+among the remaining vertices and the current one: with none it can never be
+entered (dead end), and with exactly one it must be the path's last vertex,
+so at most one such vertex may exist, it must be a wanted end, and if its
+only way in is the current vertex it must be the last vertex left. The
+search also steps only where a wanted end stays unvisited. Every prune cuts
+only subtrees without a hit, so each witness is the first spanning path in
+ascending DFS order, whichever mode found it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import GuardError, PathError, PreconditionError
+from .errors import PathError, PreconditionError
 from .graphs import ColoredGraph
 
 
@@ -291,77 +305,106 @@ def _span_prep(g: ColoredGraph, vset):
     return vs, full, adj, adj_mask
 
 
-def _span_iter(v, vmask, cmask, full, adj, adj_mask, cur, target=None):
-    """Yield every spanning rainbow path continuation of cur (as vertex lists)."""
-    remaining = full & ~vmask
-    if remaining == 0:
-        if target is None or v == target:
-            yield cur.copy()
-        return
-    # a remaining vertex with no way in is a dead end; two vertices reachable
-    # only through v cannot both be next
-    cur_bit = 1 << v
-    forced = 0
-    rem = remaining
-    while rem:
-        xbit = rem & -rem
-        rem ^= xbit
-        x = xbit.bit_length() - 1
-        live = adj_mask[x] & (remaining | cur_bit)
-        if live == 0:
-            return
-        if live == cur_bit:
-            forced += 1
-            if forced > 1:
-                return
-    for (w, wbit, cbit) in adj[v]:
-        if (vmask & wbit) or (cmask & cbit):
-            continue
-        if target is not None and w == target and remaining != wbit:
-            continue
-        cur.append(w)
-        yield from _span_iter(w, vmask | wbit, cmask | cbit, full, adj, adj_mask,
-                              cur, target)
-        cur.pop()
+def _span_ends(start: int, full: int, adj, adj_mask, wanted: int,
+               first: bool) -> dict:
+    """Spanning rainbow paths over the vertex mask `full` from `start`.
+
+    Returns {end: vertex list} holding, for each end in the mask `wanted`
+    that some such path reaches, the first path to it in ascending DFS
+    order. With `first` set the search stops at its first hit; otherwise it
+    stops once every wanted end is reached.
+    """
+    hits: dict = {}
+    cur = [start]
+    left = wanted
+
+    def walk(v: int, vmask: int, cmask: int) -> bool:
+        nonlocal left
+        remaining = full & ~vmask
+        # Prunes. A remaining vertex needs a live neighbour in remaining or
+        # at v to be entered, and two to be left again. So one with none is
+        # a dead end, and one with a single way in must be the path's last
+        # vertex: at most one may exist, it must be a wanted end, and if
+        # its way in is v itself it must also be the only vertex left.
+        cur_bit = 1 << v
+        scope = remaining | cur_bit
+        last = 0
+        rem = remaining
+        while rem:
+            xbit = rem & -rem
+            rem ^= xbit
+            live = adj_mask[xbit.bit_length() - 1] & scope
+            if live & (live - 1):
+                continue
+            if live == 0 or last or not (xbit & left):
+                return False
+            if live == cur_bit and remaining != xbit:
+                return False
+            last = xbit
+        for (w, wbit, cbit) in adj[v]:
+            if (vmask & wbit) or (cmask & cbit):
+                continue
+            if remaining == wbit:
+                # w completes the path; the prune above made it wanted
+                cur.append(w)
+                hits[w] = cur.copy()
+                cur.pop()
+                left ^= wbit
+                return first or not left
+            # step on only if a wanted end stays unvisited behind w
+            if not (left & ~(vmask | wbit)):
+                continue
+            cur.append(w)
+            done = walk(w, vmask | wbit, cmask | cbit)
+            cur.pop()
+            if done:
+                return True
+        return False
+
+    walk(start, 1 << start, 0)
+    return hits
 
 
 def spanning_rainbow_path_from(g: ColoredGraph, vset, start: int) -> Optional[RainbowPath]:
     """Some rainbow path whose vertex set is exactly `vset`, starting at
-    `start`; None if there is none. Early-exits on the first hit."""
+    `start`; None if there is none. Returns the first such path in ascending
+    DFS order and stops there."""
     vs, full, adj, adj_mask = _span_prep(g, vset)
     if start not in vs:
         raise PathError(f"start {start} not in vertex set")
     if len(vs) == 1:
         return RainbowPath((start,), ())
-    seq = next(_span_iter(start, 1 << start, 0, full, adj, adj_mask, [start]), None)
-    return path_from_vertices(g, seq) if seq is not None else None
+    hits = _span_ends(start, full, adj, adj_mask, full & ~(1 << start), True)
+    return path_from_vertices(g, hits.popitem()[1]) if hits else None
 
 
 def spanning_rainbow_path_between(g: ColoredGraph, vset, u: int, w: int) -> Optional[RainbowPath]:
-    """Some rainbow path with vertex set exactly `vset` and endpoints u and w."""
+    """Some rainbow path with vertex set exactly `vset` and endpoints u and w:
+    the first one from u in ascending DFS order."""
     vs, full, adj, adj_mask = _span_prep(g, vset)
     if u not in vs or w not in vs or u == w:
         raise PathError("endpoints must be distinct members of the vertex set")
-    seq = next(_span_iter(u, 1 << u, 0, full, adj, adj_mask, [u], target=w), None)
-    return path_from_vertices(g, seq) if seq is not None else None
+    hits = _span_ends(u, full, adj, adj_mask, 1 << w, True)
+    return path_from_vertices(g, hits[w]) if hits else None
 
 
-def enumerate_rainbow_paths_on(g: ColoredGraph, vset, guard: int = 16) -> Iterator[RainbowPath]:
-    """All rainbow paths whose vertex set is exactly `vset`, one orientation
-    each (smaller endpoint first), in ascending DFS order.
+def spanning_rainbow_ends_from(g: ColoredGraph, vset, start: int,
+                               ends) -> frozenset:
+    """The members w of `ends` for which some rainbow path with vertex set
+    exactly `vset` joins `start` to w, found in one search.
 
-    Refuses vertex sets larger than `guard` (the stream can be astronomically
-    long); raise the guard consciously if you mean it.
+    Equals the set of w with spanning_rainbow_path_between(g, vset, start, w)
+    not None; that call returns the witness.
     """
     vs, full, adj, adj_mask = _span_prep(g, vset)
-    if len(vs) > guard:
-        raise GuardError(f"vertex set of size {len(vs)} exceeds guard {guard}")
-    if not vs:
-        return
-    if len(vs) == 1:
-        yield RainbowPath((vs[0],), ())
-        return
-    for s in vs:
-        for seq in _span_iter(s, 1 << s, 0, full, adj, adj_mask, [s]):
-            if seq[0] < seq[-1]:
-                yield path_from_vertices(g, seq)
+    if start not in vs:
+        raise PathError(f"start {start} not in vertex set")
+    wanted = 0
+    for w in ends:
+        if w not in vs or w == start:
+            raise PathError("ends must be members of the vertex set other "
+                            "than the start")
+        wanted |= 1 << w
+    if not wanted:
+        return frozenset()
+    return frozenset(_span_ends(start, full, adj, adj_mask, wanted, False))

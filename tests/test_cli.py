@@ -259,6 +259,23 @@ def test_suite_rejects_unknown_config_key(tmp_path, capsys):
     assert main(["suite", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("obj", [{"instances": "5"}, {"seed": 1.5},
+                                 {"tamper": 1}, {"n_max": True},
+                                 {"edge_prob": "0.3"}, {"budget": []}])
+def test_suite_rejects_mistyped_config_field(tmp_path, capsys, obj):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["suite", "--config", str(cfg)]) == 2
+    assert "config field" in capsys.readouterr().err
+
+
+def test_negative_palette_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "g.txt"
+    bad.write_text("3 0 -4\n")
+    assert main(["graph", "validate", str(bad)]) == 2
+    assert "palette" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

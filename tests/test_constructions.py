@@ -17,7 +17,9 @@ from rturan.constructions import (BoundTableRow, VectorLabel, bipartite_f2k,
                                   maamoun_meyniel)
 from rturan.errors import PreconditionError
 from rturan.graphs import validate_proper
-from rturan.search import enumerate_rainbow_paths_on, longest_rainbow_path
+from rturan.search import longest_rainbow_path
+
+from spanning_brute import enumerate_rainbow_paths_on
 
 
 # === labels ===

@@ -54,6 +54,13 @@ def test_color_range_checked():
         ColoredGraph.from_edges(2, [(0, 1, -1)], num_colors=3)
 
 
+def test_negative_palette_rejected():
+    with pytest.raises(GraphError):
+        ColoredGraph(3, (), -4)
+    with pytest.raises(GraphError):
+        parse_graph("3 0 -4\n")
+
+
 def test_validate_proper_finds_clash():
     assert validate_proper(small()).is_proper
     bad = ColoredGraph.from_edges(3, [(0, 1, 0), (1, 2, 0)], num_colors=1)

@@ -8,10 +8,12 @@ import pytest
 from rturan.constructions import bipartite_f2k, maamoun_meyniel
 from rturan.errors import GuardError, PathError
 from rturan.graphs import ColoredGraph, one_factorized_complete
-from rturan.search import (RainbowPath, enumerate_rainbow_paths_on,
-                           has_rainbow_path, is_rainbow, longest_rainbow_path,
-                           path_from_vertices, spanning_rainbow_path_between,
+from rturan.search import (RainbowPath, has_rainbow_path, is_rainbow,
+                           longest_rainbow_path, path_from_vertices,
+                           spanning_rainbow_path_between,
                            spanning_rainbow_path_from)
+
+from spanning_brute import enumerate_rainbow_paths_on
 
 
 def rainbow_triangle():
