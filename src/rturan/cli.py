@@ -231,20 +231,12 @@ def cmd_engine_profile(args) -> int:
     return 0
 
 
-def _normalized_mode(args) -> str:
-    mode = "rules" if args.mode == "rule" else args.mode
-    if getattr(args, "oracle", False):
-        mode = "oracle"
-    return mode
-
-
 def cmd_engine_terminals(args) -> int:
     g = load_graph(args.file)
     p = _pick_path(g, args)
-    mode = _normalized_mode(args)
     payload: dict = {"path": _path_obj(p)}
     rules = oracle = None
-    if mode in ("rules", "both"):
+    if args.mode in ("rules", "both"):
         rep = terminal_rules(g, p)
         rules = rep
         payload["rules"] = {
@@ -253,7 +245,7 @@ def cmd_engine_terminals(args) -> int:
                         for r, vs in rep.terminals_by_rule().items()},
             "fires": len(rep.fires),
         }
-    if mode in ("oracle", "both"):
+    if args.mode in ("oracle", "both"):
         oracle = terminal_oracle(g, p)
         payload["oracle"] = {"terminals": sorted(oracle)}
     sound = True
@@ -283,15 +275,14 @@ def cmd_engine_terminals(args) -> int:
 def cmd_engine_aux(args) -> int:
     g = load_graph(args.file)
     p = _pick_path(g, args)
-    mode = _normalized_mode(args)
     payload: dict = {"path": _path_obj(p)}
     rules_aux = oracle_aux = None
-    if mode in ("rules", "both"):
+    if args.mode in ("rules", "both"):
         rules_aux, fires = build_aux_rules(g, p)
         payload["rules"] = {"vertices": list(rules_aux.vertices),
                             "edges": sorted(map(list, rules_aux.edges)),
                             "fires": len(fires)}
-    if mode in ("oracle", "both"):
+    if args.mode in ("oracle", "both"):
         oracle_aux = build_aux_oracle(g, p)
         payload["oracle"] = {"vertices": list(oracle_aux.vertices),
                              "edges": sorted(map(list, oracle_aux.edges)),
@@ -529,16 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=cmd_engine_profile)
     tm = esub.add_parser("terminals", help="terminal vertices, two ways")
     tm.add_argument("file")
-    tm.add_argument("--mode", choices=("rule", "rules", "oracle", "both"),
+    tm.add_argument("--mode", choices=("rules", "oracle", "both"),
                     default="both")
-    tm.add_argument("--oracle", action="store_true",
-                    help="shorthand for --mode oracle")
     _add_path_args(tm)
     _add_json(tm)
     tm.set_defaults(fn=cmd_engine_terminals)
     ax = esub.add_parser("aux", help="terminal pair graph, two ways")
     ax.add_argument("file")
-    ax.add_argument("--mode", choices=("rule", "rules", "oracle", "both"),
+    ax.add_argument("--mode", choices=("rules", "oracle", "both"),
                     default="both")
     _add_path_args(ax)
     _add_json(ax)

@@ -24,27 +24,6 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .graphs import ColoredGraph, disjoint_union
 
-@dataclass(frozen=True)
-class VectorLabel:
-    """A length-k bit-vector label, stored as the integer of its bits."""
-
-    k: int
-    bits: int
-
-    def __post_init__(self):
-        if not (0 <= self.bits < (1 << self.k)):
-            raise PreconditionError(f"label {self.bits} needs more than {self.k} bits")
-
-    def __xor__(self, other: "VectorLabel") -> "VectorLabel":
-        if self.k != other.k:
-            raise PreconditionError("xor of labels of different lengths")
-        return VectorLabel(self.k, self.bits ^ other.bits)
-
-
-def f2k_label(k: int, vertex: int) -> VectorLabel:
-    """Label of a bipartite_f2k(k) vertex (both sides repeat the same labels)."""
-    return VectorLabel(k, vertex & ((1 << k) - 1))
-
 
 def bipartite_f2k(k: int) -> ColoredGraph:
     """K_{2^k,2^k} with c(uv) = label(u) xor label(v); 2^k colors.

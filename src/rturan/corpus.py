@@ -25,7 +25,7 @@ from .errors import GuardError, WitnessError
 from .graphs import ColoredGraph, validate_proper
 from .profile import compute_profile
 from .search import longest_rainbow_path
-from .terminals import (_checked_fire, build_aux_oracle, build_aux_rules,
+from .terminals import (build_aux_oracle, build_aux_rules, checked_fire,
                         matching_stats, maximum_matching, terminal_oracle,
                         terminal_rules)
 
@@ -198,7 +198,7 @@ def _tamper_once(g: ColoredGraph, pstar, fires) -> Optional[str]:
             continue
         broken = [pos[v] for v in (vs[:1] + vs[2:])]
         try:
-            _checked_fire(g, pstar, f.rule, f.anchor, broken, ())
+            checked_fire(g, pstar, f.rule, f.anchor, broken, ())
         except WitnessError:
             return None
         return (f"checker accepted a witness with a vertex removed "

@@ -30,6 +30,17 @@ def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _check_edges(n: int, pairs: Iterable[Edge]) -> None:
+    """Refuse an edge outside 0 <= u < v < n, or one listed twice."""
+    seen: set[Edge] = set()
+    for (u, v) in pairs:
+        if not (0 <= u < v < n):
+            raise GraphError(f"bad edge ({u},{v}) for n={n}")
+        if (u, v) in seen:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+
+
 @dataclass(frozen=True)
 class GraphSkeleton:
     """An uncolored graph: vertex count plus sorted edge tuple."""
@@ -39,13 +50,7 @@ class GraphSkeleton:
     sides: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        seen = set()
-        for (u, v) in self.edges:
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"bad edge ({u},{v}) for n={self.n}")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
+        _check_edges(self.n, self.edges)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         if self.sides is not None and len(self.sides) != self.n:
             raise GraphError("sides tag length != n")
@@ -75,39 +80,33 @@ class ColoredGraph:
     edges: tuple[tuple[int, int, int], ...]  # (u, v, color), u < v, sorted
     num_colors: int
     sides: Optional[tuple[int, ...]] = None
-    _adj: dict = field(default_factory=dict, repr=False, compare=False)
+    _nbrs: dict = field(init=False, repr=False, compare=False)
+    _col: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise GraphError("negative vertex count")
         if self.num_colors < 0:
             raise GraphError("negative palette size")
-        seen: set[Edge] = set()
+        _check_edges(self.n, ((u, v) for (u, v, _) in self.edges))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.n)}
+        col: dict[Edge, int] = {}
         for (u, v, c) in self.edges:
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"bad edge ({u},{v}) for n={self.n}")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
             if not (0 <= c < self.num_colors):
                 raise GraphError(f"color {c} outside palette 0..{self.num_colors - 1}")
-            seen.add((u, v))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+            nbrs[u].append((v, c))
+            nbrs[v].append((u, c))
+            col[(u, v)] = c
+        object.__setattr__(self, "_nbrs",
+                           {v: tuple(sorted(ws)) for v, ws in nbrs.items()})
+        object.__setattr__(self, "_col", col)
         if self.sides is not None:
             if len(self.sides) != self.n:
                 raise GraphError("sides tag length != n")
             if any(s not in (0, 1) for s in self.sides):
                 raise GraphError("sides entries must be 0 or 1")
             object.__setattr__(self, "sides", tuple(self.sides))
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.n)}
-        col: dict[Edge, int] = {}
-        for (u, v, c) in self.edges:
-            adj[u].append((v, c))
-            adj[v].append((u, c))
-            col[(u, v)] = c
-        object.__setattr__(
-            self, "_adj",
-            {"nbrs": {v: tuple(sorted(adj[v])) for v in range(self.n)}, "col": col},
-        )
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]],
@@ -126,25 +125,25 @@ class ColoredGraph:
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbor, color) pairs at v."""
-        return self._adj["nbrs"][v]
+        return self._nbrs[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj["nbrs"][v])
+        return len(self._nbrs[v])
 
     def min_degree(self) -> int:
         return min((self.degree(v) for v in range(self.n)), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm(u, v) in self._adj["col"]
+        return _norm(u, v) in self._col
 
     def color_of(self, u: int, v: int) -> int:
         try:
-            return self._adj["col"][_norm(u, v)]
+            return self._col[_norm(u, v)]
         except KeyError:
             raise GraphError(f"no edge ({u},{v})") from None
 
     def colors_at(self, v: int) -> frozenset[int]:
-        return frozenset(c for (_, c) in self._adj["nbrs"][v])
+        return frozenset(c for (_, c) in self._nbrs[v])
 
     def used_colors(self) -> frozenset[int]:
         return frozenset(c for (_, _, c) in self.edges)

@@ -73,10 +73,6 @@ class PathProfile:
     def path_colors(self) -> tuple[int, ...]:
         return self.path.colors
 
-    def color_at(self, i: int) -> int:
-        """c_i, the color of the path edge v_{i-1} v_i (1-based)."""
-        return self.path.colors[i - 1]
-
     @property
     def pivots_present(self) -> bool:
         return self.win_lo is not None and self.win_hi is not None

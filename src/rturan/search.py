@@ -5,11 +5,19 @@ a used-color bitmask (Python ints, so palettes of any size work; nothing
 special happens at 128 colors). Neighbor lists are visited in ascending
 order, which makes every result deterministic.
 
-longest_rainbow_path proves optimality in two phases: an aggressively pruned
-pass establishes the exact length, then a second ordered pass retrieves the
-lexicographically least witness of that length (the first one found in
-ascending DFS order; since the reverse of a path is also a path, that
-sequence necessarily starts at its smaller endpoint).
+longest_rainbow_path and has_rainbow_path share one recursive kernel, _dfs.
+It searches for rainbow paths longer than a floor from every root in
+ascending DFS order and keeps the first path of the best length, or, with
+`first` set, stops at the first path longer than the floor. Its only prune
+is the free-vertex/free-color cap: both free counts drop by one per step,
+so depth + min(free vertices, free colors) is the constant
+min(n - 1, colors in use), and the search stops once the best length
+reaches it. longest_rainbow_path runs the kernel twice: from floor 0 (under
+the caller's budget) to establish the exact length, then from one below it
+with `first` set to retrieve the lexicographically least witness of that
+length (the first one in ascending DFS order; since the reverse of a path
+is also a path, that sequence starts at its smaller endpoint).
+has_rainbow_path(L) is one run from floor L - 1 with `first` set.
 
 The spanning searches (paths whose vertex set is a given set, the terminal
 and auxiliary oracles' question) share one recursive kernel, _span_ends. It
@@ -24,14 +32,20 @@ only way in is the current vertex it must be the last vertex left. The
 search also steps only where a wanted end stays unvisited. Every prune cuts
 only subtrees without a hit, so each witness is the first spanning path in
 ascending DFS order, whichever mode found it.
+
+Both kernels recurse once per path vertex. A path deeper than the
+interpreter's recursion limit (about a thousand vertices) ends the search
+with GuardError("search", ...), which the command line reports as a
+refusal (exit 3), not as a crash.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import PathError, PreconditionError
+from .errors import GuardError, PathError, PreconditionError
 from .graphs import ColoredGraph
 
 
@@ -70,9 +84,6 @@ class RainbowPath:
         if self.length >= 1 and self.vertices[0] > self.vertices[-1]:
             return self.reversed()
         return self
-
-    def index_of(self, v: int) -> int:
-        return self.vertices.index(v)
 
 
 def path_from_vertices(g: ColoredGraph, vertices: Sequence[int]) -> RainbowPath:
@@ -129,24 +140,66 @@ class ExistsOutcome:
     nodes_expanded: int
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: Optional[int]):
-        self.left = budget
-
-    def tick(self) -> bool:
-        if self.left is None:
-            return True
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
-
-
 def _neighbor_table(g: ColoredGraph):
     return [tuple((w, 1 << w, 1 << c) for (w, c) in g.neighbors(v))
             for v in range(g.n)]
+
+
+def _too_deep() -> GuardError:
+    return GuardError("search", "the path search recursed past the "
+                      f"interpreter's limit ({sys.getrecursionlimit()} frames)")
+
+
+def _dfs(g: ColoredGraph, floor: int, first: bool,
+         budget: Optional[int]) -> tuple[int, list[int], int, bool]:
+    """Rainbow paths longer than `floor` edges, from every root in ascending
+    DFS order.
+
+    Keeps the first path of the best length; with `first` set it stops at
+    the first path longer than `floor`. Every node is counted, and once the
+    count passes `budget` the search stops. Returns (best length, its
+    vertices, nodes expanded, budget exhausted); the vertices are [0] while
+    nothing beat `floor`.
+    """
+    nbrs = _neighbor_table(g)
+    # depth + min(free vertices, free colors) is this constant at every node
+    lim = min(g.n - 1, len(g.used_colors()))
+    stop = sys.maxsize if budget is None else budget
+    nodes = 0
+    best_len = floor
+    best_seq = [0]
+    cur: list[int] = []
+
+    def walk(v: int, vmask: int, cmask: int, depth: int) -> bool:
+        nonlocal nodes, best_len, best_seq
+        nodes += 1
+        if nodes > stop:
+            return False
+        if depth > best_len:
+            best_len = depth
+            best_seq = cur.copy()
+            if first:
+                return False
+        if lim <= best_len:
+            return True
+        for (w, wbit, cbit) in nbrs[v]:
+            if (vmask & wbit) or (cmask & cbit):
+                continue
+            cur.append(w)
+            ok = walk(w, vmask | wbit, cmask | cbit, depth + 1)
+            cur.pop()
+            if not ok:
+                return False
+        return True
+
+    try:
+        for s in range(g.n):
+            cur = [s]
+            if not walk(s, 1 << s, 0, 0):
+                break
+    except RecursionError:
+        raise _too_deep() from None
+    return best_len, best_seq, nodes, nodes > stop
 
 
 def longest_rainbow_path(g: ColoredGraph, budget: Optional[int] = None) -> SearchOutcome:
@@ -157,79 +210,16 @@ def longest_rainbow_path(g: ColoredGraph, budget: Optional[int] = None) -> Searc
     """
     if g.n == 0:
         return SearchOutcome(None, True, 0, False)
-    nbrs = _neighbor_table(g)
-    color_count = len(g.used_colors())
-    bud = _Budget(budget)
-    nodes = 0
-    best_len = 0
-    best_seq: list[int] = [0]
-    cur: list[int] = []
-    exhausted = False
-
-    def walk(v: int, vmask: int, cmask: int, depth: int, free_v: int, free_c: int) -> bool:
-        nonlocal nodes, best_len, best_seq
-        nodes += 1
-        if not bud.tick():
-            return False
-        if depth > best_len:
-            best_len = depth
-            best_seq = cur.copy()
-        cap = free_v if free_v < free_c else free_c
-        if depth + cap <= best_len:
-            return True
-        for (w, wbit, cbit) in nbrs[v]:
-            if (vmask & wbit) or (cmask & cbit):
-                continue
-            cur.append(w)
-            ok = walk(w, vmask | wbit, cmask | cbit, depth + 1, free_v - 1, free_c - 1)
-            cur.pop()
-            if not ok:
-                return False
-        return True
-
-    for s in range(g.n):
-        cur = [s]
-        if not walk(s, 1 << s, 0, 0, g.n - 1, color_count):
-            exhausted = True
-            break
-
+    best_len, seq, nodes, exhausted = _dfs(g, 0, False, budget)
     if exhausted:
-        best = path_from_vertices(g, best_seq).canonical()
+        best = path_from_vertices(g, seq).canonical()
         return SearchOutcome(best, False, nodes, True)
-
     # retrieval pass: first path of the proven length in ascending DFS order
-    target = best_len
-    found: Optional[list[int]] = None
-
-    def retrieve(v: int, vmask: int, cmask: int, depth: int, free_v: int, free_c: int) -> None:
-        nonlocal nodes, found
-        if found is not None:
-            return
-        nodes += 1
-        if depth == target:
-            found = cur.copy()
-            return
-        cap = free_v if free_v < free_c else free_c
-        if depth + cap < target:
-            return
-        for (w, wbit, cbit) in nbrs[v]:
-            if (vmask & wbit) or (cmask & cbit):
-                continue
-            cur.append(w)
-            retrieve(w, vmask | wbit, cmask | cbit, depth + 1, free_v - 1, free_c - 1)
-            cur.pop()
-            if found is not None:
-                return
-
-    for s in range(g.n):
-        cur = [s]
-        retrieve(s, 1 << s, 0, 0, g.n - 1, color_count)
-        if found is not None:
-            break
-    assert found is not None
-    best = path_from_vertices(g, found)
-    assert best.is_rainbow() and best.vertices[0] <= best.vertices[-1]
-    return SearchOutcome(best, True, nodes, False)
+    _, seq, more, _ = _dfs(g, best_len - 1, True, None)
+    best = path_from_vertices(g, seq)
+    assert best.length == best_len and best.is_rainbow()
+    assert best.vertices[0] <= best.vertices[-1]
+    return SearchOutcome(best, True, nodes + more, False)
 
 
 def has_rainbow_path(g: ColoredGraph, length: int,
@@ -245,46 +235,13 @@ def has_rainbow_path(g: ColoredGraph, length: int,
         if g.n == 0:
             return ExistsOutcome(False, None, 0)
         return ExistsOutcome(True, RainbowPath((0,), ()), 0)
-    nbrs = _neighbor_table(g)
-    color_count = len(g.used_colors())
-    if length > color_count or length > g.n - 1:
+    if length > min(g.n - 1, len(g.used_colors())):
         return ExistsOutcome(False, None, 0)
-    bud = _Budget(budget)
-    nodes = 0
-    cur: list[int] = []
-    witness: Optional[list[int]] = None
-    exhausted = False
-
-    def walk(v: int, vmask: int, cmask: int, depth: int, free_v: int, free_c: int) -> bool:
-        nonlocal nodes, witness, exhausted
-        nodes += 1
-        if not bud.tick():
-            exhausted = True
-            return False
-        if depth == length:
-            witness = cur.copy()
-            return False
-        cap = free_v if free_v < free_c else free_c
-        if depth + cap < length:
-            return True
-        for (w, wbit, cbit) in nbrs[v]:
-            if (vmask & wbit) or (cmask & cbit):
-                continue
-            cur.append(w)
-            ok = walk(w, vmask | wbit, cmask | cbit, depth + 1, free_v - 1, free_c - 1)
-            cur.pop()
-            if not ok:
-                return False
-        return True
-
-    for s in range(g.n):
-        cur = [s]
-        if not walk(s, 1 << s, 0, 0, g.n - 1, color_count):
-            break
-    if witness is not None:
-        return ExistsOutcome(True, path_from_vertices(g, witness).canonical(), nodes)
+    got, seq, nodes, exhausted = _dfs(g, length - 1, True, budget)
     if exhausted:
         return ExistsOutcome(None, None, nodes)
+    if got == length:
+        return ExistsOutcome(True, path_from_vertices(g, seq).canonical(), nodes)
     return ExistsOutcome(False, None, nodes)
 
 
@@ -361,7 +318,10 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int,
                 return True
         return False
 
-    walk(start, 1 << start, 0)
+    try:
+        walk(start, 1 << start, 0)
+    except RecursionError:
+        raise _too_deep() from None
     return hits
 
 

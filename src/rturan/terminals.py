@@ -79,8 +79,8 @@ class TerminalReport:
         return {rule: tuple(sorted(vs)) for rule, vs in sorted(out.items())}
 
 
-def _checked_fire(g: ColoredGraph, pstar: RainbowPath, rule: str,
-                  anchor: tuple, idx_seq, terminal_positions) -> RuleFire:
+def checked_fire(g: ColoredGraph, pstar: RainbowPath, rule: str,
+                 anchor: tuple, idx_seq, terminal_positions) -> RuleFire:
     """Build a witness from path positions and refuse anything unsound."""
     verts = pstar.vertices
     vs = [verts[i] for i in idx_seq]
@@ -109,8 +109,8 @@ def terminal_rules(g: ColoredGraph, pstar: RainbowPath,
                       (pstar.vertices[0], pstar.vertices[-1]), pstar)]
 
     def fire(rule, anchor, idx_seq, terminal_positions):
-        fires.append(_checked_fire(g, pstar, rule, anchor,
-                                   idx_seq, terminal_positions))
+        fires.append(checked_fire(g, pstar, rule, anchor,
+                                  idx_seq, terminal_positions))
 
     if prof.far_edge_is_new:
         for i in range(k):

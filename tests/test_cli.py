@@ -123,6 +123,18 @@ def test_exists_undecided(f2k_file, capsys):
                  "--budget", "1"]) == 3
 
 
+def test_deep_path_file_is_refused_not_crashed(tmp_path, capsys):
+    n = 3000
+    path = tmp_path / "long.txt"
+    path.write_text(f"{n} {n - 1} {n - 1}\n"
+                    + "".join(f"{i} {i + 1} {i}\n" for i in range(n - 1)))
+    assert main(["rainbow", "longest", str(path)]) == 3
+    assert "refused: search" in capsys.readouterr().err
+    code, out = run(capsys, ["rainbow", "exists", str(path),
+                             "--length", "5"])
+    assert code == 0 and "0,1,2,3,4,5" in out
+
+
 # === bounds ===
 
 def test_bounds_csv(capsys):
@@ -161,7 +173,7 @@ def test_terminals_modes(f2k_file, capsys):
 
 
 def test_aux_modes(k4_file, capsys):
-    for mode in ("rule", "oracle", "both"):
+    for mode in ("rules", "oracle", "both"):
         code, out = run(capsys, ["engine", "aux", k4_file,
                                  "--path", "1,0,2", "--mode", mode])
         assert code == 0

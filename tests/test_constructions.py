@@ -11,31 +11,14 @@ from functools import reduce
 
 import pytest
 
-from rturan.constructions import (BoundTableRow, VectorLabel, bipartite_f2k,
-                                  blowup, bound_table, bound_table_row,
-                                  f2k_label, lower_bound_edges,
-                                  maamoun_meyniel)
+from rturan.constructions import (BoundTableRow, bipartite_f2k, blowup,
+                                  bound_table, bound_table_row,
+                                  lower_bound_edges, maamoun_meyniel)
 from rturan.errors import PreconditionError
 from rturan.graphs import validate_proper
 from rturan.search import longest_rainbow_path
 
 from spanning_brute import enumerate_rainbow_paths_on
-
-
-# === labels ===
-
-def test_vector_label_xor():
-    a, b = VectorLabel(3, 0b101), VectorLabel(3, 0b011)
-    assert (a ^ b).bits == 0b110
-    with pytest.raises(PreconditionError):
-        VectorLabel(3, 8)
-    with pytest.raises(PreconditionError):
-        a ^ VectorLabel(2, 1)
-
-
-def test_f2k_label_wraps_second_side():
-    assert f2k_label(2, 1).bits == 1
-    assert f2k_label(2, 5).bits == 1
 
 
 # === the bipartite coloring ===
@@ -70,8 +53,8 @@ def test_f2k_paths_telescope():
     for p in enumerate_rainbow_paths_on(g, range(8), guard=20):
         if p.length % 2 == 0:
             u, w = p.endpoints
-            assert reduce(lambda x, y: x ^ y, p.colors) == \
-                f2k_label(2, u).bits ^ f2k_label(2, w).bits
+            # both sides carry the labels 0..3: a vertex's label is u & 3
+            assert reduce(lambda x, y: x ^ y, p.colors) == (u & 3) ^ (w & 3)
 
 
 # === the complete-graph coloring ===

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -52,6 +53,21 @@ def test_color_range_checked():
         ColoredGraph.from_edges(2, [(0, 1, 5)], num_colors=3)
     with pytest.raises(GraphError):
         ColoredGraph.from_edges(2, [(0, 1, -1)], num_colors=3)
+
+
+def test_colored_edges_checked_like_skeleton_edges():
+    for bad, msg in [(((0, 3),), "bad edge (0,3) for n=3"),
+                     (((0, 1), (0, 1)), "duplicate edge (0,1)")]:
+        with pytest.raises(GraphError, match=re.escape(msg)):
+            GraphSkeleton(3, bad)
+        with pytest.raises(GraphError, match=re.escape(msg)):
+            ColoredGraph(3, tuple(e + (0,) for e in bad), 1)
+
+
+def test_adjacency_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        ColoredGraph(2, (), 0, None, {"junk": 1})
+    assert small() == ColoredGraph(4, small().edges, 2)
 
 
 def test_negative_palette_rejected():

@@ -84,7 +84,6 @@ def test_ranged_counters_clip():
     assert prof.n_end_new(2, 2) == 1
     assert prof.n_start_nice(1, 5) == 1
     assert prof.n_end_nice(0, 0) == 1
-    assert prof.color_at(3) == 2
 
 
 def test_out_colors_leave_the_path():

@@ -1,6 +1,7 @@
 """Search behavior on graphs small enough to check by hand or by a second,
 dumber search written here in the test."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -14,6 +15,10 @@ from rturan.search import (RainbowPath, has_rainbow_path, is_rainbow,
                            spanning_rainbow_path_from)
 
 from spanning_brute import enumerate_rainbow_paths_on
+
+
+def rainbow_path_graph(n):
+    return ColoredGraph.from_edges(n, [(i, i + 1, i) for i in range(n - 1)])
 
 
 def rainbow_triangle():
@@ -37,6 +42,26 @@ def brute_longest(g):
     return best
 
 
+def rainbow_sequences(g, length):
+    """Rainbow vertex sequences with `length` edges, lexicographically."""
+    for perm in permutations(range(g.n), length + 1):
+        if not all(g.has_edge(u, v) for u, v in zip(perm, perm[1:])):
+            continue
+        cs = [g.color_of(u, v) for u, v in zip(perm, perm[1:])]
+        if len(set(cs)) == len(cs):
+            yield perm
+
+
+def seeded_graphs(seed, count, n_max=6, colors=4):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, n_max + 1)
+        edges = [(u, v, rng.randrange(colors))
+                 for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.6]
+        yield ColoredGraph.from_edges(n, edges, num_colors=colors)
+
+
 # === RainbowPath the value type ===
 
 def test_path_invariants():
@@ -45,7 +70,6 @@ def test_path_invariants():
     assert p.is_rainbow()
     assert p.reversed().vertices == (1, 0, 2)
     assert p.canonical().vertices == (1, 0, 2)
-    assert p.index_of(0) == 1
     assert not RainbowPath((0, 1, 2), (5, 5)).is_rainbow()
 
 
@@ -99,7 +123,6 @@ def test_longest_witness_is_canonical():
 
 
 def test_longest_agrees_with_brute_force():
-    import random
     rng = random.Random(7)
     for trial in range(40):
         n = rng.randrange(2, 7)
@@ -123,6 +146,47 @@ def test_budget_can_leave_search_undecided():
     assert out.budget_exhausted and not out.proven_optimal
 
 
+def test_longest_budget_counts_the_refused_node():
+    g = one_factorized_complete(10)
+    out = longest_rainbow_path(g, budget=5)
+    assert out.nodes_expanded == 6 and out.budget_exhausted
+    assert out.best.vertices == (0, 1, 2, 3, 4)
+    # nothing beat a single vertex: the fallback path is vertex 0
+    out = longest_rainbow_path(g, budget=0)
+    assert out.nodes_expanded == 1 and out.best.vertices == (0,)
+
+
+def test_witnesses_are_lexicographically_least():
+    for g in seeded_graphs(31, 60):
+        out = longest_rainbow_path(g)
+        length = out.best.length
+        assert out.best.vertices == next(rainbow_sequences(g, length))
+        assert next(rainbow_sequences(g, length + 1), None) is None
+        for L in range(g.n + 1):
+            first = next(rainbow_sequences(g, L), None)
+            got = has_rainbow_path(g, L)
+            assert got.found is (first is not None)
+            assert (got.witness.vertices if got.witness else None) == first
+
+
+@pytest.mark.parametrize("query,nodes", [
+    (lambda: longest_rainbow_path(bipartite_f2k(3)), 458_008),
+    (lambda: longest_rainbow_path(maamoun_meyniel(3)), 11_160),
+    (lambda: has_rainbow_path(maamoun_meyniel(3), 7), 11_152),
+    (lambda: has_rainbow_path(bipartite_f2k(3), 8), 458_000),
+], ids=["f2k3-longest", "mm3-longest", "mm3-exists7", "f2k3-exists8"])
+def test_frozen_node_counts(query, nodes):
+    assert query().nodes_expanded == nodes
+
+
+def test_deep_search_is_refused():
+    g = rainbow_path_graph(3000)
+    with pytest.raises(GuardError):
+        longest_rainbow_path(g)
+    # a short query stops long before the recursion limit
+    assert has_rainbow_path(g, 5).witness.vertices == (0, 1, 2, 3, 4, 5)
+
+
 # === existence queries ===
 
 def test_has_rainbow_path_decides():
@@ -136,6 +200,14 @@ def test_has_rainbow_path_budget_undecided():
     g = one_factorized_complete(10)
     out = has_rainbow_path(g, 9, budget=2)
     assert out.found is None
+
+
+def test_exists_budget_counts_the_refused_node():
+    g = one_factorized_complete(10)
+    # the hit is the fourth node: a budget of four decides, three does not
+    assert has_rainbow_path(g, 3, budget=4).found is True
+    out = has_rainbow_path(g, 3, budget=3)
+    assert out.found is None and out.nodes_expanded == 4
 
 
 def test_exists_witness_checks_out():
@@ -160,6 +232,12 @@ def test_spanning_between_endpoints():
     assert p is not None and p.endpoints == (0, 2)
     g2 = ColoredGraph.from_edges(3, [(0, 1, 0), (1, 2, 0)], num_colors=1)
     assert spanning_rainbow_path_between(g2, {0, 1, 2}, 0, 2) is None
+
+
+def test_deep_spanning_search_is_refused():
+    g = rainbow_path_graph(1100)
+    with pytest.raises(GuardError):
+        spanning_rainbow_path_from(g, range(1100), 0)
 
 
 def test_enumerate_guard():

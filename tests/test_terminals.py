@@ -16,8 +16,8 @@ from rturan.constructions import maamoun_meyniel
 from rturan.errors import WitnessError
 from rturan.graphs import ColoredGraph
 from rturan.search import is_rainbow, path_from_vertices
-from rturan.terminals import (AuxGraph, _checked_fire, build_aux_oracle,
-                              build_aux_rules, matching_stats,
+from rturan.terminals import (AuxGraph, build_aux_oracle, build_aux_rules,
+                              checked_fire, matching_stats,
                               maximum_matching, terminal_oracle,
                               terminal_rules)
 
@@ -139,27 +139,27 @@ def test_far_jump_makes_everything_terminal():
 def test_checked_fire_rejects_non_path():
     g, p = hand_pair()
     with pytest.raises(WitnessError):
-        _checked_fire(g, p, "bogus", ("start", 0), [2, 0, 1, 3, 4, 5], (0,))
+        checked_fire(g, p, "bogus", ("start", 0), [2, 0, 1, 3, 4, 5], (0,))
 
 
 def test_checked_fire_rejects_repeated_color():
     g, p = hand_pair()
     with pytest.raises(WitnessError) as e:
-        _checked_fire(g, p, "bogus", ("start", 0), [4, 0, 5, 2, 3], (0,))
+        checked_fire(g, p, "bogus", ("start", 0), [4, 0, 5, 2, 3], (0,))
     assert "color" in str(e.value)
 
 
 def test_checked_fire_rejects_non_spanning():
     g, p = hand_pair()
     with pytest.raises(WitnessError) as e:
-        _checked_fire(g, p, "bogus", ("start", 0), [0, 1, 2, 3, 4], (0,))
+        checked_fire(g, p, "bogus", ("start", 0), [0, 1, 2, 3, 4], (0,))
     assert "span" in str(e.value)
 
 
 def test_checked_fire_rejects_interior_terminal():
     g, p = hand_pair()
     with pytest.raises(WitnessError) as e:
-        _checked_fire(g, p, "bogus", ("start", 0), list(range(6)), (2,))
+        checked_fire(g, p, "bogus", ("start", 0), list(range(6)), (2,))
     assert "endpoint" in str(e.value)
 
 
