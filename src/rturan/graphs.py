@@ -13,6 +13,8 @@ File formats:
   json       {"n":, "m":, "colors":, "edges": [[u,v,c],...], "sides": null|[0,1,...]}
 
 parse_graph(serialize_graph(g)) == g for every valid graph, in both formats.
+A file declaring more than PARSE_VERTEX_GUARD vertices is refused before
+anything is allocated for them (GuardError, exit 3 on the command line).
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import GraphError
+from .errors import GraphError, GuardError
 
 Edge = tuple[int, int]
+
+PARSE_VERTEX_GUARD = 100_000
 
 
 def _norm(u: int, v: int) -> Edge:
@@ -116,6 +120,22 @@ class ColoredGraph:
         if num_colors is None:
             num_colors = (max((c for (_, _, c) in es), default=-1)) + 1
         return cls(n, es, num_colors, tuple(sides) if sides is not None else None)
+
+    @property
+    def _bits(self) -> tuple:
+        """Per vertex, one (neighbour, 1 << neighbour, 1 << color) tuple per
+        edge, in ascending order: the table the search kernels read. Built
+        on the first search of this graph and kept, so loading, validating
+        and converting a graph never pay for its big ints. (Cached by hand:
+        functools.cached_property takes a lock on every first read, a few
+        microseconds, several percent of a search on K5.)"""
+        bits = self.__dict__.get("_bits_cache")
+        if bits is None:
+            nbrs = self._nbrs
+            bits = tuple([tuple([(w, 1 << w, 1 << c) for (w, c) in nbrs[v]])
+                          for v in range(self.n)])
+            self.__dict__["_bits_cache"] = bits
+        return bits
 
     # -- queries ------------------------------------------------------------
 
@@ -275,9 +295,16 @@ def serialize_graph_json(g: ColoredGraph) -> str:
     return json.dumps(graph_to_json_obj(g), indent=1) + "\n"
 
 
+def _check_vertex_guard(n: int) -> None:
+    if n > PARSE_VERTEX_GUARD:
+        raise GuardError("parse", f"n={n} exceeds the vertex guard "
+                                  f"{PARSE_VERTEX_GUARD}")
+
+
 def graph_from_json_obj(obj: dict) -> ColoredGraph:
     try:
         n = int(obj["n"])
+        _check_vertex_guard(n)
         colors = int(obj["colors"])
         edges = [(int(u), int(v), int(c)) for (u, v, c) in obj["edges"]]
         sides = obj.get("sides")
@@ -291,7 +318,8 @@ def graph_from_json_obj(obj: dict) -> ColoredGraph:
 
 
 def parse_graph(text: str) -> ColoredGraph:
-    """Parse either format; JSON is recognized by a leading '{'."""
+    """Parse either format; JSON is recognized by a leading '{'. A header
+    declaring more than PARSE_VERTEX_GUARD vertices raises GuardError."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -299,6 +327,7 @@ def parse_graph(text: str) -> ColoredGraph:
         except json.JSONDecodeError as exc:
             raise GraphError(f"bad json: {exc}") from None
     sides: Optional[tuple[int, ...]] = None
+    empty_tag = False
     rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -308,6 +337,7 @@ def parse_graph(text: str) -> ColoredGraph:
                 bits = body[len("sides"):].strip()
                 if bits and all(ch in "01" for ch in bits):
                     sides = tuple(int(ch) for ch in bits)
+                empty_tag = empty_tag or not bits
             continue
         if not line:
             continue
@@ -321,6 +351,11 @@ def parse_graph(text: str) -> ColoredGraph:
     if len(head) != 3:
         raise GraphError("header must be 'n m C'")
     n, m, num_colors = head
+    _check_vertex_guard(n)
+    if empty_tag and n == 0 and sides is None:
+        # the bipartition of a graph with no vertices; on n > 0 a bare tag
+        # is ignored, like any other tag that does not parse
+        sides = ()
     if len(body) != m:
         raise GraphError(f"expected {m} edge lines, found {len(body)}")
     edges = []

@@ -3,7 +3,11 @@
 All searches are depth-first over simple paths with a used-vertex bitmask and
 a used-color bitmask (Python ints, so palettes of any size work; nothing
 special happens at 128 colors). Neighbor lists are visited in ascending
-order, which makes every result deterministic.
+order, which makes every result deterministic. Both kernels read the
+neighbour bit table ColoredGraph builds once per graph, on its first search
+(`_bits`: per vertex, one (neighbour, 1 << neighbour, 1 << color) tuple per
+edge, in ascending order); no search rebuilds it, and a spanning query only
+filters it down to its vertex set.
 
 longest_rainbow_path and has_rainbow_path share one recursive kernel, _dfs.
 It searches for rainbow paths longer than a floor from every root in
@@ -96,14 +100,17 @@ def path_from_vertices(g: ColoredGraph, vertices: Sequence[int]) -> RainbowPath:
         raise PathError("empty vertex sequence")
     if len(set(vs)) != len(vs):
         raise PathError(f"repeated vertex in {vs}")
+    n = g.n
     for v in vs:
-        if not (0 <= v < g.n):
+        if not (0 <= v < n):
             raise PathError(f"vertex {v} not in graph")
+    col = g._col
     colors = []
     for u, v in zip(vs, vs[1:]):
-        if not g.has_edge(u, v):
+        c = col.get((u, v) if u < v else (v, u))
+        if c is None:
             raise PathError(f"missing edge ({u},{v})")
-        colors.append(g.color_of(u, v))
+        colors.append(c)
     return RainbowPath(vs, tuple(colors))
 
 
@@ -140,11 +147,6 @@ class ExistsOutcome:
     nodes_expanded: int
 
 
-def _neighbor_table(g: ColoredGraph):
-    return [tuple((w, 1 << w, 1 << c) for (w, c) in g.neighbors(v))
-            for v in range(g.n)]
-
-
 def _too_deep() -> GuardError:
     return GuardError("search", "the path search recursed past the "
                       f"interpreter's limit ({sys.getrecursionlimit()} frames)")
@@ -161,7 +163,7 @@ def _dfs(g: ColoredGraph, floor: int, first: bool,
     vertices, nodes expanded, budget exhausted); the vertices are [0] while
     nothing beat `floor`.
     """
-    nbrs = _neighbor_table(g)
+    nbrs = g._bits
     # depth + min(free vertices, free colors) is this constant at every node
     lim = min(g.n - 1, len(g.used_colors()))
     stop = sys.maxsize if budget is None else budget
@@ -252,13 +254,17 @@ def _span_prep(g: ColoredGraph, vset):
     for v in vs:
         if not (0 <= v < g.n):
             raise PathError(f"vertex {v} not in graph")
-    inset = set(vs)
     full = 0
     for v in vs:
         full |= 1 << v
-    adj = {v: tuple((w, 1 << w, 1 << c) for (w, c) in g.neighbors(v) if w in inset)
-           for v in vs}
-    adj_mask = {v: sum(wbit for (_, wbit, _) in adj[v]) for v in vs}
+    # the graph's bit table filtered to the vertex set, indexed by vertex
+    bits = g._bits
+    adj: list = [()] * g.n
+    adj_mask = [0] * g.n
+    for v in vs:
+        row = [t for t in bits[v] if t[1] & full]
+        adj[v] = row
+        adj_mask[v] = sum(t[1] for t in row)
     return vs, full, adj, adj_mask
 
 

@@ -9,6 +9,21 @@ rotation arguments; every firing carries an explicit witness path that is
 re-validated from scratch, so an unsound rule cannot slip through silently
 (it raises WitnessError).
 
+Where each witness is read from g and checked, once each:
+
+  rule fires     checked_fire reads the path off g (path_from_vertices:
+                 simple path, every edge present, colors from g), then
+                 checks that its colors are distinct, that it spans V(P*)
+                 and that the claimed terminals are its endpoints
+  aux, given     P* and the report's fire witnesses come from outside
+                 build_aux_rules, so _reread re-reads each one from g
+                 (is_rainbow(g, w): a path of g whose recorded colors are
+                 g's); _aux_fire then checks its span and that its colors
+                 are distinct
+  aux, rotated   a jump rotation is built by path_from_vertices inside
+                 _jump_rotations, so its colors are g's already; _aux_fire
+                 checks its span and that its colors are distinct
+
 Rule families, in profile.py vocabulary:
 
   endpoints      v_0 and v_k, witnessed by P* itself
@@ -88,7 +103,7 @@ def checked_fire(g: ColoredGraph, pstar: RainbowPath, rule: str,
         w = path_from_vertices(g, vs)
     except PathError as e:
         raise WitnessError(rule, f"witness is not a path: {e}")
-    if not is_rainbow(g, w):
+    if not w.is_rainbow():
         raise WitnessError(rule, "witness repeats a color")
     if set(vs) != set(verts):
         raise WitnessError(rule, "witness does not span the path vertices")
@@ -242,15 +257,26 @@ class AuxGraph:
         return min(self.degree(v) for v in self.vertices)
 
 
-def _aux_fire(g: ColoredGraph, pstar: RainbowPath, source: str,
-              witness: RainbowPath) -> AuxEdgeFire:
-    if set(witness.vertices) != set(pstar.vertices):
+def _aux_fire(span: set, source: str, witness: RainbowPath) -> AuxEdgeFire:
+    """Check an aux witness, whose colors were read from g, against the
+    path's vertex set `span`."""
+    if set(witness.vertices) != span:
         raise WitnessError(source, "aux witness does not span the path")
-    if not is_rainbow(g, witness):
+    if not witness.is_rainbow():
         raise WitnessError(source, "aux witness repeats a color")
     u, w = witness.endpoints
     return AuxEdgeFire(source=source, pair=(min(u, w), max(u, w)),
                        witness=witness)
+
+
+def _reread(g: ColoredGraph, source: str, witness: RainbowPath) -> RainbowPath:
+    """A witness handed in from outside, re-read from g: it must be a path of
+    g whose recorded colors are g's (whether they repeat is _aux_fire's)."""
+    try:
+        is_rainbow(g, witness)
+    except PathError as e:
+        raise WitnessError(source, f"aux witness is not a path of g: {e}")
+    return witness
 
 
 def _jump_rotations(g: ColoredGraph, w: RainbowPath):
@@ -290,11 +316,13 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
     """
     if report is None:
         report = terminal_rules(g, pstar)
-    fires = [_aux_fire(g, pstar, "base", pstar)]
+    span = set(pstar.vertices)
+    fires = [_aux_fire(span, "base", _reread(g, "base", pstar))]
     for f in report.fires:
-        fires.append(_aux_fire(g, pstar, "witness", f.witness))
+        fires.append(_aux_fire(span, "witness",
+                               _reread(g, "witness", f.witness)))
         for source, rotated in _jump_rotations(g, f.witness):
-            fires.append(_aux_fire(g, pstar, source, rotated))
+            fires.append(_aux_fire(span, source, rotated))
     edges = frozenset(f.pair for f in fires)
     return AuxGraph(vertices=tuple(sorted(report.rule_terminals)),
                     edges=edges), tuple(fires)
@@ -320,7 +348,10 @@ def maximum_matching(aux: AuxGraph) -> tuple:
     """A maximum matching of the auxiliary graph, as sorted vertex pairs.
 
     Plain bitmask recursion; auxiliary graphs here have at most a path's
-    worth of vertices, so this is never large.
+    worth of vertices, so this is never large. best(mask) stops trying
+    partners once it reaches mask.bit_count() // 2, the most any matching
+    of mask can have, so every value, and every pair read back from them,
+    is what the full recursion gives.
     """
     vs = aux.vertices
     index = {v: i for i, v in enumerate(vs)}
@@ -333,11 +364,12 @@ def maximum_matching(aux: AuxGraph) -> tuple:
     def best(mask: int) -> int:
         if mask == 0:
             return 0
+        cap = mask.bit_count() // 2
         i = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << i)
         top = best(rest)
         live = adj[i] & rest
-        while live:
+        while live and top < cap:
             j = (live & -live).bit_length() - 1
             live &= live - 1
             top = max(top, 1 + best(rest & ~(1 << j)))

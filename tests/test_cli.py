@@ -6,11 +6,12 @@ avoiding coloring), 2 for unusable input, 3 for a guard or budget refusal.
 """
 
 import json
+import time
 
 import pytest
 
 from rturan.cli import main
-from rturan.graphs import load_graph, parse_graph
+from rturan.graphs import PARSE_VERTEX_GUARD, load_graph, parse_graph
 from rturan.induction import certificate_from_json_obj, verify_certificate
 
 
@@ -83,6 +84,22 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a graph\n")
     assert main(["graph", "validate", str(bad)]) == 2
+
+
+def test_huge_vertex_count_is_refused_at_parse(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("2000000 0 0\n")
+    start = time.perf_counter()
+    assert main(["graph", "validate", str(huge)]) == 3
+    # refused before two million vertices are allocated (seconds of work)
+    assert time.perf_counter() - start < 1.0
+    assert "refused: parse" in capsys.readouterr().err
+    huge.write_text(json.dumps({"n": 2000000, "colors": 0, "edges": []}))
+    assert main(["graph", "validate", str(huge)]) == 3
+    at_guard = tmp_path / "at_guard.txt"
+    at_guard.write_text(f"{PARSE_VERTEX_GUARD} 0 0\n")
+    code, out = run(capsys, ["graph", "validate", str(at_guard)])
+    assert code == 0 and f"n={PARSE_VERTEX_GUARD}" in out
 
 
 def test_convert_round_trip(f2k_file, tmp_path, capsys):

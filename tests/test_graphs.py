@@ -3,9 +3,11 @@ import re
 
 import pytest
 
-from rturan.errors import GraphError
-from rturan.graphs import (ColoredGraph, GraphSkeleton, complete_bipartite,
-                           complete_graph, disjoint_union, graph_from_json_obj,
+from rturan.constructions import bipartite_f2k, blowup, maamoun_meyniel
+from rturan.errors import GraphError, GuardError
+from rturan.graphs import (PARSE_VERTEX_GUARD, ColoredGraph, GraphSkeleton,
+                           complete_bipartite, complete_graph,
+                           disjoint_union, graph_from_json_obj,
                            graph_to_json_obj, induced_subgraph, load_graph,
                            one_factorization, one_factorized_complete,
                            parse_graph, save_graph, serialize_graph,
@@ -68,6 +70,23 @@ def test_adjacency_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         ColoredGraph(2, (), 0, None, {"junk": 1})
     assert small() == ColoredGraph(4, small().edges, 2)
+
+
+def test_bit_table_is_derived_state():
+    with pytest.raises(TypeError):
+        ColoredGraph(2, (), 0, None, ((),) * 2)
+    with pytest.raises(TypeError):
+        ColoredGraph(2, (), 0, _bits=((),) * 2)
+    g, h = small(), small()
+    assert "_bits_cache" not in vars(g)  # built on the first search, not here
+    assert h._bits is h._bits  # built once, then kept
+    assert g == h and hash(g) == hash(h)
+    for g in (small(), bipartite_f2k(2), maamoun_meyniel(3), blowup(2, 9),
+              one_factorized_complete(6), ColoredGraph(3, (), 0)):
+        # the table the search kernels used to rebuild on every call
+        old = [tuple((w, 1 << w, 1 << c) for (w, c) in g.neighbors(v))
+               for v in range(g.n)]
+        assert list(g._bits) == old
 
 
 def test_negative_palette_rejected():
@@ -158,6 +177,13 @@ def test_sides_survive_both_formats():
     assert graph_from_json_obj(graph_to_json_obj(g)).sides == (0, 0, 1)
 
 
+def test_empty_sides_tag_survives_text():
+    g = ColoredGraph(0, (), 1, ())
+    assert parse_graph(serialize_graph(g)).sides == ()
+    # on a graph with vertices a bare tag is ignored, as it always was
+    assert parse_graph("2 0 0\n# sides\n").sides is None
+
+
 def test_save_load_by_extension(tmp_path):
     g = small()
     for name in ("g.txt", "g.json"):
@@ -186,3 +212,31 @@ def test_json_m_mismatch_rejected():
     obj["m"] = 99
     with pytest.raises(GraphError):
         graph_from_json_obj(obj)
+
+
+def test_parse_refuses_huge_vertex_count():
+    with pytest.raises(GuardError) as e:
+        parse_graph("2000000 0 0\n")
+    assert e.value.topic == "parse"
+    with pytest.raises(GuardError):
+        parse_graph('{"n": 2000000, "colors": 0, "edges": []}')
+    with pytest.raises(GuardError):
+        parse_graph(f"{PARSE_VERTEX_GUARD + 1} 0 0\n")
+    at_guard = parse_graph(f"{PARSE_VERTEX_GUARD} 1 1\n0 1 0\n")
+    assert at_guard.n == PARSE_VERTEX_GUARD and at_guard.m == 1
+
+
+def test_loading_a_long_path_builds_no_search_table(tmp_path):
+    # The search table holds two ints of up to n bits per edge end, so on
+    # a path it grows as n^2 / 4 bytes (2.5 GB at PARSE_VERTEX_GUARD).
+    # Loading, validating and converting never search, so they never
+    # build it.
+    n = 20_000
+    path = tmp_path / "path.txt"
+    path.write_text(f"{n} {n - 1} {n - 1}\n"
+                    + "".join(f"{i} {i + 1} {i}\n" for i in range(n - 1)))
+    g = load_graph(str(path))
+    assert validate_proper(g).is_proper
+    assert parse_graph(serialize_graph_json(g)) == g
+    assert "_bits_cache" not in vars(g)
+

@@ -96,6 +96,18 @@ def test_path_from_vertices_rejects(vs):
         path_from_vertices(g, vs)
 
 
+def test_path_from_vertices_error_messages():
+    g = ColoredGraph.from_edges(4, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
+    for vs, msg in [([], "empty vertex sequence"),
+                    ([0, 0], "repeated vertex in (0, 0)"),
+                    ([0, 5], "vertex 5 not in graph"),
+                    ([0, 1, 3], "missing edge (1,3)"),
+                    ([3, 1], "missing edge (3,1)")]:
+        with pytest.raises(PathError) as e:
+            path_from_vertices(g, vs)
+        assert str(e.value) == msg
+
+
 def test_is_rainbow_checks_recorded_colors():
     g = rainbow_triangle()
     assert is_rainbow(g, [0, 1, 2])
