@@ -16,12 +16,15 @@ ascending DFS order and keeps the first path of the best length, or, with
 is the free-vertex/free-color cap: both free counts drop by one per step,
 so depth + min(free vertices, free colors) is the constant
 min(n - 1, colors in use), and the search stops once the best length
-reaches it. longest_rainbow_path runs the kernel twice: from floor 0 (under
-the caller's budget) to establish the exact length, then from one below it
-with `first` set to retrieve the lexicographically least witness of that
-length (the first one in ascending DFS order; since the reverse of a path
-is also a path, that sequence starts at its smaller endpoint).
-has_rainbow_path(L) is one run from floor L - 1 with `first` set.
+reaches it. longest_rainbow_path is one run from floor 0 under the
+caller's budget, and has_rainbow_path(L) one run from floor L - 1 with
+`first` set. Each returns the path the kernel recorded: the first of its
+length in ascending DFS order, so the lexicographically least (the cap cuts
+nothing until the best length reaches the constant, so the single longest
+pass meets every path before it records the first of the best length). The
+path needs no orientation fix: had its reverse begun at a smaller root,
+that root's search, finished before this one began, would have recorded a
+path of this length first.
 
 The spanning searches (paths whose vertex set is a given set, the terminal
 and auxiliary oracles' question) share one recursive kernel, _span_ends. It
@@ -80,15 +83,6 @@ class RainbowPath:
     def is_rainbow(self) -> bool:
         return len(set(self.colors)) == len(self.colors)
 
-    def reversed(self) -> "RainbowPath":
-        return RainbowPath(self.vertices[::-1], self.colors[::-1])
-
-    def canonical(self) -> "RainbowPath":
-        """Orientation with the smaller endpoint first."""
-        if self.length >= 1 and self.vertices[0] > self.vertices[-1]:
-            return self.reversed()
-        return self
-
 
 def path_from_vertices(g: ColoredGraph, vertices: Sequence[int]) -> RainbowPath:
     """Build a RainbowPath from a vertex sequence, reading colors off g.
@@ -135,7 +129,6 @@ class SearchOutcome:
     best: Optional[RainbowPath]
     proven_optimal: bool
     nodes_expanded: int
-    budget_exhausted: bool
 
 
 @dataclass(frozen=True)
@@ -211,17 +204,9 @@ def longest_rainbow_path(g: ColoredGraph, budget: Optional[int] = None) -> Searc
     the best path found so far is returned with proven_optimal=False.
     """
     if g.n == 0:
-        return SearchOutcome(None, True, 0, False)
-    best_len, seq, nodes, exhausted = _dfs(g, 0, False, budget)
-    if exhausted:
-        best = path_from_vertices(g, seq).canonical()
-        return SearchOutcome(best, False, nodes, True)
-    # retrieval pass: first path of the proven length in ascending DFS order
-    _, seq, more, _ = _dfs(g, best_len - 1, True, None)
-    best = path_from_vertices(g, seq)
-    assert best.length == best_len and best.is_rainbow()
-    assert best.vertices[0] <= best.vertices[-1]
-    return SearchOutcome(best, True, nodes + more, False)
+        return SearchOutcome(None, True, 0)
+    _, seq, nodes, exhausted = _dfs(g, 0, False, budget)
+    return SearchOutcome(path_from_vertices(g, seq), not exhausted, nodes)
 
 
 def has_rainbow_path(g: ColoredGraph, length: int,
@@ -243,7 +228,7 @@ def has_rainbow_path(g: ColoredGraph, length: int,
     if exhausted:
         return ExistsOutcome(None, None, nodes)
     if got == length:
-        return ExistsOutcome(True, path_from_vertices(g, seq).canonical(), nodes)
+        return ExistsOutcome(True, path_from_vertices(g, seq), nodes)
     return ExistsOutcome(False, None, nodes)
 
 

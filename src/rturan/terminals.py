@@ -5,24 +5,15 @@ the fixed path P* (and the same number of edges) ends there. The oracle
 finds terminals by exhaustive search: one spanning search from each vertex,
 skipping vertices already seen as the far end of an earlier witness. The
 rule engine re-derives them from the chord structure alone by replaying
-rotation arguments; every firing carries an explicit witness path that is
-re-validated from scratch, so an unsound rule cannot slip through silently
-(it raises WitnessError).
+rotation arguments; every firing carries an explicit witness path, so an
+unsound rule cannot slip through silently (it raises WitnessError).
 
-Where each witness is read from g and checked, once each:
-
-  rule fires     checked_fire reads the path off g (path_from_vertices:
-                 simple path, every edge present, colors from g), then
-                 checks that its colors are distinct, that it spans V(P*)
-                 and that the claimed terminals are its endpoints
-  aux, given     P* and the report's fire witnesses come from outside
-                 build_aux_rules, so _reread re-reads each one from g
-                 (is_rainbow(g, w): a path of g whose recorded colors are
-                 g's); _aux_fire then checks its span and that its colors
-                 are distinct
-  aux, rotated   a jump rotation is built by path_from_vertices inside
-                 _jump_rotations, so its colors are g's already; _aux_fire
-                 checks its span and that its colors are distinct
+Every witness, a rule fire's, P* and the report's handed to the auxiliary
+graph, and each jump rotation, is checked once, by _witness: it reads the
+vertex sequence off g (a simple path, every edge present), compares the
+recorded colors with g's when there are any, and refuses a repeated color
+or a vertex set other than V(P*). checked_fire adds that the claimed
+terminals are the witness's endpoints.
 
 Rule families, in profile.py vocabulary:
 
@@ -67,7 +58,7 @@ from .profile import PathProfile, compute_profile
 # this module: perfbench's traced run (--trace 1) wraps the spanning searches
 # at the names terminals looks them up by, and raises AttributeError without
 # this one.
-from .search import (RainbowPath, is_rainbow, path_from_vertices,
+from .search import (RainbowPath, path_from_vertices,
                      spanning_rainbow_ends_from,
                      spanning_rainbow_path_between,
                      spanning_rainbow_path_from)
@@ -94,21 +85,31 @@ class TerminalReport:
         return {rule: tuple(sorted(vs)) for rule, vs in sorted(out.items())}
 
 
+def _witness(g: ColoredGraph, span: set, source: str, vertices,
+             colors: Optional[tuple] = None) -> RainbowPath:
+    """The witness `vertices` read off g; refuse it unless it is a rainbow
+    path of g whose vertex set is `span` and, when `colors` are recorded,
+    whose colors are those."""
+    try:
+        w = path_from_vertices(g, vertices)
+    except PathError as e:
+        raise WitnessError(source, f"witness is not a path: {e}")
+    if colors is not None and w.colors != colors:
+        raise WitnessError(source, "recorded colors disagree with the graph")
+    if not w.is_rainbow():
+        raise WitnessError(source, "witness repeats a color")
+    if set(w.vertices) != span:
+        raise WitnessError(source, "witness does not span the path vertices")
+    return w
+
+
 def checked_fire(g: ColoredGraph, pstar: RainbowPath, rule: str,
                  anchor: tuple, idx_seq, terminal_positions) -> RuleFire:
     """Build a witness from path positions and refuse anything unsound."""
     verts = pstar.vertices
-    vs = [verts[i] for i in idx_seq]
-    try:
-        w = path_from_vertices(g, vs)
-    except PathError as e:
-        raise WitnessError(rule, f"witness is not a path: {e}")
-    if not w.is_rainbow():
-        raise WitnessError(rule, "witness repeats a color")
-    if set(vs) != set(verts):
-        raise WitnessError(rule, "witness does not span the path vertices")
+    w = _witness(g, set(verts), rule, [verts[i] for i in idx_seq])
     claimed = tuple(verts[i] for i in terminal_positions)
-    if not set(claimed) <= {vs[0], vs[-1]}:
+    if not set(claimed) <= set(w.endpoints):
         raise WitnessError(rule, "claimed terminal is not a witness endpoint")
     return RuleFire(rule=rule, anchor=anchor, terminals=claimed, witness=w)
 
@@ -257,30 +258,9 @@ class AuxGraph:
         return min(self.degree(v) for v in self.vertices)
 
 
-def _aux_fire(span: set, source: str, witness: RainbowPath) -> AuxEdgeFire:
-    """Check an aux witness, whose colors were read from g, against the
-    path's vertex set `span`."""
-    if set(witness.vertices) != span:
-        raise WitnessError(source, "aux witness does not span the path")
-    if not witness.is_rainbow():
-        raise WitnessError(source, "aux witness repeats a color")
-    u, w = witness.endpoints
-    return AuxEdgeFire(source=source, pair=(min(u, w), max(u, w)),
-                       witness=witness)
-
-
-def _reread(g: ColoredGraph, source: str, witness: RainbowPath) -> RainbowPath:
-    """A witness handed in from outside, re-read from g: it must be a path of
-    g whose recorded colors are g's (whether they repeat is _aux_fire's)."""
-    try:
-        is_rainbow(g, witness)
-    except PathError as e:
-        raise WitnessError(source, f"aux witness is not a path of g: {e}")
-    return witness
-
-
 def _jump_rotations(g: ColoredGraph, w: RainbowPath):
-    """Endpoint-preserving rotations of a witness path.
+    """Endpoint-preserving rotations of a witness path, as (source, vertex
+    sequence) pairs.
 
     For a fresh chord at either end of w, cutting the freed edge keeps one
     endpoint fixed and moves the other, which is exactly what the degree
@@ -296,14 +276,14 @@ def _jump_rotations(g: ColoredGraph, w: RainbowPath):
             continue
         seq = [w.vertices[i] for i in range(j + 1)]
         seq += [w.vertices[i] for i in range(k, j, -1)]
-        out.append(("jump_end", path_from_vertices(g, seq)))
+        out.append(("jump_end", seq))
     for (x, c) in g.neighbors(w.vertices[0]):
         i = pos.get(x)
         if i is None or c in used or i < 2:
             continue
         seq = [w.vertices[t] for t in range(i - 1, -1, -1)]
         seq += [w.vertices[t] for t in range(i, k + 1)]
-        out.append(("jump_start", path_from_vertices(g, seq)))
+        out.append(("jump_start", seq))
     return out
 
 
@@ -311,21 +291,31 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
                     report: Optional[TerminalReport] = None):
     """Auxiliary graph from rule witnesses alone.
 
-    Returns (AuxGraph, fires). Vertices are the rule terminals; edges come
-    from each witness's endpoint pair and its jump rotations.
+    Returns (AuxGraph, fires). Edges come from each witness's endpoint pair
+    and its jump rotations. Vertices are the rule terminals and every edge
+    endpoint: a rotation can end at a terminal no rule names, and each
+    endpoint ends a checked spanning witness, so it is terminal too.
     """
     if report is None:
         report = terminal_rules(g, pstar)
     span = set(pstar.vertices)
-    fires = [_aux_fire(span, "base", _reread(g, "base", pstar))]
+    fires = []
+
+    def fire(source, vertices, colors=None) -> RainbowPath:
+        w = _witness(g, span, source, vertices, colors)
+        u, v = w.endpoints
+        fires.append(AuxEdgeFire(source=source, pair=(min(u, v), max(u, v)),
+                                 witness=w))
+        return w
+
+    fire("base", pstar.vertices, pstar.colors)
     for f in report.fires:
-        fires.append(_aux_fire(span, "witness",
-                               _reread(g, "witness", f.witness)))
-        for source, rotated in _jump_rotations(g, f.witness):
-            fires.append(_aux_fire(span, source, rotated))
+        w = fire("witness", f.witness.vertices, f.witness.colors)
+        for source, seq in _jump_rotations(g, w):
+            fire(source, seq)
     edges = frozenset(f.pair for f in fires)
-    return AuxGraph(vertices=tuple(sorted(report.rule_terminals)),
-                    edges=edges), tuple(fires)
+    vertices = report.rule_terminals.union(*edges)
+    return AuxGraph(vertices=tuple(sorted(vertices)), edges=edges), tuple(fires)
 
 
 def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath,

@@ -64,3 +64,5 @@ def test_rules_stay_inside_the_oracles(g):
     aux_rules, _ = build_aux_rules(g, pstar, report)
     aux_oracle = build_aux_oracle(g, pstar, terminals)
     assert aux_rules.edges <= aux_oracle.edges
+    ends = {v for e in aux_rules.edges for v in e}
+    assert ends <= set(aux_rules.vertices) <= terminals

@@ -12,9 +12,11 @@ import random
 import pytest
 
 from rturan.constructions import maamoun_meyniel
+from rturan.corpus import random_instance
 from rturan.errors import WitnessError
 from rturan.graphs import ColoredGraph
-from rturan.search import RainbowPath, is_rainbow, path_from_vertices
+from rturan.search import (RainbowPath, is_rainbow, longest_rainbow_path,
+                           path_from_vertices)
 from rturan.terminals import (AuxGraph, RuleFire, TerminalReport,
                               build_aux_oracle, build_aux_rules,
                               checked_fire, matching_stats,
@@ -184,6 +186,21 @@ def test_aux_rules_reread_witnesses_from_the_graph():
     with pytest.raises(WitnessError) as e:
         build_aux_rules(g, shifted, rep)
     assert e.value.rule == "base"
+
+
+def test_aux_rules_vertices_hold_every_edge_end():
+    # suite instance 808:115: a jump rotation ends at vertex 5, a terminal
+    # no rule names
+    rng = random.Random(808)
+    for _ in range(116):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, "random")
+    p = longest_rainbow_path(g).best
+    rep = terminal_rules(g, p)
+    aux, _ = build_aux_rules(g, p, rep)
+    assert 5 not in rep.rule_terminals and 5 in aux.vertices
+    ends = {v for e in aux.edges for v in e}
+    assert ends <= set(aux.vertices) <= terminal_oracle(g, p)
+    assert maximum_matching(aux)
 
 
 def test_aux_graph_accessors():
