@@ -34,7 +34,7 @@ from .graphs import ColoredGraph
 from .profile import PathProfile, compute_profile
 from .search import RainbowPath, has_rainbow_path, longest_rainbow_path
 from .terminals import (AuxGraph, MatchingReport, build_aux_oracle,
-                        matching_stats, maximum_matching, terminal_oracle)
+                        matching_stats, maximum_matching)
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def build_claim_context(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
         raise PreconditionError("claim checking needs a rainbow path with "
                                 "at least one edge")
     prof = compute_profile(g, pstar)
-    terminals = terminal_oracle(g, pstar)
-    aux = build_aux_oracle(g, pstar, terminals)
+    aux = build_aux_oracle(g, pstar)
+    terminals = frozenset(aux.vertices)
     pairs = maximum_matching(aux)
     mstats = matching_stats(g, pstar, pairs)
     return ClaimContext(g=g, pstar=pstar, prof=prof, maximal=maximal,

@@ -12,7 +12,8 @@ Subcommands mirror the library layers:
   rt suite                       randomized cross-check sweep
 
 Exit codes: 0 success, 1 property violation or falsification, 2 malformed
-input or usage, 3 guard or budget refusal.
+input or usage, 3 guard or budget refusal, 4 internal error (a bug: one
+line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -414,7 +415,13 @@ def cmd_suite(args) -> int:
     merged: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            merged = json.load(fh)
+            try:
+                merged = json.load(fh)
+            except ValueError as e:  # bad JSON or bad UTF-8
+                msg = f"config is not valid JSON: {e}"
+                raise PreconditionError(msg) from None
+        if not isinstance(merged, dict):
+            raise PreconditionError("config must be a JSON object")
     for key in ("seed", "instances", "n_min", "n_max", "edge_prob",
                 "kind", "budget", "tamper"):
         val = getattr(args, key)
@@ -601,10 +608,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, PathError, PreconditionError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (GraphError, PathError, PreconditionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except GuardError as e:
@@ -613,6 +617,10 @@ def main(argv=None) -> int:
     except (WitnessError, FalsificationError) as e:
         print(f"violation: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        # a bug, not bad input: say so in one line, without a traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

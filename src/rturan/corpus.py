@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .claims import ClaimContext, check_claims
-from .errors import GuardError, WitnessError
+from .errors import GuardError, PreconditionError, WitnessError
 from .graphs import ColoredGraph, validate_proper
 from .profile import compute_profile
 from .search import longest_rainbow_path
 from .terminals import (build_aux_oracle, build_aux_rules, checked_fire,
-                        matching_stats, maximum_matching, terminal_oracle,
-                        terminal_rules)
+                        matching_stats, maximum_matching, terminal_rules)
+# unused here, but bound for perfbench's --trace 1, which wraps it here
+from .terminals import terminal_oracle  # noqa: F401
 
 KINDS = ("random", "bare_path")
 
@@ -55,16 +56,16 @@ class RunConfig:
                                               and bool not in types):
                 allowed = " or ".join("null" if t is type(None) else t.__name__
                                       for t in types)
-                raise ValueError(f"config field {name!r} must be {allowed}, "
-                                 f"got {val!r}")
+                raise PreconditionError(f"config field {name!r} must be "
+                                        f"{allowed}, got {val!r}")
         if self.kind not in KINDS:
-            raise ValueError(f"unknown instance kind {self.kind!r}")
+            raise PreconditionError(f"unknown instance kind {self.kind!r}")
         if not (2 <= self.n_min <= self.n_max):
-            raise ValueError("need 2 <= n_min <= n_max")
+            raise PreconditionError("need 2 <= n_min <= n_max")
         if not (0.0 <= self.edge_prob <= 1.0):
-            raise ValueError("edge_prob must lie in [0, 1]")
+            raise PreconditionError("edge_prob must lie in [0, 1]")
         if self.instances < 0:
-            raise ValueError("instances must be nonnegative")
+            raise PreconditionError("instances must be nonnegative")
 
     def to_json_obj(self) -> dict:
         return {"seed": self.seed, "instances": self.instances,
@@ -77,7 +78,7 @@ class RunConfig:
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
         if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
+            raise PreconditionError(f"unknown config keys: {sorted(extra)}")
         return cls(**obj)
 
 
@@ -245,7 +246,8 @@ def check_instance(g: ColoredGraph, label: str,
         fail("witness", f"{e.rule}: {e.detail}")
         return fails, None
 
-    oracle_t = terminal_oracle(g, pstar)
+    aux_oracle = build_aux_oracle(g, pstar)
+    oracle_t = frozenset(aux_oracle.vertices)
     loose = trep.rule_terminals - oracle_t
     if loose:
         fail("terminal_rules", f"rules name non-terminals {sorted(loose)}")
@@ -255,7 +257,6 @@ def check_instance(g: ColoredGraph, label: str,
     except WitnessError as e:
         fail("witness", f"{e.rule}: {e.detail}")
         return fails, None
-    aux_oracle = build_aux_oracle(g, pstar, oracle_t)
     loose_edges = aux_rules.edges - aux_oracle.edges
     if loose_edges:
         fail("aux_rules", f"rule edges missing from the oracle: "

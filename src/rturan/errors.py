@@ -3,7 +3,11 @@
 The CLI maps these onto exit codes: malformed input (GraphError, PathError,
 PreconditionError) exits 2, guard/budget refusals (GuardError) exit 3, and
 property violations found at runtime (WitnessError, FalsificationError, suite
-failures) exit 1.
+failures) exit 1. Any other exception, a bare ValueError included, is a bug
+and exits 4 with a one-line "internal error" message. So code that reads
+user input refuses it with one of the three input types, never with a bare
+ValueError; all three subclass ValueError, so library callers may still
+catch that.
 """
 
 from __future__ import annotations

@@ -310,9 +310,10 @@ def graph_from_json_obj(obj: dict) -> ColoredGraph:
         sides = obj.get("sides")
         if sides is not None:
             sides = tuple(int(s) for s in sides)
+        m = int(obj["m"]) if "m" in obj else len(edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"bad json graph object: {exc}") from None
-    if "m" in obj and int(obj["m"]) != len(edges):
+    if m != len(edges):
         raise GraphError("declared m does not match edge list length")
     return ColoredGraph.from_edges(n, edges, num_colors=colors, sides=sides)
 
@@ -371,7 +372,11 @@ def parse_graph(text: str) -> ColoredGraph:
 
 def load_graph(path: str) -> ColoredGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"graph file is not UTF-8 text: {exc}") from None
+    return parse_graph(text)
 
 
 def save_graph(g: ColoredGraph, path: str) -> None:

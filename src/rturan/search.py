@@ -40,6 +40,16 @@ search also steps only where a wanted end stays unvisited. Every prune cuts
 only subtrees without a hit, so each witness is the first spanning path in
 ascending DFS order, whichever mode found it.
 
+The prune is incremental. Stepping from v to w removes exactly v from the
+scored set (the remaining vertices and the current one), and live counts
+only fall, so only v's remaining neighbours can drop to one way in or
+none; every other vertex the parent passed with two or more keeps them.
+The root scores every remaining vertex; each child rescans only v's
+remaining neighbours plus the parent's single-way-in vertex, re-tested
+against the wanted ends left and against the new current vertex. The
+prune makes the decision the full rescan would at every node, so the
+search tree is the same.
+
 Both kernels recurse once per path vertex. A path deeper than the
 interpreter's recursion limit (about a thousand vertices) ends the search
 with GuardError("search", ...), which the command line reports as a
@@ -71,6 +81,15 @@ class RainbowPath:
             raise PathError("need exactly one color per edge")
         if len(set(self.vertices)) != len(self.vertices):
             raise PathError("repeated vertex")
+
+    @classmethod
+    def _prechecked(cls, vertices: tuple, colors: tuple) -> "RainbowPath":
+        """A path from parts its caller has already checked, without
+        checking them again in __post_init__."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vertices", vertices)
+        object.__setattr__(p, "colors", colors)
+        return p
 
     @property
     def length(self) -> int:
@@ -105,7 +124,8 @@ def path_from_vertices(g: ColoredGraph, vertices: Sequence[int]) -> RainbowPath:
         if c is None:
             raise PathError(f"missing edge ({u},{v})")
         colors.append(c)
-    return RainbowPath(vs, tuple(colors))
+    # the checks above are __post_init__'s, so the path skips them
+    return RainbowPath._prechecked(vs, tuple(colors))
 
 
 def is_rainbow(g: ColoredGraph, path) -> bool:
@@ -266,7 +286,7 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int,
     cur = [start]
     left = wanted
 
-    def walk(v: int, vmask: int, cmask: int) -> bool:
+    def walk(v: int, vmask: int, cmask: int, scan: int) -> bool:
         nonlocal left
         remaining = full & ~vmask
         # Prunes. A remaining vertex needs a live neighbour in remaining or
@@ -274,13 +294,15 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int,
         # a dead end, and one with a single way in must be the path's last
         # vertex: at most one may exist, it must be a wanted end, and if
         # its way in is v itself it must also be the only vertex left.
+        # Only the vertices in `scan` can fail: the step into v dropped
+        # just the previous vertex from the scope, so only its neighbours
+        # lost a way in, and the parent's single-way-in vertex is carried.
         cur_bit = 1 << v
         scope = remaining | cur_bit
         last = 0
-        rem = remaining
-        while rem:
-            xbit = rem & -rem
-            rem ^= xbit
+        while scan:
+            xbit = scan & -scan
+            scan ^= xbit
             live = adj_mask[xbit.bit_length() - 1] & scope
             if live & (live - 1):
                 continue
@@ -289,6 +311,8 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int,
             if live == cur_bit and remaining != xbit:
                 return False
             last = xbit
+        # what a child must rescan, less the child itself
+        rescan = (adj_mask[v] & remaining) | last
         for (w, wbit, cbit) in adj[v]:
             if (vmask & wbit) or (cmask & cbit):
                 continue
@@ -303,14 +327,14 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int,
             if not (left & ~(vmask | wbit)):
                 continue
             cur.append(w)
-            done = walk(w, vmask | wbit, cmask | cbit)
+            done = walk(w, vmask | wbit, cmask | cbit, rescan & ~wbit)
             cur.pop()
             if done:
                 return True
         return False
 
     try:
-        walk(start, 1 << start, 0)
+        walk(start, 1 << start, 0, full & ~(1 << start))
     except RecursionError:
         raise _too_deep() from None
     return hits

@@ -2,11 +2,11 @@
 
 A vertex is terminal when some rainbow path using exactly the vertices of
 the fixed path P* (and the same number of edges) ends there. The oracle
-finds terminals by exhaustive search: one spanning search from each vertex,
-skipping vertices already seen as the far end of an earlier witness. The
-rule engine re-derives them from the chord structure alone by replaying
-rotation arguments; every firing carries an explicit witness path, so an
-unsound rule cannot slip through silently (it raises WitnessError).
+finds terminals by exhaustive search, as the vertices of its auxiliary
+graph (below). The rule engine re-derives them from the chord structure
+alone by replaying rotation arguments; every firing carries an explicit
+witness path, so an unsound rule cannot slip through silently (it raises
+WitnessError).
 
 Every witness, a rule fire's, P* and the report's handed to the auxiliary
 graph, and each jump rotation, is checked once, by _witness: it reads the
@@ -38,11 +38,16 @@ rules already produce the claimed terminal.
 
 On top of the terminal set sits an auxiliary graph: two terminals are
 adjacent when one rainbow path on V(P*) has both as its endpoints. The
-rule flavor connects witness endpoints and jump-rotations of witnesses;
-the oracle flavor decides every terminal pair, with one search per
-terminal u that reaches all later terminals joined to u. A maximum
-matching of the auxiliary graph drives the vertex-deletion step of the
-edge-count bound.
+rule flavor connects witness endpoints and jump-rotations of witnesses.
+The oracle flavor decides every pair of V(P*) in one pass: V(P*) is
+prepared for the spanning kernel once, then one search per vertex u, in
+ascending order, reaches every later vertex joined to u. A terminal ends a
+spanning rainbow path whose other end is a different vertex, so when P*
+has two or more vertices the terminals are exactly the ends of the pairs
+found, and terminal_oracle reads them off the auxiliary graph; on a
+one-vertex P* that vertex is the only terminal and there are no pairs. A
+maximum matching of the auxiliary graph drives the vertex-deletion step of
+the edge-count bound.
 """
 
 from __future__ import annotations
@@ -54,14 +59,11 @@ from typing import Optional
 from .errors import PathError, WitnessError
 from .graphs import ColoredGraph
 from .profile import PathProfile, compute_profile
-# spanning_rainbow_path_between is not called here, but it stays bound in
-# this module: perfbench's traced run (--trace 1) wraps the spanning searches
-# at the names terminals looks them up by, and raises AttributeError without
-# this one.
-from .search import (RainbowPath, path_from_vertices,
-                     spanning_rainbow_ends_from,
-                     spanning_rainbow_path_between,
-                     spanning_rainbow_path_from)
+from .search import RainbowPath, _span_ends, _span_prep, path_from_vertices
+# unused here, but bound for perfbench's --trace 1, which wraps it here
+from .search import spanning_rainbow_path_between  # noqa: F401
+# unused here, but bound for perfbench's --trace 1, which wraps it here
+from .search import spanning_rainbow_path_from  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -209,20 +211,9 @@ def terminal_rules(g: ColoredGraph, pstar: RainbowPath,
 
 
 def terminal_oracle(g: ColoredGraph, pstar: RainbowPath) -> frozenset:
-    """Exhaustively decide, per vertex of pstar, whether it is terminal.
-
-    The far end of a witness is terminal too (read the witness backwards),
-    so a vertex already seen there needs no search of its own.
-    """
-    vset = frozenset(pstar.vertices)
-    found = set()
-    for v in pstar.vertices:
-        if v in found:
-            continue
-        p = spanning_rainbow_path_from(g, vset, v)
-        if p is not None:
-            found.update(p.endpoints)
-    return frozenset(found)
+    """The vertices of pstar that end a spanning rainbow path of V(pstar):
+    the vertices of the oracle's auxiliary graph."""
+    return frozenset(build_aux_oracle(g, pstar).vertices)
 
 
 @dataclass(frozen=True)
@@ -318,20 +309,22 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
     return AuxGraph(vertices=tuple(sorted(vertices)), edges=edges), tuple(fires)
 
 
-def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath,
-                     terminals: Optional[frozenset] = None) -> AuxGraph:
-    """Auxiliary graph by exhaustive search over terminal pairs: one search
-    per terminal u finds every later terminal that a spanning rainbow path
-    joins to u."""
-    if terminals is None:
-        terminals = terminal_oracle(g, pstar)
-    vset = frozenset(pstar.vertices)
-    ts = sorted(terminals)
+def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
+    """Auxiliary graph by exhaustive search: one spanning search per vertex
+    u of V(pstar), in ascending order, finds every later vertex that a
+    spanning rainbow path joins to u. Its vertices are the ends of those
+    pairs, which are exactly the terminals."""
+    vs, full, adj, adj_mask = _span_prep(g, pstar.vertices)
+    if len(vs) == 1:
+        return AuxGraph(vertices=tuple(vs), edges=frozenset())
     edges = set()
-    for i, u in enumerate(ts[:-1]):
-        for w in spanning_rainbow_ends_from(g, vset, u, ts[i + 1:]):
+    later = full
+    for u in vs[:-1]:
+        later &= ~(1 << u)
+        for w in _span_ends(u, full, adj, adj_mask, later, False):
             edges.add((u, w))
-    return AuxGraph(vertices=tuple(ts), edges=frozenset(edges))
+    ends = {v for e in edges for v in e}
+    return AuxGraph(vertices=tuple(sorted(ends)), edges=frozenset(edges))
 
 
 def maximum_matching(aux: AuxGraph) -> tuple:

@@ -102,7 +102,7 @@ def test_false_maximality_gets_caught():
     p = path_from_vertices(g, [1, 2, 3])
     prof = compute_profile(g, p)
     ts = terminal_oracle(g, p)
-    aux = build_aux_oracle(g, p, ts)
+    aux = build_aux_oracle(g, p)
     pairs = maximum_matching(aux)
     ctx = ClaimContext(g=g, pstar=p, prof=prof, maximal=True, terminals=ts,
                        aux=aux, pairs=pairs,

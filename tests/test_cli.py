@@ -2,7 +2,8 @@
 
 Exit code contract: 0 for success or a decided query, 1 for a detected
 violation (improper coloring, falsified claim, an avoidance query with no
-avoiding coloring), 2 for unusable input, 3 for a guard or budget refusal.
+avoiding coloring), 2 for unusable input, 3 for a guard or budget refusal,
+4 for an internal error (any other exception).
 """
 
 import json
@@ -10,6 +11,7 @@ import time
 
 import pytest
 
+from rturan import cli
 from rturan.cli import main
 from rturan.graphs import PARSE_VERTEX_GUARD, load_graph, parse_graph
 from rturan.induction import certificate_from_json_obj, verify_certificate
@@ -196,6 +198,20 @@ def test_aux_modes(k4_file, capsys):
         assert code == 0
 
 
+def test_single_vertex_path_oracles(tmp_path, capsys):
+    # on a one-vertex path that vertex is the only terminal, with no pairs
+    path = tmp_path / "g.txt"
+    path.write_text("4 2 2\n0 1 0\n2 3 1\n")
+    code, out = run(capsys, ["engine", "terminals", str(path), "--path", "3",
+                             "--mode", "oracle", "--json"])
+    assert code == 0 and json.loads(out)["oracle"] == {"terminals": [3]}
+    code, out = run(capsys, ["engine", "aux", str(path), "--path", "3",
+                             "--mode", "oracle", "--json"])
+    assert code == 0
+    assert json.loads(out)["oracle"] == {"vertices": [3], "edges": [],
+                                         "min_degree": 0}
+
+
 def test_claims_clean(f2k_file, capsys):
     code, out = run(capsys, ["engine", "claims", f2k_file])
     assert code == 0
@@ -309,3 +325,24 @@ def test_unknown_command_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+def test_internal_error_exits_4_in_one_line(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_oracle_eg", broken)
+    assert main(["oracle", "eg", "--n", "5", "--k", "2"]) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
+
+
+def test_bad_config_and_graph_files_are_input_errors(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for raw in (b"[1, 2]", b"\xff"):
+        cfg.write_bytes(raw)
+        assert main(["suite", "--config", str(cfg)]) == 2
+    g = tmp_path / "g.json"
+    for raw in (b"\xff\xfe", b'{"n": 2, "colors": 1, "edges": [], "m": [0]}'):
+        g.write_bytes(raw)
+        assert main(["graph", "validate", str(g)]) == 2
+    assert "internal error" not in capsys.readouterr().err

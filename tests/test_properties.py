@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from rturan.graphs import (ColoredGraph, parse_graph, serialize_graph,  # noqa: E402
                            serialize_graph_json, validate_proper)
-from rturan.search import longest_rainbow_path  # noqa: E402
+from rturan.search import (longest_rainbow_path,  # noqa: E402
+                           path_from_vertices)
 from rturan.terminals import (build_aux_oracle, build_aux_rules,  # noqa: E402
                               terminal_oracle, terminal_rules)
 
@@ -62,7 +63,21 @@ def test_rules_stay_inside_the_oracles(g):
     terminals = terminal_oracle(g, pstar)
     assert report.rule_terminals <= terminals
     aux_rules, _ = build_aux_rules(g, pstar, report)
-    aux_oracle = build_aux_oracle(g, pstar, terminals)
+    aux_oracle = build_aux_oracle(g, pstar)
     assert aux_rules.edges <= aux_oracle.edges
     ends = {v for e in aux_rules.edges for v in e}
     assert ends <= set(aux_rules.vertices) <= terminals
+
+
+@SETTINGS
+@given(proper_graphs(), st.integers(2, 7))
+def test_terminals_are_the_aux_pair_ends(g, size):
+    # on a path of at least two vertices, every terminal ends a spanning
+    # path whose other end differs, so the terminals are the pair ends
+    pstar = longest_rainbow_path(g).best
+    assume(pstar is not None and pstar.length >= 1)
+    pstar = path_from_vertices(g, pstar.vertices[:size])
+    terminals = terminal_oracle(g, pstar)
+    aux = build_aux_oracle(g, pstar)
+    assert terminals == frozenset(v for e in aux.edges for v in e)
+    assert terminals == frozenset(aux.vertices)

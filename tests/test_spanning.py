@@ -13,7 +13,8 @@ import pytest
 from rturan.corpus import random_instance
 from rturan.errors import PathError
 from rturan.graphs import ColoredGraph
-from rturan.search import (longest_rainbow_path, spanning_rainbow_ends_from,
+from rturan.search import (longest_rainbow_path, path_from_vertices,
+                           spanning_rainbow_ends_from,
                            spanning_rainbow_path_between,
                            spanning_rainbow_path_from)
 from rturan.terminals import build_aux_oracle, terminal_oracle
@@ -41,9 +42,9 @@ def check_spanning_searches(g, vset):
                 frozenset([w] if to_w else [])
 
 
-def check_oracles(g):
-    """Terminal set and aux edges on V(P*) against brute force."""
-    pstar = longest_rainbow_path(g).best
+def check_oracles(g, pstar):
+    """Terminal set and aux edges on V(pstar) against brute force. pstar is
+    any rainbow path of g, longest or not, as `--path` allows."""
     orders = list(rainbow_orders(g, pstar.vertices))
     ends = frozenset(o[0] for o in orders)
     assert terminal_oracle(g, pstar) == ends
@@ -63,7 +64,23 @@ def seeded_graphs(kind):
 @pytest.mark.parametrize("kind", ["random", "bare_path"])
 def test_oracles_match_brute_force(kind):
     for g in seeded_graphs(kind):
-        check_oracles(g)
+        check_oracles(g, longest_rainbow_path(g).best)
+
+
+@pytest.mark.parametrize("kind", ["random", "bare_path"])
+def test_oracles_on_shorter_paths_match_brute_force(kind):
+    rng = random.Random(f"shorter-{kind}")
+    for g in seeded_graphs(kind):
+        # every proper prefix of P*, down to one vertex, is a rainbow path
+        # that is not longest
+        pstar = longest_rainbow_path(g).best
+        for j in range(1, len(pstar.vertices)):
+            check_oracles(g, path_from_vertices(g, pstar.vertices[:j]))
+        # and so, mostly, is the first rainbow path on a random vertex set
+        vs = rng.sample(range(g.n), rng.randint(1, g.n))
+        for order in rainbow_orders(g, vs):
+            check_oracles(g, path_from_vertices(g, order))
+            break
 
 
 @pytest.mark.parametrize("kind", ["random", "bare_path"])
