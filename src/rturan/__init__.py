@@ -19,8 +19,8 @@ from .graphs import (ColoredGraph, GraphSkeleton, ProperColoringReport,
                      serialize_graph_json, validate_proper)
 from .search import (ExistsOutcome, RainbowPath, SearchOutcome,
                      has_rainbow_path, is_rainbow, longest_rainbow_path,
-                     path_from_vertices, spanning_rainbow_ends_from,
-                     spanning_rainbow_path_between, spanning_rainbow_path_from)
+                     path_from_vertices, spanning_rainbow_path_between,
+                     spanning_rainbow_path_from)
 from .constructions import (BoundTableRow, bipartite_f2k, blowup, bound_table,
                             bound_table_row, lower_bound_edges,
                             maamoun_meyniel)

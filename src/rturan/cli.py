@@ -30,7 +30,8 @@ from .errors import (FalsificationError, GuardError, GraphError, PathError,
 from .graphs import (ColoredGraph, load_graph, save_graph, serialize_graph,
                      serialize_graph_json, graph_to_json_obj, validate_proper)
 from .induction import frac_str, run_induction, verify_certificate
-from .oracle import (clique_packing, coloring_avoiding, count_proper_colorings,
+from .oracle import (COLORING_EDGE_GUARD, EXSTAR_VERTEX_GUARD, clique_packing,
+                     coloring_avoiding, count_proper_colorings,
                      erdos_gallai_bound, exstar_small, packing_edge_count,
                      proper_colorings)
 from .profile import compute_profile
@@ -559,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     xs.add_argument("--n", type=int, required=True)
     xs.add_argument("--len", type=int, required=True,
                     help="forbidden rainbow path length (edges)")
-    xs.add_argument("--guard", type=int, default=7,
+    xs.add_argument("--guard", type=int, default=EXSTAR_VERTEX_GUARD,
                     help="largest n the scan will attempt")
     xs.add_argument("--witness", action="store_true",
                     help="print an extremal coloring")
@@ -572,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print a coloring with no rainbow path this long")
     co.add_argument("--limit", type=int, default=1,
                     help="how many colorings to print")
-    co.add_argument("--guard", type=int, default=15)
+    co.add_argument("--guard", type=int, default=COLORING_EDGE_GUARD,
+                    help="most edges the enumeration will attempt")
     co.set_defaults(fn=cmd_oracle_colorings)
     eg = osub.add_parser("eg", help="classical path bound and packing")
     eg.add_argument("--n", type=int, required=True)

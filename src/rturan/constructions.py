@@ -13,7 +13,9 @@ way (colors are the nonzero vectors, each class a perfect matching); it has
 no rainbow path using all 2^k - 1 colors.
 
 Both need k >= 2: at k < 2 the parity/zero-sum argument has no room (a
-single color, or none).
+single color, or none). Every construction checks its closed-form size
+against the graph guards (graphs.check_size) before it builds anything, so
+an oversized request is refused (GuardError) instead of filling memory.
 """
 
 from __future__ import annotations
@@ -21,8 +23,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
-from .graphs import ColoredGraph, disjoint_union
+from . import graphs
+from .errors import GuardError, PreconditionError
+from .graphs import ColoredGraph, check_size, disjoint_union
+
+
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise PreconditionError("needs k >= 2; below that there is no zero-sum structure")
+
+
+def _xor_order(k: int, size) -> int:
+    """2^k for a xor construction with size(2^k) = (vertices, edges),
+    refused before anything is built when that size passes the guards."""
+    _check_k(k)
+    # each family has at least 2^k edges, so past the guard's bit length 2^k
+    # is not even formed (at k = 10^9 that int alone is 125 MB)
+    if k > graphs.EDGE_GUARD.bit_length():
+        raise GuardError("construct", f"k={k}: at least 2^{k} edges exceed "
+                                      f"the edge guard {graphs.EDGE_GUARD}")
+    q = 1 << k
+    check_size("construct", *size(q))
+    return q
 
 
 def bipartite_f2k(k: int) -> ColoredGraph:
@@ -31,9 +53,7 @@ def bipartite_f2k(k: int) -> ColoredGraph:
     Side 0 is vertices 0..2^k-1 (label = id), side 1 is 2^k..2^{k+1}-1
     (label = id - 2^k).
     """
-    if k < 2:
-        raise PreconditionError("needs k >= 2; below that there is no zero-sum structure")
-    q = 1 << k
+    q = _xor_order(k, lambda q: (2 * q, q * q))
     edges = [(u, q + w, u ^ w) for u in range(q) for w in range(q)]
     return ColoredGraph.from_edges(2 * q, edges, num_colors=q,
                                    sides=tuple([0] * q + [1] * q))
@@ -42,9 +62,7 @@ def bipartite_f2k(k: int) -> ColoredGraph:
 def maamoun_meyniel(k: int) -> ColoredGraph:
     """K_{2^k} on the bit-vectors with c(uv) = (u xor v) - 1; 2^k - 1 colors,
     each color class a perfect matching."""
-    if k < 2:
-        raise PreconditionError("needs k >= 2; below that there is no zero-sum structure")
-    q = 1 << k
+    q = _xor_order(k, lambda q: (q, q * (q - 1) // 2))
     edges = [(u, v, (u ^ v) - 1) for u in range(q) for v in range(u + 1, q)]
     return ColoredGraph.from_edges(q, edges, num_colors=q - 1)
 
@@ -52,8 +70,7 @@ def maamoun_meyniel(k: int) -> ColoredGraph:
 def lower_bound_edges(k: int, n: int) -> int:
     """Edges of the densest disjoint packing of bipartite_f2k(k) copies into
     n vertices: 4^k * floor(n / 2^{k+1})."""
-    if k < 2:
-        raise PreconditionError("needs k >= 2")
+    _check_k(k)
     if n < 0:
         raise PreconditionError("needs n >= 0")
     return (4 ** k) * (n // (2 ** (k + 1)))
@@ -62,9 +79,11 @@ def lower_bound_edges(k: int, n: int) -> int:
 def blowup(k: int, n: int) -> ColoredGraph:
     """floor(n / 2^{k+1}) disjoint copies of bipartite_f2k(k), sharing one
     palette, padded with isolated vertices up to exactly n."""
-    base = bipartite_f2k(k)
-    copies = n // base.n
-    g = disjoint_union([base] * copies, share_colors=True)
+    _check_k(k)
+    copies = max(0, n >> (k + 1))  # n // 2^{k+1}, without forming 2^{k+1}
+    check_size("construct", n, copies << (2 * k))
+    g = disjoint_union([bipartite_f2k(k)] * copies if copies else [],
+                       share_colors=True)
     if g.n < n:
         pad_sides = None
         if g.sides is not None:

@@ -13,8 +13,10 @@ File formats:
   json       {"n":, "m":, "colors":, "edges": [[u,v,c],...], "sides": null|[0,1,...]}
 
 parse_graph(serialize_graph(g)) == g for every valid graph, in both formats.
-A file declaring more than PARSE_VERTEX_GUARD vertices is refused before
-anything is allocated for them (GuardError, exit 3 on the command line).
+A file declaring more than PARSE_VERTEX_GUARD vertices or EDGE_GUARD edges
+is refused before anything is allocated for them (GuardError, exit 3 on the
+command line); the constructions check the same guards against their
+closed-form sizes before they build anything.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .errors import GraphError, GuardError
 Edge = tuple[int, int]
 
 PARSE_VERTEX_GUARD = 100_000
+# a ColoredGraph costs about 470 bytes per edge: 1,000,000 edges took 472 MB
+EDGE_GUARD = 250_000
 
 
 def _norm(u: int, v: int) -> Edge:
@@ -295,16 +299,20 @@ def serialize_graph_json(g: ColoredGraph) -> str:
     return json.dumps(graph_to_json_obj(g), indent=1) + "\n"
 
 
-def _check_vertex_guard(n: int) -> None:
+def check_size(topic: str, n: int, m: int) -> None:
+    """Refuse a graph of more than PARSE_VERTEX_GUARD vertices or EDGE_GUARD
+    edges (GuardError); callers check before they allocate."""
     if n > PARSE_VERTEX_GUARD:
-        raise GuardError("parse", f"n={n} exceeds the vertex guard "
-                                  f"{PARSE_VERTEX_GUARD}")
+        raise GuardError(topic, f"n={n} exceeds the vertex guard "
+                                f"{PARSE_VERTEX_GUARD}")
+    if m > EDGE_GUARD:
+        raise GuardError(topic, f"m={m} exceeds the edge guard {EDGE_GUARD}")
 
 
 def graph_from_json_obj(obj: dict) -> ColoredGraph:
     try:
         n = int(obj["n"])
-        _check_vertex_guard(n)
+        check_size("parse", n, len(obj["edges"]))
         colors = int(obj["colors"])
         edges = [(int(u), int(v), int(c)) for (u, v, c) in obj["edges"]]
         sides = obj.get("sides")
@@ -320,7 +328,8 @@ def graph_from_json_obj(obj: dict) -> ColoredGraph:
 
 def parse_graph(text: str) -> ColoredGraph:
     """Parse either format; JSON is recognized by a leading '{'. A header
-    declaring more than PARSE_VERTEX_GUARD vertices raises GuardError."""
+    declaring more than PARSE_VERTEX_GUARD vertices or EDGE_GUARD edges
+    raises GuardError before the edge lines are read."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -329,6 +338,7 @@ def parse_graph(text: str) -> ColoredGraph:
             raise GraphError(f"bad json: {exc}") from None
     sides: Optional[tuple[int, ...]] = None
     empty_tag = False
+    head: Optional[list[int]] = None
     rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -345,22 +355,28 @@ def parse_graph(text: str) -> ColoredGraph:
         parts = line.split()
         if not all(p.lstrip("-").isdigit() for p in parts):
             raise GraphError(f"line {lineno}: non-integer token")
-        rows.append([int(p) for p in parts])
-    if not rows:
+        row = [int(p) for p in parts]
+        if head is None:
+            if len(row) != 3:
+                raise GraphError("header must be 'n m C'")
+            check_size("parse", row[0], row[1])
+            head = row
+        elif len(rows) == head[1]:
+            # more lines than the header allows: stop before storing them
+            raise GraphError(f"expected {head[1]} edge lines, found more")
+        else:
+            rows.append(row)
+    if head is None:
         raise GraphError("empty graph file")
-    head, body = rows[0], rows[1:]
-    if len(head) != 3:
-        raise GraphError("header must be 'n m C'")
     n, m, num_colors = head
-    _check_vertex_guard(n)
     if empty_tag and n == 0 and sides is None:
         # the bipartition of a graph with no vertices; on n > 0 a bare tag
         # is ignored, like any other tag that does not parse
         sides = ()
-    if len(body) != m:
-        raise GraphError(f"expected {m} edge lines, found {len(body)}")
+    if len(rows) != m:
+        raise GraphError(f"expected {m} edge lines, found {len(rows)}")
     edges = []
-    for row in body:
+    for row in rows:
         if len(row) != 3:
             raise GraphError(f"edge line needs 'u v c', got {row}")
         u, v, c = row

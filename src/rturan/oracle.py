@@ -5,20 +5,24 @@ each proper coloring is produced once per color-relabeling class. The
 avoidance search prunes the moment a placed color completes a rainbow path
 of the forbidden length through the new edge, which is both sound (any bad
 path is caught when its last edge lands) and fast (conflicts die early).
+Its walks carry vertex and colour bitmasks over per-vertex (neighbour,
+1 << neighbour, 1 << colour) tuples, the idiom of search._dfs.
 
 The extremal scan walks edge counts downward over all edge subsets of the
-complete graph, so its verdict is exact. Two result-preserving shortcuts
-keep it honest but quick: infeasibility survives adding edges, so minimal
-infeasible cores learned along the way discard supersets wholesale, and
-isomorphic skeletons share one verdict through a canonical form. Vertex
-counts above the guard are refused rather than attempted.
+complete graph, so its verdict is exact. Its one shortcut keeps the result:
+infeasibility survives adding edges, so the minimal infeasible cores learned
+along the way discard supersets wholesale. There is no isomorphism
+reduction: a canonical form by brute force tries all n! relabelings of every
+subset, and from n = 6 on that costs more than the avoidance searches it
+spares (with one, n = 6, L = 4 took 13 times as long; at n = 5 it saved a
+quarter). Vertex counts above the guard are refused rather than attempted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import GuardError, PreconditionError
@@ -30,66 +34,57 @@ EXSTAR_VERTEX_GUARD = 7
 
 def _colorings(n: int, edges: tuple, avoid: Optional[int]) -> Iterator[tuple]:
     m = len(edges)
-    at = [set() for _ in range(n)]
-    adj: list = [[] for _ in range(n)]
+    at = [0] * n  # colour mask at each vertex
+    adj: list = [[] for _ in range(n)]  # (w, 1 << w, 1 << c) per placed edge
     chosen = [0] * m
+    far = 0  # the second end of the edge just placed
 
-    def through(u, v, c) -> bool:
-        # a rainbow path with `avoid` edges running through the edge u-v?
-        used_v = {u, v}
-        used_c = {c}
-
-        def right(y, rem):
-            if rem == 0:
+    def right(y: int, vmask: int, cmask: int, rem: int) -> bool:
+        # a rainbow path of `rem` more edges from y, off vmask and cmask?
+        if rem == 0:
+            return True
+        for (w, wbit, cbit) in adj[y]:
+            if (vmask & wbit) or (cmask & cbit):
+                continue
+            if right(w, vmask | wbit, cmask | cbit, rem - 1):
                 return True
-            for (w, d) in adj[y]:
-                if w in used_v or d in used_c:
-                    continue
-                used_v.add(w)
-                used_c.add(d)
-                hit = right(w, rem - 1)
-                used_v.discard(w)
-                used_c.discard(d)
-                if hit:
-                    return True
-            return False
+        return False
 
-        def left(x, rem):
-            if right(v, rem):
+    def left(x: int, vmask: int, cmask: int, rem: int) -> bool:
+        # grow the path back from x, and at every length try to finish it
+        # from `far` with the `rem` edges still missing
+        if right(far, vmask, cmask, rem):
+            return True
+        for (w, wbit, cbit) in adj[x]:
+            if (vmask & wbit) or (cmask & cbit):
+                continue
+            if left(w, vmask | wbit, cmask | cbit, rem - 1):
                 return True
-            if rem == 0:
-                return False
-            for (w, d) in adj[x]:
-                if w in used_v or d in used_c:
-                    continue
-                used_v.add(w)
-                used_c.add(d)
-                hit = left(w, rem - 1)
-                used_v.discard(w)
-                used_c.discard(d)
-                if hit:
-                    return True
-            return False
-
-        return left(u, avoid - 1)
+        return False
 
     def rec(i, fresh):
+        nonlocal far
         if i == m:
             yield tuple(chosen)
             return
         u, v = edges[i]
+        ubit, vbit = 1 << u, 1 << v
+        busy = at[u] | at[v]
         for c in range(fresh + 1):
-            if c in at[u] or c in at[v]:
+            cbit = 1 << c
+            if busy & cbit:
                 continue
-            at[u].add(c)
-            at[v].add(c)
-            adj[u].append((v, c))
-            adj[v].append((u, c))
+            at[u] |= cbit
+            at[v] |= cbit
+            adj[u].append((v, vbit, cbit))
+            adj[v].append((u, ubit, cbit))
             chosen[i] = c
-            if avoid is None or not through(u, v, c):
+            far = v
+            # a rainbow path with `avoid` edges running through the edge u-v?
+            if avoid is None or not left(u, ubit | vbit, cbit, avoid - 1):
                 yield from rec(i + 1, fresh + (1 if c == fresh else 0))
-            at[u].discard(c)
-            at[v].discard(c)
+            at[u] ^= cbit
+            at[v] ^= cbit
             adj[u].pop()
             adj[v].pop()
 
@@ -122,16 +117,6 @@ def coloring_avoiding(skel: GraphSkeleton, path_edges: int,
     """First canonical proper coloring without a rainbow path of the given
     edge count, or None when every proper coloring has one."""
     return next(proper_colorings(skel, avoid=path_edges, guard=guard), None)
-
-
-def _canon_key(perms, edges) -> tuple:
-    best = None
-    for p in perms:
-        mapped = tuple(sorted(
-            (p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for (u, v) in edges))
-        if best is None or mapped < best:
-            best = mapped
-    return best
 
 
 def _minimize_core(n: int, edges: frozenset, path_edges: int) -> frozenset:
@@ -178,22 +163,16 @@ def exstar_small(n: int, path_edges: int,
         return ExstarResult(n, path_edges, n // 2, witness)
 
     all_edges = complete_graph(n).edges
-    perms = list(permutations(range(n)))
     cores: list = []
-    settled: set = set()
     for m in range(len(all_edges), -1, -1):
         for combo in combinations(all_edges, m):
             es = frozenset(combo)
             if any(core <= es for core in cores):
                 continue
-            key = _canon_key(perms, combo)
-            if key in settled:
-                continue
             skel = GraphSkeleton(n, combo)
             colored = coloring_avoiding(skel, path_edges, guard=skel.m)
             if colored is not None:
                 return ExstarResult(n, path_edges, m, colored)
-            settled.add(key)
             cores.append(_minimize_core(n, es, path_edges))
     raise AssertionError("an edgeless graph avoids every path")
 

@@ -362,24 +362,3 @@ def spanning_rainbow_path_between(g: ColoredGraph, vset, u: int, w: int) -> Opti
     hits = _span_ends(u, full, adj, adj_mask, 1 << w, True)
     return path_from_vertices(g, hits[w]) if hits else None
 
-
-def spanning_rainbow_ends_from(g: ColoredGraph, vset, start: int,
-                               ends) -> frozenset:
-    """The members w of `ends` for which some rainbow path with vertex set
-    exactly `vset` joins `start` to w, found in one search.
-
-    Equals the set of w with spanning_rainbow_path_between(g, vset, start, w)
-    not None; that call returns the witness.
-    """
-    vs, full, adj, adj_mask = _span_prep(g, vset)
-    if start not in vs:
-        raise PathError(f"start {start} not in vertex set")
-    wanted = 0
-    for w in ends:
-        if w not in vs or w == start:
-            raise PathError("ends must be members of the vertex set other "
-                            "than the start")
-        wanted |= 1 << w
-    if not wanted:
-        return frozenset()
-    return frozenset(_span_ends(start, full, adj, adj_mask, wanted, False))

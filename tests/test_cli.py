@@ -11,9 +11,10 @@ import time
 
 import pytest
 
-from rturan import cli
+from rturan import cli, graphs
 from rturan.cli import main
 from rturan.graphs import PARSE_VERTEX_GUARD, load_graph, parse_graph
+from rturan.oracle import COLORING_EDGE_GUARD, EXSTAR_VERTEX_GUARD
 from rturan.induction import certificate_from_json_obj, verify_certificate
 
 
@@ -62,6 +63,34 @@ def test_construct_guard_rejected(capsys):
     assert main(["construct", "f2k", "--k", "1"]) == 2
 
 
+def test_oversized_construction_is_refused_before_it_builds(capsys):
+    start = time.perf_counter()
+    for argv in (["f2k", "--k", "20"], ["f2k", "--k", "1000000000"],
+                 ["mm", "--k", "20"], ["blowup", "--k", "3", "--n", "100000"],
+                 ["blowup", "--k", "2", "--n", "1000000000"]):
+        assert main(["construct"] + argv) == 3, argv
+    # 2^40 edges, or a 2^(10^9) label space, never get allocated
+    assert time.perf_counter() - start < 1.0
+    assert "refused: construct" in capsys.readouterr().err
+    # no copy fits, so there is nothing to build but isolated vertices
+    code, out = run(capsys, ["construct", "blowup", "--k", "1000000000",
+                             "--n", "10"])
+    assert code == 0 and parse_graph(out).m == 0
+
+
+@pytest.mark.parametrize("argv,edges", [
+    (["f2k", "--k", "2"], 16),
+    (["mm", "--k", "3"], 28),
+    (["blowup", "--k", "2", "--n", "20"], 32),
+])
+def test_construction_edge_guard_boundary(monkeypatch, capsys, argv, edges):
+    monkeypatch.setattr(graphs, "EDGE_GUARD", edges)
+    code, out = run(capsys, ["construct"] + argv)
+    assert code == 0 and parse_graph(out).m == edges
+    monkeypatch.setattr(graphs, "EDGE_GUARD", edges - 1)
+    assert main(["construct"] + argv) == 3
+
+
 # === graph ===
 
 def test_validate_proper_file(f2k_file, capsys):
@@ -102,6 +131,22 @@ def test_huge_vertex_count_is_refused_at_parse(tmp_path, capsys):
     at_guard.write_text(f"{PARSE_VERTEX_GUARD} 0 0\n")
     code, out = run(capsys, ["graph", "validate", str(at_guard)])
     assert code == 0 and f"n={PARSE_VERTEX_GUARD}" in out
+
+
+def test_huge_edge_count_is_refused_at_parse(tmp_path, monkeypatch, capsys):
+    huge = tmp_path / "huge.txt"
+    # refused on the header, not for the missing edge lines (exit 2)
+    huge.write_text(f"10 {graphs.EDGE_GUARD + 1} 1\n0 1 0\n")
+    assert main(["graph", "validate", str(huge)]) == 3
+    assert "refused: parse" in capsys.readouterr().err
+    monkeypatch.setattr(graphs, "EDGE_GUARD", 3)
+    star = [[0, v, v - 1] for v in range(1, 5)]
+    for m in (3, 4):
+        text = f"5 {m} 4\n" + "".join(f"{u} {v} {c}\n" for u, v, c in star[:m])
+        huge.write_text(text)
+        assert main(["graph", "validate", str(huge)]) == (0 if m == 3 else 3)
+        huge.write_text(json.dumps({"n": 5, "colors": 4, "edges": star[:m]}))
+        assert main(["graph", "validate", str(huge)]) == (0 if m == 3 else 3)
 
 
 def test_convert_round_trip(f2k_file, tmp_path, capsys):
@@ -247,6 +292,14 @@ def test_oracle_exstar_json(capsys):
 
 def test_oracle_exstar_guard(capsys):
     assert main(["oracle", "exstar", "--n", "9", "--len", "3"]) == 3
+
+
+def test_oracle_guard_defaults_are_the_library_guards():
+    parser = cli.build_parser()
+    xs = parser.parse_args(["oracle", "exstar", "--n", "3", "--len", "2"])
+    co = parser.parse_args(["oracle", "colorings", "g.txt"])
+    assert xs.guard == EXSTAR_VERTEX_GUARD
+    assert co.guard == COLORING_EDGE_GUARD
 
 
 def test_oracle_colorings_count(k4_file, capsys):

@@ -201,6 +201,7 @@ def test_save_load_by_extension(tmp_path):
     "3 1 1\n0 5 0\n",
     "3 1 1\nx y z\n",
     "2 2 1\n0 1 0\n0 1 0\n",
+    "3 1 2\n0 1 0\n1 2 1\n",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(GraphError):

@@ -7,6 +7,7 @@ once (for tiny skeletons) by normalizing every raw color assignment to
 first-appearance order and counting distinct results.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -141,12 +142,32 @@ def test_colorings_come_out_canonical_and_proper():
         assert all(c <= max(cs[:i]) + 1 for i, c in enumerate(cs) if i)
 
 
+def seeded_skeletons(count):
+    """Skeletons on 2..6 vertices with at least half of all pairs as edges
+    (at most 9), where filtering by path length keeps some colorings."""
+    rng = random.Random("avoid-filter")
+    skels = [complete_graph(4)]
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        pairs = list(combinations(range(n), 2))
+        m = rng.randint(len(pairs) // 2, min(9, len(pairs)))
+        skels.append(GraphSkeleton(n, tuple(rng.sample(pairs, m))))
+    return skels
+
+
 def test_avoid_filter_agrees_with_post_filter():
-    skel = complete_graph(4)
-    kept = sum(1 for g in proper_colorings(skel)
-               if has_rainbow_path(g, 3).found is False)
-    assert kept == sum(1 for _ in proper_colorings(skel, avoid=3))
-    assert kept > 0
+    # the pruned enumeration yields exactly the unfiltered stream's
+    # colorings without the path, in the same order
+    partial = 0
+    for skel in seeded_skeletons(150):
+        every = list(proper_colorings(skel))
+        for length in (1, 2, 3, 4):
+            kept = [g for g in every
+                    if has_rainbow_path(g, length).found is False]
+            assert list(proper_colorings(skel, avoid=length)) == kept, \
+                (skel, length)
+            partial += 0 < len(kept) < len(every)
+    assert partial >= 40
 
 
 def test_coloring_avoiding_finds_or_refutes():

@@ -11,10 +11,8 @@ import random
 import pytest
 
 from rturan.corpus import random_instance
-from rturan.errors import PathError
 from rturan.graphs import ColoredGraph
 from rturan.search import (longest_rainbow_path, path_from_vertices,
-                           spanning_rainbow_ends_from,
                            spanning_rainbow_path_between,
                            spanning_rainbow_path_from)
 from rturan.terminals import build_aux_oracle, terminal_oracle
@@ -23,23 +21,19 @@ from spanning_brute import rainbow_orders
 
 
 def check_spanning_searches(g, vset):
-    """Compare every from/between/ends query on vset with brute force."""
+    """Compare every from/between query on vset with brute force."""
     orders = list(rainbow_orders(g, vset))
     vs = sorted(set(vset))
     for u in vs:
         from_u = [o for o in orders if o[0] == u]
         p = spanning_rainbow_path_from(g, vset, u)
         assert (p.vertices if p else None) == (from_u[0] if from_u else None)
-        others = [w for w in vs if w != u]
-        assert spanning_rainbow_ends_from(g, vset, u, others) == \
-            frozenset(o[-1] for o in from_u)
-        for w in others:
+        for w in vs:
+            if w == u:
+                continue
             to_w = [o for o in from_u if o[-1] == w]
             p = spanning_rainbow_path_between(g, vset, u, w)
             assert (p.vertices if p else None) == (to_w[0] if to_w else None)
-            # a subset of the wanted ends is answered by the same search
-            assert spanning_rainbow_ends_from(g, vset, u, [w]) == \
-                frozenset([w] if to_w else [])
 
 
 def check_oracles(g, pstar):
@@ -105,10 +99,10 @@ def test_vertex_adjacent_only_to_start():
     assert spanning_rainbow_path_from(g, vs, 0) is None
     assert spanning_rainbow_path_between(g, vs, 0, 3) is None
     assert spanning_rainbow_path_from(g, vs, 1).vertices == (1, 0, 2, 3)
-    assert spanning_rainbow_ends_from(g, vs, 0, [1, 2, 3]) == frozenset()
     # ...unless it is the only vertex left
     assert spanning_rainbow_path_between(g, [0, 1], 0, 1).vertices == (0, 1)
     check_spanning_searches(g, vs)
+    check_oracles(g, path_from_vertices(g, (1, 0, 2, 3)))
 
 
 def test_two_single_way_in_vertices():
@@ -118,9 +112,8 @@ def test_two_single_way_in_vertices():
     for start in (0, 2, 3):
         assert spanning_rainbow_path_from(g, vs, start) is None
     assert spanning_rainbow_path_from(g, vs, 1).vertices == (1, 0, 2, 3, 4)
-    assert spanning_rainbow_ends_from(g, vs, 1, [0, 2, 3, 4]) == {4}
-    assert spanning_rainbow_ends_from(g, vs, 4, [0, 1, 2, 3]) == {1}
     check_spanning_searches(g, vs)
+    check_oracles(g, path_from_vertices(g, (1, 0, 2, 3, 4)))
 
 
 def test_target_with_one_way_in():
@@ -131,8 +124,8 @@ def test_target_with_one_way_in():
     assert spanning_rainbow_path_between(g, vs, 1, 3).vertices == (1, 0, 2, 3)
     assert spanning_rainbow_path_between(g, vs, 2, 3) is None
     assert spanning_rainbow_path_between(g, vs, 0, 1) is None
-    assert spanning_rainbow_ends_from(g, vs, 0, [1, 2, 3]) == {3}
     check_spanning_searches(g, vs)
+    check_oracles(g, path_from_vertices(g, (0, 1, 2, 3)))
 
 
 def test_repeated_color_blocks_the_only_route():
@@ -143,14 +136,3 @@ def test_repeated_color_blocks_the_only_route():
     assert spanning_rainbow_path_between(g, vs, 0, 3).vertices == (0, 1, 2, 3)
     check_spanning_searches(g, vs)
 
-
-def test_ends_from_refuses_bad_ends():
-    g = graph(3, [(0, 1, 0), (1, 2, 1)])
-    with pytest.raises(PathError):
-        spanning_rainbow_ends_from(g, range(3), 0, [0])
-    with pytest.raises(PathError):
-        spanning_rainbow_ends_from(g, range(3), 0, [5])
-    with pytest.raises(PathError):
-        spanning_rainbow_ends_from(g, [0, 1], 2, [1])
-    assert spanning_rainbow_ends_from(g, range(3), 0, []) == frozenset()
-    assert spanning_rainbow_ends_from(g, range(3), 0, [2]) == {2}
