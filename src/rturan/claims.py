@@ -125,8 +125,12 @@ def check_claims(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
     l_new, r_new = len(prof.start_new), len(prof.end_new)
     l_nice, r_nice = len(prof.start_nice), len(prof.end_nice)
     l_out, r_out = len(prof.start_out), len(prof.end_out)
-    lo_outer, lo = prof.win_lo_outer, prof.win_lo
-    hi, hi_outer = prof.win_hi, prof.win_hi_outer
+    lo, hi = prof.win_lo, prof.win_hi
+    # the chord checks read each end as the v_0 end of a view: P* for v_0,
+    # P* reversed for v_k, whose terminal position i is k - i on P*
+    views = (("start", prof, tpos, lambda i: i),
+             ("end", prof.reversed(), frozenset(k - i for i in tpos),
+              lambda i: k - i))
 
     hyp = {
         "maximal": ctx.maximal,
@@ -178,52 +182,38 @@ def check_claims(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
             f"terminal positions {sorted(tpos)} should be all of 0..{k}"
 
     def fresh_chord_terminals():
-        bad = [i for i, c in prof.start_chords.items()
-               if c in prof.start_new and (i - 1) not in tpos]
-        bad += [-j for j, c in prof.end_chords.items()
-                if c in prof.end_new and (j + 1) not in tpos]
+        # an end chord v_k v_j is listed as -j
+        bad = [at(i) if side == "start" else -at(i)
+               for side, view, tp, at in views
+               for i, c in view.start_chords.items()
+               if c in view.start_new and (i - 1) not in tp]
         return not bad, f"chords without the freed terminal: {sorted(bad)}"
 
     def nice_chord_terminals():
         bad, corners = [], 0
-        for i, c in prof.start_chords.items():
-            if c not in prof.start_nice:
-                continue
-            j = colors.index(c)
-            if j >= i:
-                ok_here = (i - 1) in tpos
-            elif i < k:
-                ok_here = (i + 1) in tpos
-            else:
-                corners += 1
-                continue
-            if not ok_here:
-                bad.append(("start", i))
-        for p, c in prof.end_chords.items():
-            if c not in prof.end_nice:
-                continue
-            q = colors.index(c) + 1
-            if q <= p:
-                ok_here = (p + 1) in tpos
-            elif p > 0:
-                ok_here = (p - 1) in tpos
-            else:
-                corners += 1
-                continue
-            if not ok_here:
-                bad.append(("end", p))
+        for side, view, tp, at in views:
+            for i, c in view.start_chords.items():
+                if c not in view.start_nice:
+                    continue
+                j = view.path_colors.index(c)
+                if j >= i:
+                    ok_here = (i - 1) in tp
+                elif i < k:
+                    ok_here = (i + 1) in tp
+                else:
+                    corners += 1
+                    continue
+                if not ok_here:
+                    bad.append((side, at(i)))
         return not bad, f"missing terminals at {bad}, corners skipped={corners}"
 
     def window_chord_terminals():
         bad = []
-        for i, c in prof.start_chords.items():
-            if c in prof.start_new and lo <= i <= hi:
-                if (i - 1) not in tpos or (i + 1) not in tpos:
-                    bad.append(("start", i))
-        for p, c in prof.end_chords.items():
-            if c in prof.end_new and lo <= p <= hi:
-                if (p - 1) not in tpos or (p + 1) not in tpos:
-                    bad.append(("end", p))
+        for side, view, tp, at in views:
+            for i, c in view.start_chords.items():
+                if c in view.start_new and view.win_lo <= i <= view.win_hi:
+                    if (i - 1) not in tp or (i + 1) not in tp:
+                        bad.append((side, at(i)))
         return not bad, f"window chords missing a side: {bad}"
 
     def fresh_ranges_trim():

@@ -15,7 +15,8 @@ no rainbow path using all 2^k - 1 colors.
 Both need k >= 2: at k < 2 the parity/zero-sum argument has no room (a
 single color, or none). Every construction checks its closed-form size
 against the graph guards (graphs.check_size) before it builds anything, so
-an oversized request is refused (GuardError) instead of filling memory.
+an oversized request is refused (GuardError) instead of filling memory;
+bound_table likewise refuses more than BOUND_TABLE_GUARD rows.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from fractions import Fraction
 from . import graphs
 from .errors import GuardError, PreconditionError
 from .graphs import ColoredGraph, check_size, disjoint_union
+
+# bound_table builds every row before it returns. The new bound meets the
+# older one at k = 7 and the acceptance table reads 64 rows, so this is ample
+BOUND_TABLE_GUARD = 10_000
 
 
 def _check_k(k: int) -> None:
@@ -120,6 +125,11 @@ def bound_table_row(k: int) -> BoundTableRow:
 
 
 def bound_table(k_max: int) -> list[BoundTableRow]:
+    """Rows k = 1..k_max; a k_max past BOUND_TABLE_GUARD is refused before
+    any row is built."""
     if k_max < 1:
         raise PreconditionError("needs k_max >= 1")
+    if k_max > BOUND_TABLE_GUARD:
+        raise GuardError("bounds", f"k_max={k_max} exceeds the row guard "
+                                   f"{BOUND_TABLE_GUARD}")
     return [bound_table_row(k) for k in range(1, k_max + 1)]

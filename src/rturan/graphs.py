@@ -67,14 +67,13 @@ class GraphSkeleton:
     def m(self) -> int:
         return len(self.edges)
 
-    def with_colors(self, colors: Sequence[int], num_colors: int | None = None) -> "ColoredGraph":
+    def with_colors(self, colors: Sequence[int]) -> "ColoredGraph":
         """Color this skeleton; colors[i] belongs to self.edges[i]."""
         if len(colors) != self.m:
             raise GraphError("one color per edge required")
         return ColoredGraph.from_edges(
             self.n,
             [(u, v, c) for (u, v), c in zip(self.edges, colors)],
-            num_colors=num_colors,
             sides=self.sides,
         )
 

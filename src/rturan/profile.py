@@ -22,6 +22,13 @@ win_lo / win_lo_outer are the second-smallest / smallest j with a fresh
 chord v_k v_j; win_hi / win_hi_outer the second-largest / largest j with a
 fresh chord v_0 v_j. The window claims run on [win_lo, win_hi].
 
+The v_k end is the v_0 end of P read backwards, so one routine reads both
+ends, each counted from its own end, and the profile maps the v_k record's
+positions back with i -> k - i. reversed() is the profile of P read from
+v_k: start and end swap, and every position i becomes k - i. It reuses the
+two end records, reads nothing from the graph, and is built once per
+profile.
+
 Everything is computed from the graph as-is. The partition facts that need
 P to be a longest rainbow path (e.g. every fresh endpoint color sits on a
 chord) are checked by the claim layer, not assumed here.
@@ -29,8 +36,8 @@ chord) are checked by the claim layer, not assumed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .errors import PathError
 from .graphs import ColoredGraph
@@ -64,6 +71,7 @@ class PathProfile:
     win_lo: Optional[int]
     win_hi: Optional[int]
     win_hi_outer: Optional[int]
+    _ends: tuple = field(repr=False, compare=False)  # (v_0 end, v_k end)
 
     @property
     def k(self) -> int:
@@ -89,6 +97,16 @@ class PathProfile:
         c = self.far_edge_color
         return c is not None and (c in self.start_new or c in self.end_new)
 
+    def reversed(self) -> "PathProfile":
+        """The profile of the path read from v_k, built from this one's two
+        ends without reading the graph; kept after the first call."""
+        rev = self.__dict__.get("_reversed")
+        if rev is None:
+            head, tail = self._ends
+            rev = _assemble(self.path.reversed(), tail, head)
+            self.__dict__["_reversed"] = rev
+        return rev
+
     # ranged chord counts, range boundaries inclusive and clipped
 
     def _count(self, chords: dict, members: frozenset, lo: int, hi: int) -> int:
@@ -107,9 +125,70 @@ class PathProfile:
         return self._count(self.end_chords, self.end_new, lo, hi)
 
 
-def _two_smallest(indices):
-    s = sorted(indices)
-    return (s[0], s[1]) if len(s) >= 2 else (None, None)
+class _End(NamedTuple):
+    """One end of a path, read with that end as v_0."""
+    chords: dict        # i -> color of edge v_0 v_i
+    colors: frozenset   # every color at v_0
+    new: frozenset      # those not on the path
+    swaps: frozenset    # c_i for each fresh chord v_0 v_i, 2 <= i <= k
+    top: tuple          # largest and second-largest fresh chord positions,
+                        # (None, None) with fewer than two
+
+
+def _end(g: ColoredGraph, path: RainbowPath) -> _End:
+    verts, colors = path.vertices, path.colors
+    pos = {v: i for i, v in enumerate(verts)}
+    nbrs = g.neighbors(verts[0])
+    chords = {pos[w]: c for (w, c) in nbrs if w in pos}
+    at = frozenset(c for (_, c) in nbrs)
+    new = at - frozenset(colors)
+    fresh = sorted((i for i, c in chords.items() if c in new), reverse=True)
+    swaps = frozenset(colors[i - 1] for i in fresh if i >= 2)
+    top = tuple(fresh[:2]) if len(fresh) >= 2 else (None, None)
+    return _End(chords, at, new, swaps, top)
+
+
+def _assemble(path: RainbowPath, head: _End, tail: _End) -> PathProfile:
+    """The profile of path from its v_0 end `head` and its v_k end `tail`,
+    each counted from its own end."""
+    k = path.length
+    start_in = frozenset(head.chords.values())
+    end_in = frozenset(tail.chords.values())
+    # an out color can repeat on a chord only through improper coloring;
+    # out is by definition the complement of in within the endpoint colors
+    start_out = head.colors - start_in
+    end_out = tail.colors - end_in
+    start_old = head.colors - head.new
+    end_old = tail.colors - tail.new
+    start_nice = head.colors & tail.swaps
+    end_nice = tail.colors & head.swaps
+    lo_outer, lo = (None if i is None else k - i for i in tail.top)
+    return PathProfile(
+        path=path,
+        start_chords=head.chords,
+        end_chords={k - i: c for i, c in tail.chords.items()},
+        start_colors=head.colors,
+        end_colors=tail.colors,
+        start_out=start_out,
+        start_in=start_in,
+        start_old=start_old,
+        start_new=head.new,
+        end_out=end_out,
+        end_in=end_in,
+        end_old=end_old,
+        end_new=tail.new,
+        swap_from_start=head.swaps,
+        swap_from_end=tail.swaps,
+        start_nice=start_nice,
+        end_nice=end_nice,
+        start_res=start_old - (start_nice | start_out),
+        end_res=end_old - (end_nice | end_out),
+        win_lo_outer=lo_outer,
+        win_lo=lo,
+        win_hi=head.top[1],
+        win_hi_outer=head.top[0],
+        _ends=(head, tail),
+    )
 
 
 def compute_profile(g: ColoredGraph, pstar: RainbowPath) -> PathProfile:
@@ -118,80 +197,4 @@ def compute_profile(g: ColoredGraph, pstar: RainbowPath) -> PathProfile:
         raise PathError("profile needs a rainbow path")
     if pstar.length < 1:
         raise PathError("profile needs a path with at least one edge")
-
-    verts = pstar.vertices
-    k = pstar.length
-    on_path = set(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    v0, vk = verts[0], verts[-1]
-    old = frozenset(pstar.colors)
-
-    def split(v):
-        out, chords = set(), {}
-        for (w, c) in g.neighbors(v):
-            if w in on_path:
-                chords[pos[w]] = c
-            else:
-                out.add(c)
-        return frozenset(out), chords
-
-    start_out_raw, start_chords = split(v0)
-    end_out_raw, end_chords = split(vk)
-
-    start_colors = frozenset(c for (_, c) in g.neighbors(v0))
-    end_colors = frozenset(c for (_, c) in g.neighbors(vk))
-    start_in = frozenset(start_chords.values())
-    end_in = frozenset(end_chords.values())
-    # an out color can repeat on a chord only through improper coloring;
-    # out is by definition the complement of in within the endpoint colors
-    start_out = start_colors - start_in
-    end_out = end_colors - end_in
-    start_old = start_colors & old
-    start_new = start_colors - old
-    end_old = end_colors & old
-    end_new = end_colors - old
-
-    swap_from_start = frozenset(
-        pstar.colors[i - 1] for i, c in start_chords.items()
-        if c in start_new and 2 <= i <= k)
-    swap_from_end = frozenset(
-        pstar.colors[i] for i, c in end_chords.items()
-        if c in end_new and 0 <= i <= k - 2)
-
-    start_nice = start_colors & swap_from_end
-    end_nice = end_colors & swap_from_start
-    start_res = start_old - (start_nice | start_out)
-    end_res = end_old - (end_nice | end_out)
-
-    lo_outer, lo = _two_smallest(
-        i for i, c in end_chords.items() if c in end_new)
-    hi_outer, hi = _two_smallest(
-        -i for i, c in start_chords.items() if c in start_new)
-    win_hi_outer = -hi_outer if hi_outer is not None else None
-    win_hi = -hi if hi is not None else None
-
-    return PathProfile(
-        path=pstar,
-        start_chords=start_chords,
-        end_chords=end_chords,
-        start_colors=start_colors,
-        end_colors=end_colors,
-        start_out=start_out,
-        start_in=start_in,
-        start_old=start_old,
-        start_new=start_new,
-        end_out=end_out,
-        end_in=end_in,
-        end_old=end_old,
-        end_new=end_new,
-        swap_from_start=swap_from_start,
-        swap_from_end=swap_from_end,
-        start_nice=start_nice,
-        end_nice=end_nice,
-        start_res=start_res,
-        end_res=end_res,
-        win_lo_outer=lo_outer,
-        win_lo=lo,
-        win_hi=win_hi,
-        win_hi_outer=win_hi_outer,
-    )
+    return _assemble(pstar, _end(g, pstar), _end(g, pstar.reversed()))

@@ -28,17 +28,17 @@ path of this length first.
 
 The spanning searches (paths whose vertex set is a given set, the terminal
 and auxiliary oracles' question) share one recursive kernel, _span_ends. It
-walks from a root in ascending order and returns at its first hit, or, in
-its second mode, keeps going until it has reached every wanted end, so one
-search per root answers all of that root's endpoint pairs. Two prunes keep
-it sound and small. Each remaining vertex is scored by its live neighbours
-among the remaining vertices and the current one: with none it can never be
-entered (dead end), and with exactly one it must be the path's last vertex,
-so at most one such vertex may exist, it must be a wanted end, and if its
-only way in is the current vertex it must be the last vertex left. The
-search also steps only where a wanted end stays unvisited. Every prune cuts
-only subtrees without a hit, so each witness is the first spanning path in
-ascending DFS order, whichever mode found it.
+walks from a root in ascending order and keeps going until it has reached
+every wanted end, so one search per root answers all of that root's
+endpoint pairs, and a search with one wanted end stops at its first hit.
+Two prunes keep it sound and small. Each remaining vertex is scored by its
+live neighbours among the remaining vertices and the current one: with none
+it can never be entered (dead end), and with exactly one it must be the
+path's last vertex, so at most one such vertex may exist, it must be a
+wanted end, and if its only way in is the current vertex it must be the
+last vertex left. The search also steps only where a wanted end stays
+unvisited. Every prune cuts only subtrees without a new hit, so each
+witness is the first spanning path to its end in ascending DFS order.
 
 The prune is incremental. Stepping from v to w removes exactly v from the
 scored set (the remaining vertices and the current one), and live counts
@@ -101,6 +101,10 @@ class RainbowPath:
 
     def is_rainbow(self) -> bool:
         return len(set(self.colors)) == len(self.colors)
+
+    def reversed(self) -> "RainbowPath":
+        """The same path read from its other end."""
+        return RainbowPath._prechecked(self.vertices[::-1], self.colors[::-1])
 
 
 def path_from_vertices(g: ColoredGraph, vertices: Sequence[int]) -> RainbowPath:
@@ -273,14 +277,13 @@ def _span_prep(g: ColoredGraph, vset):
     return vs, full, adj, adj_mask
 
 
-def _span_ends(start: int, full: int, adj, adj_mask, wanted: int,
-               first: bool) -> dict:
+def _span_ends(start: int, full: int, adj, adj_mask, wanted: int) -> dict:
     """Spanning rainbow paths over the vertex mask `full` from `start`.
 
     Returns {end: vertex list} holding, for each end in the mask `wanted`
     that some such path reaches, the first path to it in ascending DFS
-    order. With `first` set the search stops at its first hit; otherwise it
-    stops once every wanted end is reached.
+    order, in the order the ends were reached. The search stops once every
+    wanted end is reached.
     """
     hits: dict = {}
     cur = [start]
@@ -322,7 +325,7 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int,
                 hits[w] = cur.copy()
                 cur.pop()
                 left ^= wbit
-                return first or not left
+                return not left
             # step on only if a wanted end stays unvisited behind w
             if not (left & ~(vmask | wbit)):
                 continue
@@ -343,14 +346,14 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int,
 def spanning_rainbow_path_from(g: ColoredGraph, vset, start: int) -> Optional[RainbowPath]:
     """Some rainbow path whose vertex set is exactly `vset`, starting at
     `start`; None if there is none. Returns the first such path in ascending
-    DFS order and stops there."""
+    DFS order: the first end the search reaches."""
     vs, full, adj, adj_mask = _span_prep(g, vset)
     if start not in vs:
         raise PathError(f"start {start} not in vertex set")
     if len(vs) == 1:
         return RainbowPath((start,), ())
-    hits = _span_ends(start, full, adj, adj_mask, full & ~(1 << start), True)
-    return path_from_vertices(g, hits.popitem()[1]) if hits else None
+    hits = _span_ends(start, full, adj, adj_mask, full & ~(1 << start))
+    return path_from_vertices(g, next(iter(hits.values()))) if hits else None
 
 
 def spanning_rainbow_path_between(g: ColoredGraph, vset, u: int, w: int) -> Optional[RainbowPath]:
@@ -359,6 +362,6 @@ def spanning_rainbow_path_between(g: ColoredGraph, vset, u: int, w: int) -> Opti
     vs, full, adj, adj_mask = _span_prep(g, vset)
     if u not in vs or w not in vs or u == w:
         raise PathError("endpoints must be distinct members of the vertex set")
-    hits = _span_ends(u, full, adj, adj_mask, 1 << w, True)
+    hits = _span_ends(u, full, adj, adj_mask, 1 << w)
     return path_from_vertices(g, hits[w]) if hits else None
 

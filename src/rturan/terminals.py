@@ -21,14 +21,18 @@ Rule families, in profile.py vocabulary:
   far_jump       far edge v_0 v_k with a fresh color: cut the cycle
                  anywhere, every vertex becomes terminal
   fresh_start    fresh chord v_0 v_i frees v_{i-1}
-  fresh_end      fresh chord v_k v_j frees v_{j+1}
   nice_start     chord v_0 v_i whose old color is freed by a fresh chord
                  at the far end; lands on v_{i-1} or v_{i+1} depending on
                  which side of i the matching path edge sits
-  nice_end       mirror image
   window_start   fresh chord v_0 v_i strictly inside the pivot window,
                  rerouted through a low pivot of a different color: v_{i+1}
-  window_end     mirror image: v_{i-1}
+
+The v_k end is the v_0 end of P* read backwards, so fresh_end, nice_end and
+window_end are the three start rules run on the reversed path (its profile
+is PathProfile.reversed()), with its chord position i reported as k - i
+here. A fresh chord v_k v_j frees v_{j+1}, and a window chord v_k v_j lands
+on v_{j-1}. Fires come family by family (fresh, nice, window), the start
+side before the end side, each in ascending chord position.
 
 The nice rules go silent when the matching path edge sits below the chord
 and the chord is the far edge itself (start side i = k, end side i = 0):
@@ -116,95 +120,64 @@ def checked_fire(g: ColoredGraph, pstar: RainbowPath, rule: str,
     return RuleFire(rule=rule, anchor=anchor, terminals=claimed, witness=w)
 
 
+def _start_rules(prof: PathProfile) -> tuple:
+    """The fresh, nice and window fires for chords v_0 v_i of prof's path:
+    one list per family, each of (i, witness positions, terminal positions)
+    in ascending i."""
+    k = prof.k
+    colors = prof.path_colors
+    chords = sorted(prof.start_chords.items())
+    fresh, nice, window = [], [], []
+    for i, c in chords:
+        if c in prof.start_new:
+            fresh.append((i, [*range(i - 1, -1, -1), *range(i, k + 1)],
+                          (i - 1, k)))
+        if c in prof.start_nice:
+            j = colors.index(c)  # the fresh end chord sits at position j
+            if j >= i:
+                nice.append((i, [*range(i - 1, -1, -1), *range(i, j + 1),
+                                 *range(k, j, -1)], (i - 1, j + 1)))
+            elif i < k:
+                nice.append((i, [*range(j + 1, i + 1), *range(0, j + 1),
+                                 *range(k, i, -1)], (j + 1, i + 1)))
+    if prof.pivots_present:
+        lo_outer, lo, hi = prof.win_lo_outer, prof.win_lo, prof.win_hi
+        for i, c in chords:
+            if c not in prof.start_new or not (lo < i <= hi):
+                continue
+            low = lo_outer if prof.end_chords[lo_outer] != c else lo
+            window.append((i, [*range(low + 1, i + 1), *range(0, low + 1),
+                               *range(k, i, -1)], (low + 1, i + 1)))
+    return fresh, nice, window
+
+
 def terminal_rules(g: ColoredGraph, pstar: RainbowPath,
                    prof: Optional[PathProfile] = None) -> TerminalReport:
     """Replay the rotation rules on pstar and report every firing."""
     if prof is None:
         prof = compute_profile(g, pstar)
     k = prof.k
-    colors = pstar.colors
     fires = [RuleFire("endpoints", ("path", 0),
                       (pstar.vertices[0], pstar.vertices[-1]), pstar)]
 
-    def fire(rule, anchor, idx_seq, terminal_positions):
-        fires.append(checked_fire(g, pstar, rule, anchor,
-                                  idx_seq, terminal_positions))
-
     if prof.far_edge_is_new:
         for i in range(k):
-            fire("far_jump", ("far", k),
-                 list(range(i, -1, -1)) + list(range(k, i, -1)),
-                 (i, i + 1))
+            fires.append(checked_fire(
+                g, pstar, "far_jump", ("far", k),
+                [*range(i, -1, -1), *range(k, i, -1)], (i, i + 1)))
 
-    for i in sorted(prof.start_chords):
-        c = prof.start_chords[i]
-        if c not in prof.start_new:
-            continue
-        fire("fresh_start", ("start", i),
-             list(range(i - 1, -1, -1)) + list(range(i, k + 1)),
-             (i - 1, k))
-
-    for j in sorted(prof.end_chords):
-        c = prof.end_chords[j]
-        if c not in prof.end_new:
-            continue
-        fire("fresh_end", ("end", j),
-             list(range(j + 1, k + 1)) + list(range(j, -1, -1)),
-             (j + 1, 0))
-
-    for i in sorted(prof.start_chords):
-        c = prof.start_chords[i]
-        if c not in prof.start_nice:
-            continue
-        j = colors.index(c)  # the fresh end chord sits at position j
-        if j >= i:
-            fire("nice_start", ("start", i),
-                 list(range(i - 1, -1, -1)) + list(range(i, j + 1))
-                 + list(range(k, j, -1)),
-                 (i - 1, j + 1))
-        elif i < k:
-            fire("nice_start", ("start", i),
-                 list(range(j + 1, i + 1)) + list(range(0, j + 1))
-                 + list(range(k, i, -1)),
-                 (j + 1, i + 1))
-
-    for p in sorted(prof.end_chords):
-        c = prof.end_chords[p]
-        if c not in prof.end_nice:
-            continue
-        q = colors.index(c) + 1  # the fresh start chord sits at position q
-        if q <= p:
-            fire("nice_end", ("end", p),
-                 list(range(p + 1, k + 1)) + list(range(p, q - 1, -1))
-                 + list(range(0, q)),
-                 (p + 1, q - 1))
-        elif p > 0:
-            fire("nice_end", ("end", p),
-                 list(range(q - 1, p - 1, -1)) + list(range(k, q - 1, -1))
-                 + list(range(0, p)),
-                 (q - 1, p - 1))
-
-    lo_outer, lo = prof.win_lo_outer, prof.win_lo
-    hi, hi_outer = prof.win_hi, prof.win_hi_outer
-    if lo is not None and hi is not None:
-        for i in sorted(prof.start_chords):
-            c = prof.start_chords[i]
-            if c not in prof.start_new or not (lo < i <= hi):
-                continue
-            low = lo_outer if prof.end_chords[lo_outer] != c else lo
-            fire("window_start", ("start", i),
-                 list(range(low + 1, i + 1)) + list(range(0, low + 1))
-                 + list(range(k, i, -1)),
-                 (low + 1, i + 1))
-        for p in sorted(prof.end_chords):
-            c = prof.end_chords[p]
-            if c not in prof.end_new or not (lo <= p < hi):
-                continue
-            high = hi_outer if prof.start_chords[hi_outer] != c else hi
-            fire("window_end", ("end", p),
-                 list(range(high - 1, p - 1, -1)) + list(range(k, high - 1, -1))
-                 + list(range(0, p)),
-                 (high - 1, p - 1))
+    # the *_end fires are the *_start fires of the reversed path, whose
+    # position i is k - i here; reading them backwards puts them in
+    # ascending position on this path
+    rev = prof.reversed()
+    for family, heads, tails in zip(("fresh", "nice", "window"),
+                                    _start_rules(prof), _start_rules(rev)):
+        for i, seq, ends in heads:
+            fires.append(checked_fire(g, pstar, family + "_start",
+                                      ("start", i), seq, ends))
+        for i, seq, ends in reversed(tails):
+            fires.append(checked_fire(g, rev.path, family + "_end",
+                                      ("end", k - i), seq, ends))
 
     found = frozenset(v for f in fires for v in f.terminals)
     return TerminalReport(path=pstar, fires=tuple(fires), rule_terminals=found)
@@ -253,28 +226,21 @@ def _jump_rotations(g: ColoredGraph, w: RainbowPath):
     """Endpoint-preserving rotations of a witness path, as (source, vertex
     sequence) pairs.
 
-    For a fresh chord at either end of w, cutting the freed edge keeps one
-    endpoint fixed and moves the other, which is exactly what the degree
-    bound on the auxiliary graph exploits.
+    A fresh chord v_0 v_i with i >= 2 frees the path edge v_{i-1} v_i:
+    cutting it keeps v_k fixed and moves v_0 to v_{i-1}, which is exactly
+    what the degree bound on the auxiliary graph exploits. The jump_end
+    rotations are those of w read backwards, read back again.
     """
-    k = w.length
     used = set(w.colors)
-    pos = {v: i for i, v in enumerate(w.vertices)}
     out = []
-    for (x, c) in g.neighbors(w.vertices[-1]):
-        j = pos.get(x)
-        if j is None or c in used or j > k - 2:
-            continue
-        seq = [w.vertices[i] for i in range(j + 1)]
-        seq += [w.vertices[i] for i in range(k, j, -1)]
-        out.append(("jump_end", seq))
-    for (x, c) in g.neighbors(w.vertices[0]):
-        i = pos.get(x)
-        if i is None or c in used or i < 2:
-            continue
-        seq = [w.vertices[t] for t in range(i - 1, -1, -1)]
-        seq += [w.vertices[t] for t in range(i, k + 1)]
-        out.append(("jump_start", seq))
+    for source, vs, back in (("jump_end", w.vertices[::-1], -1),
+                             ("jump_start", w.vertices, 1)):
+        pos = {v: i for i, v in enumerate(vs)}
+        for (x, c) in g.neighbors(vs[0]):
+            i = pos.get(x)
+            if i is None or c in used or i < 2:
+                continue
+            out.append((source, (vs[i - 1::-1] + vs[i:])[::back]))
     return out
 
 
@@ -283,7 +249,10 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
     """Auxiliary graph from rule witnesses alone.
 
     Returns (AuxGraph, fires). Edges come from each witness's endpoint pair
-    and its jump rotations. Vertices are the rule terminals and every edge
+    and its jump rotations. The first fire, "base", is P* itself with the
+    colors pstar records. Its pair repeats the "endpoints" rule's, but the
+    report is handed in apart from pstar, so this fire is the one check
+    that pstar itself, colors included, is a rainbow path of g. Vertices are the rule terminals and every edge
     endpoint: a rotation can end at a terminal no rule names, and each
     endpoint ends a checked spanning witness, so it is terminal too.
     """
@@ -321,7 +290,7 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
     later = full
     for u in vs[:-1]:
         later &= ~(1 << u)
-        for w in _span_ends(u, full, adj, adj_mask, later, False):
+        for w in _span_ends(u, full, adj, adj_mask, later):
             edges.add((u, w))
     ends = {v for e in edges for v in e}
     return AuxGraph(vertices=tuple(sorted(ends)), edges=frozenset(edges))
@@ -331,10 +300,12 @@ def maximum_matching(aux: AuxGraph) -> tuple:
     """A maximum matching of the auxiliary graph, as sorted vertex pairs.
 
     Plain bitmask recursion; auxiliary graphs here have at most a path's
-    worth of vertices, so this is never large. best(mask) stops trying
-    partners once it reaches mask.bit_count() // 2, the most any matching
-    of mask can have, so every value, and every pair read back from them,
-    is what the full recursion gives.
+    worth of vertices, so this is never large. best(mask) is a maximum
+    matching of mask, as index pairs: it starts from the lowest vertex
+    left unmatched and takes that vertex's first partner, in ascending
+    order, that gives a strictly larger matching. It stops trying partners
+    once it reaches mask.bit_count() // 2 pairs, the most any matching of
+    mask can have.
     """
     vs = aux.vertices
     index = {v: i for i, v in enumerate(vs)}
@@ -344,38 +315,26 @@ def maximum_matching(aux: AuxGraph) -> tuple:
         adj[index[b]] |= 1 << index[a]
 
     @lru_cache(maxsize=None)
-    def best(mask: int) -> int:
+    def best(mask: int) -> tuple:
         if mask == 0:
-            return 0
+            return ()
         cap = mask.bit_count() // 2
         i = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << i)
         top = best(rest)
         live = adj[i] & rest
-        while live and top < cap:
+        while live and len(top) < cap:
             j = (live & -live).bit_length() - 1
             live &= live - 1
-            top = max(top, 1 + best(rest & ~(1 << j)))
+            sub = best(rest & ~(1 << j))
+            if len(sub) >= len(top):
+                top = sub + ((i, j),)
         return top
 
-    pairs = []
-    mask = (1 << len(vs)) - 1
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << i)
-        if best(mask) == best(rest):
-            mask = rest
-            continue
-        live = adj[i] & rest
-        while live:
-            j = (live & -live).bit_length() - 1
-            live &= live - 1
-            if 1 + best(rest & ~(1 << j)) == best(mask):
-                pairs.append((vs[i], vs[j]) if vs[i] < vs[j] else (vs[j], vs[i]))
-                mask = rest & ~(1 << j)
-                break
+    pairs = best((1 << len(vs)) - 1)
     best.cache_clear()
-    return tuple(sorted(pairs))
+    return tuple(sorted((vs[i], vs[j]) if vs[i] < vs[j] else (vs[j], vs[i])
+                        for i, j in pairs))
 
 
 @dataclass(frozen=True)

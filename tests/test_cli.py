@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from rturan import cli, graphs
+from rturan import cli, constructions, graphs
 from rturan.cli import main
 from rturan.graphs import PARSE_VERTEX_GUARD, load_graph, parse_graph
 from rturan.oracle import COLORING_EDGE_GUARD, EXSTAR_VERTEX_GUARD
@@ -215,6 +215,18 @@ def test_bounds_json(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [r["k"] for r in rows] == list(range(1, 11))
+
+
+def test_bounds_row_guard(monkeypatch, capsys):
+    start = time.perf_counter()
+    assert main(["bounds", "--kmax", str(10 ** 9)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "refused: bounds" in capsys.readouterr().err
+    monkeypatch.setattr(constructions, "BOUND_TABLE_GUARD", 12)
+    code, out = run(capsys, ["bounds", "--kmax", "12", "--csv"])
+    assert code == 0 and len(out.strip().splitlines()) == 13
+    assert main(["bounds", "--kmax", "13", "--csv"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 # === engine ===

@@ -6,12 +6,17 @@ edge (0,5) with the old color 2. Every set below was derived by hand from
 the definitions before being asserted.
 """
 
+import random
+from collections import Counter
+
 import pytest
 
+from rturan.corpus import random_instance
 from rturan.errors import PathError
 from rturan.graphs import ColoredGraph, validate_proper
 from rturan.profile import compute_profile
-from rturan.search import RainbowPath, path_from_vertices
+from rturan.search import RainbowPath, longest_rainbow_path, path_from_vertices
+from rturan.terminals import terminal_rules
 
 
 def hand_graph():
@@ -113,3 +118,56 @@ def test_profile_rejects_single_vertex():
     g = hand_graph()
     with pytest.raises(PathError):
         compute_profile(g, RainbowPath((0,), ()))
+
+
+# === the v_k end is the v_0 end of the reversed path ===
+
+def mirror_cases():
+    path = [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4)]
+    for extra in ([(0, 3, 9), (0, 4, 10), (5, 1, 8), (5, 2, 7), (0, 5, 2)],
+                  [(0, 2, 3), (3, 5, 20)],          # nice start, below
+                  [(0, 3, 1), (5, 1, 20)],          # nice start, above
+                  [(0, 2, 11), (0, 3, 12), (5, 2, 13), (5, 3, 14)],
+                  [(0, 5, 30)]):                    # fresh far edge
+        g = ColoredGraph.from_edges(6, path + extra)
+        yield g, path_from_vertices(g, range(6))
+    rng = random.Random(77)
+    for kind in ("random", "bare_path"):
+        for _ in range(80):
+            g = random_instance(rng, rng.randint(4, 10), 0.45, kind)
+            yield g, longest_rainbow_path(g).best
+
+
+def chord_fires(report, k, mirror=False):
+    """The fresh, nice and window fires as a multiset; with `mirror` set,
+    each with its side swapped and its chord position i read as k - i."""
+    swap = {"start": "end", "end": "start"}
+    out = Counter()
+    for f in report.fires:
+        family, _, side = f.rule.rpartition("_")
+        if family not in ("fresh", "nice", "window"):
+            continue
+        i = f.anchor[1]
+        if mirror:
+            side, i = swap[side], k - i
+        out[(family, side, i, f.terminals, f.witness.vertices)] += 1
+    return out
+
+
+def test_reversed_profile_is_the_profile_of_the_reversed_path():
+    rules = Counter()
+    for g, p in mirror_cases():
+        prof = compute_profile(g, p)
+        back = p.reversed()
+        assert back.vertices == p.vertices[::-1]
+        rev = prof.reversed()
+        assert rev is prof.reversed()
+        assert rev == compute_profile(g, back)
+        assert rev.reversed() == prof
+        report = terminal_rules(g, p, prof)
+        assert chord_fires(terminal_rules(g, back), p.length, mirror=True) \
+            == chord_fires(report, p.length)
+        rules.update(f.rule for f in report.fires)
+    # every family fires on both sides somewhere
+    for family in ("fresh", "nice", "window"):
+        assert rules[family + "_start"] and rules[family + "_end"], family
