@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from itertools import islice
 
 from .claims import build_claim_context, check_claims
 from .constructions import bipartite_f2k, blowup, bound_table, maamoun_meyniel
@@ -387,12 +389,10 @@ def cmd_oracle_colorings(args) -> int:
             return 1
         _emit(serialize_graph(got))
         return 0
-    shown = 0
-    for colored in proper_colorings(skel, guard=args.guard):
+    if args.limit < 1:
+        raise PreconditionError("--limit must be >= 1")
+    for colored in islice(proper_colorings(skel, guard=args.guard), args.limit):
         _emit(serialize_graph(colored))
-        shown += 1
-        if shown >= args.limit:
-            break
     return 0
 
 
@@ -403,10 +403,12 @@ def cmd_oracle_eg(args) -> int:
         _emit_json({"n": args.n, "path_edges": args.k,
                     "bound": frac_str(bound), "packing_edges": packed})
         return 0
+    # built before any output, so a refused size prints nothing
+    witness = clique_packing(args.n, args.k) if args.witness else None
     _emit(f"no path with {args.k} edges on {args.n} vertices: "
           f"at most {frac_str(bound)} edges, clique packing gives {packed}")
-    if args.witness:
-        _emit(serialize_graph(clique_packing(args.n, args.k)))
+    if witness is not None:
+        _emit(serialize_graph(witness))
     return 0
 
 
@@ -423,11 +425,10 @@ def cmd_suite(args) -> int:
                 raise PreconditionError(msg) from None
         if not isinstance(merged, dict):
             raise PreconditionError("config must be a JSON object")
-    for key in ("seed", "instances", "n_min", "n_max", "edge_prob",
-                "kind", "budget", "tamper"):
-        val = getattr(args, key)
+    for f in fields(RunConfig):
+        val = getattr(args, f.name)
         if val is not None:
-            merged[key] = val
+            merged[f.name] = val
     config = RunConfig.from_json_obj(merged)
     summary = run_suite(config)
     if args.json:

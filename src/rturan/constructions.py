@@ -101,7 +101,12 @@ def blowup(k: int, n: int) -> ColoredGraph:
 class BoundTableRow:
     """Per-edge coefficients for graphs whose longest rainbow path has at
     most k edges: the packing lower bound, the rotation upper bound 9k/7 + 2,
-    the older ceil((3k+1)/2) upper bound, and the uncolored baseline k/2."""
+    the older ceil((3k+1)/2) upper bound, and the uncolored baseline k/2.
+
+    `lower` equals `eg_baseline`: disjoint properly colored copies of
+    K_{k+1} hold no path of k + 1 edges, rainbow or not, and have k/2 edges
+    per vertex, which meets the Erdos-Gallai bound k*n/2 whenever k + 1
+    divides n (oracle.clique_packing). Both columns stay in the table."""
 
     k: int
     lower: Fraction

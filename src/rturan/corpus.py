@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .claims import ClaimContext, check_claims
@@ -68,10 +68,7 @@ class RunConfig:
             raise PreconditionError("instances must be nonnegative")
 
     def to_json_obj(self) -> dict:
-        return {"seed": self.seed, "instances": self.instances,
-                "n_min": self.n_min, "n_max": self.n_max,
-                "edge_prob": self.edge_prob, "kind": self.kind,
-                "budget": self.budget, "tamper": self.tamper}
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunConfig":

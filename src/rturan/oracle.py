@@ -8,31 +8,32 @@ path is caught when its last edge lands) and fast (conflicts die early).
 Its walks carry vertex and colour bitmasks over per-vertex (neighbour,
 1 << neighbour, 1 << colour) tuples, the idiom of search._dfs.
 
-The extremal scan walks edge counts downward over all edge subsets of the
-complete graph, so its verdict is exact. Its one shortcut keeps the result:
-infeasibility survives adding edges, so the minimal infeasible cores learned
-along the way discard supersets wholesale. There is no isomorphism
-reduction: a canonical form by brute force tries all n! relabelings of every
-subset, and from n = 6 on that costs more than the avoidance searches it
-spares (with one, n = 6, L = 4 took 13 times as long; at n = 5 it saved a
-quarter). Vertex counts above the guard are refused rather than attempted.
+The extremal scan runs the same kernel with a floor `least` on the number of
+coloured edges: each edge of the complete graph may also stay uncoloured
+(None in the yielded tuple), a branch tried after every colour and taken only
+while the coloured edges can still reach `least`. One call therefore searches
+every canonical avoiding coloring of every edge subset of at least `least`
+edges, and the scan lowers `least` from all pairs to the first hit, whose
+coloured edges are the exact maximum and its witness. Vertex counts above the
+guard are refused rather than attempted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import GuardError, PreconditionError
-from .graphs import ColoredGraph, GraphSkeleton, complete_graph
+from .graphs import ColoredGraph, GraphSkeleton, check_size, complete_graph
 
 COLORING_EDGE_GUARD = 15
 EXSTAR_VERTEX_GUARD = 7
 
 
-def _colorings(n: int, edges: tuple, avoid: Optional[int]) -> Iterator[tuple]:
+def _colorings(n: int, edges: tuple, avoid: Optional[int],
+               least: Optional[int] = None) -> Iterator[tuple]:
+    # at least `least` edges coloured (default: all), the others None
     m = len(edges)
     at = [0] * n  # colour mask at each vertex
     adj: list = [[] for _ in range(n)]  # (w, 1 << w, 1 << c) per placed edge
@@ -62,7 +63,8 @@ def _colorings(n: int, edges: tuple, avoid: Optional[int]) -> Iterator[tuple]:
                 return True
         return False
 
-    def rec(i, fresh):
+    def rec(i, fresh, spare):
+        # spare: how many of the edges from i on may still stay uncoloured
         nonlocal far
         if i == m:
             yield tuple(chosen)
@@ -82,13 +84,16 @@ def _colorings(n: int, edges: tuple, avoid: Optional[int]) -> Iterator[tuple]:
             far = v
             # a rainbow path with `avoid` edges running through the edge u-v?
             if avoid is None or not left(u, ubit | vbit, cbit, avoid - 1):
-                yield from rec(i + 1, fresh + (1 if c == fresh else 0))
+                yield from rec(i + 1, fresh + (1 if c == fresh else 0), spare)
             at[u] ^= cbit
             at[v] ^= cbit
             adj[u].pop()
             adj[v].pop()
+        if spare > 0:
+            chosen[i] = None
+            yield from rec(i + 1, fresh, spare - 1)
 
-    yield from rec(0, 0)
+    yield from rec(0, 0, 0 if least is None else m - least)
 
 
 def proper_colorings(skel: GraphSkeleton, avoid: Optional[int] = None,
@@ -119,17 +124,11 @@ def coloring_avoiding(skel: GraphSkeleton, path_edges: int,
     return next(proper_colorings(skel, avoid=path_edges, guard=guard), None)
 
 
-def _minimize_core(n: int, edges: frozenset, path_edges: int) -> frozenset:
-    core = sorted(edges)
-    i = 0
-    while i < len(core):
-        trial = core[:i] + core[i + 1:]
-        skel = GraphSkeleton(n, tuple(trial))
-        if coloring_avoiding(skel, path_edges, guard=skel.m) is None:
-            core = trial
-        else:
-            i += 1
-    return frozenset(core)
+def _check_args(n: int, path_edges: int) -> None:
+    if n < 0:
+        raise PreconditionError("vertex count must be nonnegative")
+    if path_edges < 1:
+        raise PreconditionError("the forbidden path length must be >= 1 edge")
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,7 @@ def exstar_small(n: int, path_edges: int,
                  guard: int = EXSTAR_VERTEX_GUARD) -> ExstarResult:
     """Exact maximum edge count of an n-vertex graph that admits a proper
     coloring without a rainbow path of `path_edges` edges."""
-    if n < 0:
-        raise PreconditionError("vertex count must be nonnegative")
-    if path_edges < 1:
-        raise PreconditionError("the forbidden path length must be >= 1 edge")
+    _check_args(n, path_edges)
     if n > guard:
         raise GuardError("exstar",
                          f"n={n} exceeds the exhaustive guard {guard}")
@@ -163,29 +159,25 @@ def exstar_small(n: int, path_edges: int,
         return ExstarResult(n, path_edges, n // 2, witness)
 
     all_edges = complete_graph(n).edges
-    cores: list = []
-    for m in range(len(all_edges), -1, -1):
-        for combo in combinations(all_edges, m):
-            es = frozenset(combo)
-            if any(core <= es for core in cores):
-                continue
-            skel = GraphSkeleton(n, combo)
-            colored = coloring_avoiding(skel, path_edges, guard=skel.m)
-            if colored is not None:
-                return ExstarResult(n, path_edges, m, colored)
-            cores.append(_minimize_core(n, es, path_edges))
+    for least in range(len(all_edges), -1, -1):
+        cs = next(_colorings(n, all_edges, path_edges, least), None)
+        if cs is not None:
+            kept = [(u, v, c) for (u, v), c in zip(all_edges, cs)
+                    if c is not None]
+            witness = ColoredGraph.from_edges(n, kept)
+            return ExstarResult(n, path_edges, len(kept), witness)
     raise AssertionError("an edgeless graph avoids every path")
 
 
 def erdos_gallai_bound(n: int, path_edges: int) -> Fraction:
     """Classical edge ceiling for graphs with no path of `path_edges` edges
     (colorings aside)."""
-    if path_edges < 1:
-        raise PreconditionError("the forbidden path length must be >= 1 edge")
+    _check_args(n, path_edges)
     return Fraction((path_edges - 1) * n, 2)
 
 
 def packing_edge_count(n: int, path_edges: int) -> int:
+    _check_args(n, path_edges)
     size = path_edges
     rest = n % size
     return (size * (size - 1) // 2) * (n // size) + rest * (rest - 1) // 2
@@ -195,8 +187,7 @@ def clique_packing(n: int, path_edges: int) -> ColoredGraph:
     """Disjoint cliques on `path_edges` vertices (plus a remainder clique),
     properly colored. Components are too small to hold the forbidden path,
     rainbow or not, so this witnesses the classical lower bound."""
-    if path_edges < 1:
-        raise PreconditionError("the forbidden path length must be >= 1 edge")
+    check_size("construct", n, packing_edge_count(n, path_edges))
     size = path_edges
     edges = []
     palette = 1

@@ -332,10 +332,31 @@ def test_oracle_colorings_guard(f2k_file, capsys):
     assert main(["oracle", "colorings", f2k_file, "--count"]) == 3
 
 
+def test_oracle_colorings_limit(k4_file, capsys):
+    code, out = run(capsys, ["oracle", "colorings", k4_file, "--limit", "2"])
+    assert code == 0
+    assert sum(line.startswith("4 6 ") for line in out.splitlines()) == 2
+    for bad in ("0", "-1"):
+        code, out = run(capsys, ["oracle", "colorings", k4_file,
+                                 "--limit", bad])
+        assert code == 2 and out == ""
+
+
 def test_oracle_eg(capsys):
     code, out = run(capsys, ["oracle", "eg", "--n", "10", "--k", "4"])
     assert code == 0
     assert "at most 15 edges" in out and "packing gives 13" in out
+
+
+def test_oracle_eg_refuses_bad_sizes(capsys):
+    for argv in (["--n", "-5", "--k", "3"], ["--n", "5", "--k", "0"]):
+        code, out = run(capsys, ["oracle", "eg"] + argv)
+        assert code == 2 and out == "", argv
+    # the packing's size is checked before it is built or anything printed
+    code, out = run(capsys, ["oracle", "eg", "--n",
+                             str(PARSE_VERTEX_GUARD + 1), "--k", "3",
+                             "--witness"])
+    assert code == 3 and out == ""
 
 
 # === suite ===

@@ -15,7 +15,7 @@ import pytest
 
 from rturan.errors import GuardError, PreconditionError
 from rturan.graphs import GraphSkeleton, complete_graph, validate_proper
-from rturan.oracle import (clique_packing, coloring_avoiding,
+from rturan.oracle import (_colorings, clique_packing, coloring_avoiding,
                            count_proper_colorings, erdos_gallai_bound,
                            exstar_small, packing_edge_count,
                            proper_colorings)
@@ -106,6 +106,17 @@ def has_naive_rainbow_path(n, eindex, cs, path_edges):
     return False
 
 
+def subset_exstar(n, path_edges):
+    """The downward scan over edge subsets, one avoidance search each."""
+    all_edges = complete_graph(n).edges
+    for m in range(len(all_edges), -1, -1):
+        for subset in combinations(all_edges, m):
+            if coloring_avoiding(GraphSkeleton(n, subset), path_edges,
+                                 guard=m) is not None:
+                return m
+    return 0
+
+
 def path_skeleton(edges):
     return GraphSkeleton(edges + 1, tuple((i, i + 1) for i in range(edges)))
 
@@ -170,6 +181,27 @@ def test_avoid_filter_agrees_with_post_filter():
     assert partial >= 40
 
 
+def test_least_spans_every_large_enough_subset():
+    # with a floor on the coloured edges, the kernel yields exactly the
+    # avoiding colorings of each subset that large, None on the rest
+    for skel in seeded_skeletons(10):
+        n, edges = skel.n, skel.edges
+        for avoid in (None, 2, 3):
+            for least in (skel.m - 1, skel.m - 3):
+                got = list(_colorings(n, edges, avoid, least))
+                want = set()
+                for m in range(max(least, 0), skel.m + 1):
+                    for keep in combinations(range(skel.m), m):
+                        sub = tuple(edges[i] for i in keep)
+                        for cs in _colorings(n, sub, avoid):
+                            full = [None] * skel.m
+                            for i, c in zip(keep, cs):
+                                full[i] = c
+                            want.add(tuple(full))
+                assert len(got) == len(set(got)) and set(got) == want, \
+                    (skel, avoid, least)
+
+
 def test_coloring_avoiding_finds_or_refutes():
     g = coloring_avoiding(complete_graph(4), 3)
     assert g is not None and validate_proper(g).is_proper
@@ -194,6 +226,7 @@ FROZEN = {
     (2, 3): 1, (3, 3): 3, (4, 3): 6, (5, 3): 6, (6, 3): 7,
     (4, 4): 6, (5, 4): 7, (6, 4): 9,
     (6, 5): 15,
+    (7, 3): 9,
 }
 
 
@@ -216,6 +249,12 @@ def test_exstar_matches_naive_search():
         for length in (2, 3, 4):
             assert exstar_small(n, length).value == naive_exstar(n, length), \
                 (n, length)
+
+
+def test_exstar_matches_subset_scan():
+    for length in (3, 4, 5):
+        assert exstar_small(5, length).value == subset_exstar(5, length), \
+            length
 
 
 def test_exstar_monotone_in_both_arguments():
@@ -250,6 +289,13 @@ def test_erdos_gallai_values():
     assert erdos_gallai_bound(10, 4) == Fraction(15)
     assert erdos_gallai_bound(5, 3) == Fraction(5)
     assert erdos_gallai_bound(7, 2) == Fraction(7, 2)
+
+
+def test_packing_refuses_bad_sizes():
+    for fn in (erdos_gallai_bound, packing_edge_count, clique_packing):
+        for n, length in ((-5, 3), (5, 0)):
+            with pytest.raises(PreconditionError):
+                fn(n, length)
 
 
 def test_clique_packing_shape():
