@@ -6,7 +6,8 @@ set partitions, the rotation rules against the exhaustive terminal oracle,
 the auxiliary edges against the exhaustive pair oracle, and the whole claim
 battery with hypotheses evaluated honestly (skips are skips, not passes).
 A failure record names the instance by seed and index so any run can be
-replayed exactly.
+replayed exactly. An instance whose checks raise anything but a guard
+refusal becomes a "crash" record, and the sweep goes on.
 
 The optional tamper pass corrupts one rule witness per instance and demands
 that the witness checker refuses it; a silent acceptance is reported as a
@@ -291,6 +292,10 @@ def run_suite(config: RunConfig) -> SuiteSummary:
                                            tamper=config.tamper)
         except GuardError as e:
             fails, report = [FailureRecord(label, "guard", str(e))], None
+        except Exception as e:
+            # one broken instance must not end the sweep; its label replays it
+            fails, report = [FailureRecord(label, "crash",
+                                           f"{type(e).__name__}: {e}")], None
         failures.extend(fails)
         if report is not None:
             for name, held in report.hypotheses.items():

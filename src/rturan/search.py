@@ -28,9 +28,15 @@ path of this length first.
 
 The spanning searches (paths whose vertex set is a given set, the terminal
 and auxiliary oracles' question) share one recursive kernel, _span_ends. It
-walks from a root in ascending order and keeps going until it has reached
-every wanted end, so one search per root answers all of that root's
-endpoint pairs, and a search with one wanted end stops at its first hit.
+walks from a root in ascending order and, at the first path it finds to
+each end still wanted, calls its caller's hook, hit; the hook returns the
+ends its caller no longer wants, and the search stops once none is left.
+spanning_rainbow_path_from and spanning_rainbow_path_between stop at their
+first hit. The auxiliary oracle (terminals.build_aux_oracle) learns pairs
+in its hook, from the path and its end rotations, and drops every end
+whose pair with the root it knows by then, so one search per root answers
+all of that root's endpoint pairs it does not know yet. The wanted set
+only shrinks, so a prune decided against it stays sound after it shrinks.
 Two prunes keep it sound and small. Each remaining vertex is scored by its
 live neighbours among the remaining vertices and the current one: with none
 it can never be entered (dead end), and with exactly one it must be the
@@ -277,15 +283,15 @@ def _span_prep(g: ColoredGraph, vset):
     return vs, full, adj, adj_mask
 
 
-def _span_ends(start: int, full: int, adj, adj_mask, wanted: int) -> dict:
+def _span_ends(start: int, full: int, adj, adj_mask, wanted: int, hit) -> None:
     """Spanning rainbow paths over the vertex mask `full` from `start`.
 
-    Returns {end: vertex list} holding, for each end in the mask `wanted`
-    that some such path reaches, the first path to it in ascending DFS
-    order, in the order the ends were reached. The search stops once every
-    wanted end is reached.
+    Calls hit(path) at the first path, in ascending DFS order, to each end
+    in the mask `wanted` that is still wanted when the search reaches it.
+    `path` is the search's own vertex list, valid only during the call. hit
+    returns the mask of ends no longer wanted, this one among them, and the
+    search stops once no wanted end is left.
     """
-    hits: dict = {}
     cur = [start]
     left = wanted
 
@@ -322,9 +328,8 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int) -> dict:
             if remaining == wbit:
                 # w completes the path; the prune above made it wanted
                 cur.append(w)
-                hits[w] = cur.copy()
+                left &= ~hit(cur)
                 cur.pop()
-                left ^= wbit
                 return not left
             # step on only if a wanted end stays unvisited behind w
             if not (left & ~(vmask | wbit)):
@@ -340,20 +345,32 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int) -> dict:
         walk(start, 1 << start, 0, full & ~(1 << start))
     except RecursionError:
         raise _too_deep() from None
-    return hits
+
+
+def _first_span(g: ColoredGraph, start: int, full: int, adj, adj_mask,
+                wanted: int) -> Optional[RainbowPath]:
+    """The first spanning path from `start` to any end in `wanted`, in
+    ascending DFS order; the search stops at it."""
+    found = []
+
+    def hit(path) -> int:
+        found.append(path.copy())
+        return wanted
+
+    _span_ends(start, full, adj, adj_mask, wanted, hit)
+    return path_from_vertices(g, found[0]) if found else None
 
 
 def spanning_rainbow_path_from(g: ColoredGraph, vset, start: int) -> Optional[RainbowPath]:
     """Some rainbow path whose vertex set is exactly `vset`, starting at
     `start`; None if there is none. Returns the first such path in ascending
-    DFS order: the first end the search reaches."""
+    DFS order: the first end the search reaches, where it stops."""
     vs, full, adj, adj_mask = _span_prep(g, vset)
     if start not in vs:
         raise PathError(f"start {start} not in vertex set")
     if len(vs) == 1:
         return RainbowPath((start,), ())
-    hits = _span_ends(start, full, adj, adj_mask, full & ~(1 << start))
-    return path_from_vertices(g, next(iter(hits.values()))) if hits else None
+    return _first_span(g, start, full, adj, adj_mask, full & ~(1 << start))
 
 
 def spanning_rainbow_path_between(g: ColoredGraph, vset, u: int, w: int) -> Optional[RainbowPath]:
@@ -362,6 +379,5 @@ def spanning_rainbow_path_between(g: ColoredGraph, vset, u: int, w: int) -> Opti
     vs, full, adj, adj_mask = _span_prep(g, vset)
     if u not in vs or w not in vs or u == w:
         raise PathError("endpoints must be distinct members of the vertex set")
-    hits = _span_ends(u, full, adj, adj_mask, 1 << w)
-    return path_from_vertices(g, hits[w]) if hits else None
+    return _first_span(g, u, full, adj, adj_mask, 1 << w)
 

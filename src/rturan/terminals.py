@@ -43,15 +43,28 @@ rules already produce the claimed terminal.
 On top of the terminal set sits an auxiliary graph: two terminals are
 adjacent when one rainbow path on V(P*) has both as its endpoints. The
 rule flavor connects witness endpoints and jump-rotations of witnesses.
-The oracle flavor decides every pair of V(P*) in one pass: V(P*) is
-prepared for the spanning kernel once, then one search per vertex u, in
-ascending order, reaches every later vertex joined to u. A terminal ends a
-spanning rainbow path whose other end is a different vertex, so when P*
-has two or more vertices the terminals are exactly the ends of the pairs
-found, and terminal_oracle reads them off the auxiliary graph; on a
-one-vertex P* that vertex is the only terminal and there are no pairs. A
-maximum matching of the auxiliary graph drives the vertex-deletion step of
-the edge-count bound.
+The oracle flavor decides every pair of V(P*) in one pass. V(P*) is
+prepared for the spanning kernel once, and one partner bitmask per vertex,
+shared by every root, holds the pairs known so far. Each spanning path the
+kernel finds is closed under end rotations: a chord from an end q_{s-1} to
+q_i whose color is off the path, or is the color of the cut edge
+q_i q_{i+1}, gives the spanning rainbow path q_0..q_i, q_{s-1}..q_{i+1},
+and every rotation that shows a pair not yet known is followed in turn.
+Root u, in ascending order, then searches only for the later vertices
+whose pair with u is still unknown, stops once none is left, and is
+skipped when there is none. The pair set stays exact. No pair is
+invented: each one recorded ends a real spanning rainbow path, by
+construction. None is missed: root u's search is exhaustive over its
+later partners not yet known, and drops one only once its pair is known.
+These rotations are written apart from the rules' (_jump_rotations,
+_start_rules), so the oracle stays independent of what it checks.
+
+A terminal ends a spanning rainbow path whose other end is a different
+vertex, so when P* has two or more vertices the terminals are exactly the
+ends of the pairs found, and terminal_oracle reads them off the auxiliary
+graph; on a one-vertex P* that vertex is the only terminal and there are
+no pairs. A maximum matching of the auxiliary graph drives the
+vertex-deletion step of the edge-count bound.
 """
 
 from __future__ import annotations
@@ -278,22 +291,84 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
     return AuxGraph(vertices=tuple(sorted(vertices)), edges=edges), tuple(fires)
 
 
+def _rotation_pairs(g: ColoredGraph, adj, path, known: list,
+                    pairs: set) -> None:
+    """Record the end pair of the spanning rainbow path `path`, and of every
+    path its end rotations reach, in `known` (one partner bitmask per
+    vertex) and in `pairs` (sorted vertex pairs). `path` ends a pair not yet
+    known.
+
+    A chord from the end q_{s-1} to q_i, i <= s - 3, gives the path
+    q_0..q_i, q_{s-1}..q_{i+1} on the same vertices; it is rainbow when the
+    chord's color is off the path or is the color of the cut edge
+    q_i q_{i+1}. The start end rotates the same way on the path read
+    backwards. Only rotations that show a pair not yet known are followed,
+    so each pair is rotated at most once. Every pair recorded ends a real
+    spanning rainbow path. This is the oracle's own rotation, written apart
+    from the rules it checks (_jump_rotations, _start_rules).
+    """
+    col = g._col
+    s = len(path)
+
+    def learn(a: int, b: int) -> bool:
+        if known[a] >> b & 1:
+            return False
+        known[a] |= 1 << b
+        known[b] |= 1 << a
+        pairs.add((a, b) if a < b else (b, a))
+        return True
+
+    learn(path[0], path[-1])
+    todo = [(path, [1 << col[(a, b) if a < b else (b, a)]
+                    for a, b in zip(path, path[1:])])]
+    while todo:
+        q, cb = todo.pop()
+        cmask = sum(cb)
+        # rotate at the far end of q, then of q read backwards
+        for p, pc in ((q, cb), (q[::-1], cb[::-1])):
+            pos = {v: i for i, v in enumerate(p)}
+            for (x, _, cbit) in adj[p[-1]]:
+                i = pos[x]
+                if i > s - 3 or (cmask & cbit and cbit != pc[i]):
+                    continue
+                if learn(p[0], p[i + 1]):
+                    todo.append((p[:i + 1] + p[:i:-1],
+                                 pc[:i] + [cbit] + pc[:i:-1]))
+
+
 def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
-    """Auxiliary graph by exhaustive search: one spanning search per vertex
-    u of V(pstar), in ascending order, finds every later vertex that a
-    spanning rainbow path joins to u. Its vertices are the ends of those
-    pairs, which are exactly the terminals."""
+    """Auxiliary graph by exhaustive search.
+
+    One partner mask per vertex, shared by every root, holds the pairs
+    known so far. Each spanning path the search finds is closed under end
+    rotations (_rotation_pairs), which may fill in pairs for any vertex.
+    Root u, in ascending order, then searches V(pstar) only for the later
+    vertices whose pair with u is still unknown, stops once none is left,
+    and is skipped when there is none. The pairs are exactly those of one
+    search per root over every later vertex. Every pair recorded ends a
+    real spanning rainbow path: the search found it, or a rotation built
+    it. And a pair (u, w), u < w, leaves root u's wanted ends only once it
+    is known, while the search is exhaustive over the ends still wanted.
+    The vertices are the ends of the pairs, which are exactly the terminals.
+    """
     vs, full, adj, adj_mask = _span_prep(g, pstar.vertices)
     if len(vs) == 1:
         return AuxGraph(vertices=tuple(vs), edges=frozenset())
-    edges = set()
+    known = [0] * g.n
+    pairs: set = set()
+
+    def hit(path) -> int:
+        _rotation_pairs(g, adj, path, known, pairs)
+        return known[path[0]]
+
     later = full
     for u in vs[:-1]:
         later &= ~(1 << u)
-        for w in _span_ends(u, full, adj, adj_mask, later):
-            edges.add((u, w))
-    ends = {v for e in edges for v in e}
-    return AuxGraph(vertices=tuple(sorted(ends)), edges=frozenset(edges))
+        wanted = later & ~known[u]
+        if wanted:
+            _span_ends(u, full, adj, adj_mask, wanted, hit)
+    ends = {v for e in pairs for v in e}
+    return AuxGraph(vertices=tuple(sorted(ends)), edges=frozenset(pairs))
 
 
 def maximum_matching(aux: AuxGraph) -> tuple:

@@ -1,11 +1,13 @@
-"""Brute-force spanning rainbow paths: the reference the search kernel is
-checked against. Every vertex order of the set is tried, so keep sets small.
+"""References for the spanning searches. rainbow_orders is brute force:
+every vertex order of the set is tried, so keep sets small. reference_aux is
+the auxiliary-graph oracle without end rotations, one full search per root.
 """
 
 from itertools import permutations
 
 from rturan.errors import GuardError
-from rturan.search import path_from_vertices
+from rturan.search import _span_ends, _span_prep, path_from_vertices
+from rturan.terminals import AuxGraph
 
 
 def rainbow_orders(g, vset):
@@ -33,3 +35,24 @@ def enumerate_rainbow_paths_on(g, vset, guard=16):
     for order in rainbow_orders(g, vs):
         if order[0] <= order[-1]:
             yield path_from_vertices(g, order)
+
+
+def reference_aux(g, pstar):
+    """The auxiliary graph of V(pstar) from one spanning search per vertex
+    u, in ascending order, over every later vertex: no end rotations and no
+    pairs shared between roots."""
+    vs, full, adj, adj_mask = _span_prep(g, pstar.vertices)
+    if len(vs) == 1:
+        return AuxGraph(vertices=tuple(vs), edges=frozenset())
+    edges = set()
+    later = full
+    for u in vs[:-1]:
+        later &= ~(1 << u)
+
+        def hit(path):
+            edges.add((u, path[-1]))
+            return 1 << path[-1]
+
+        _span_ends(u, full, adj, adj_mask, later, hit)
+    ends = {v for e in edges for v in e}
+    return AuxGraph(vertices=tuple(sorted(ends)), edges=frozenset(edges))

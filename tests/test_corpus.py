@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from rturan import corpus
 from rturan.corpus import (KINDS, RunConfig, check_instance, random_instance,
                            run_suite)
 from rturan.graphs import ColoredGraph, validate_proper
@@ -105,6 +106,25 @@ def test_bare_path_sweep_reaches_the_window_claims():
     assert s.hypothesis_counts["maximal"] == 40
     assert s.hypothesis_counts.get("pivots", 0) >= 5
     assert s.claim_counts["ok"] > 0 and s.claim_counts["falsified"] == 0
+
+
+def test_crash_in_one_instance_is_recorded_and_the_sweep_goes_on(monkeypatch):
+    inner = corpus.check_instance
+    seen = []
+
+    def flaky(g, label, **kwargs):
+        seen.append(label)
+        if label == "5:3":
+            raise KeyError("boom")
+        return inner(g, label, **kwargs)
+
+    monkeypatch.setattr(corpus, "check_instance", flaky)
+    s = run_suite(RunConfig(seed=5, instances=8, n_min=5, n_max=8))
+    assert seen == [f"5:{i}" for i in range(8)]
+    assert [(f.instance, f.check, f.detail) for f in s.failures] == [
+        ("5:3", "crash", "KeyError: 'boom'")]
+    assert s.hypothesis_counts["maximal"] == 7
+    assert s.claim_counts["falsified"] == 0
 
 
 def test_summary_serializes():

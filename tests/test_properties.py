@@ -17,6 +17,8 @@ from rturan.search import (longest_rainbow_path,  # noqa: E402
 from rturan.terminals import (build_aux_oracle, build_aux_rules,  # noqa: E402
                               terminal_oracle, terminal_rules)
 
+from spanning_brute import reference_aux  # noqa: E402
+
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
                     database=None)
 
@@ -73,7 +75,9 @@ def test_rules_stay_inside_the_oracles(g):
 @given(proper_graphs(), st.integers(2, 7))
 def test_terminals_are_the_aux_pair_ends(g, size):
     # on a path of at least two vertices, every terminal ends a spanning
-    # path whose other end differs, so the terminals are the pair ends
+    # path whose other end differs, so the terminals are the pair ends; and
+    # the pairs learned from end rotations are those of a full search per
+    # root
     pstar = longest_rainbow_path(g).best
     assume(pstar is not None and pstar.length >= 1)
     pstar = path_from_vertices(g, pstar.vertices[:size])
@@ -81,3 +85,4 @@ def test_terminals_are_the_aux_pair_ends(g, size):
     aux = build_aux_oracle(g, pstar)
     assert terminals == frozenset(v for e in aux.edges for v in e)
     assert terminals == frozenset(aux.vertices)
+    assert aux == reference_aux(g, pstar)

@@ -4,12 +4,16 @@ Every answer of the spanning searches, and of the terminal and auxiliary
 oracles built on them, is compared with a plain enumeration of vertex
 orders (spanning_brute). The witnesses must be the first such path in
 ascending DFS order, which is lexicographic order of the vertex sequence.
+The auxiliary oracle, which shares pairs across roots and learns them from
+end rotations, must also equal the plain one-search-per-root loop
+(spanning_brute.reference_aux).
 """
 
 import random
 
 import pytest
 
+from rturan import search, terminals
 from rturan.corpus import random_instance
 from rturan.graphs import ColoredGraph
 from rturan.search import (longest_rainbow_path, path_from_vertices,
@@ -17,7 +21,7 @@ from rturan.search import (longest_rainbow_path, path_from_vertices,
                            spanning_rainbow_path_from)
 from rturan.terminals import build_aux_oracle, terminal_oracle
 
-from spanning_brute import rainbow_orders
+from spanning_brute import rainbow_orders, reference_aux
 
 
 def check_spanning_searches(g, vset):
@@ -46,6 +50,7 @@ def check_oracles(g, pstar):
     assert aux.vertices == tuple(sorted(ends))
     assert aux.edges == frozenset((o[0], o[-1]) for o in orders
                                   if o[0] < o[-1])
+    assert aux == reference_aux(g, pstar)
 
 
 def seeded_graphs(kind):
@@ -84,6 +89,17 @@ def test_spanning_searches_match_brute_force(kind):
         check_spanning_searches(g, range(g.n))
         # a random subset exercises sets that may have no spanning path
         check_spanning_searches(g, rng.sample(range(g.n), rng.randint(2, g.n)))
+
+
+@pytest.mark.parametrize("seed,kind", [(808, "random"), (909, "bare_path")])
+def test_aux_oracle_equals_reference_on_suite_instances(seed, kind):
+    # the first 200 instances of each criterion-08 sweep, drawn as
+    # run_suite draws them
+    rng = random.Random(seed)
+    for _ in range(200):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+        pstar = longest_rainbow_path(g).best
+        assert build_aux_oracle(g, pstar) == reference_aux(g, pstar)
 
 
 # === hand cases for the single-way-in prune ===
@@ -136,3 +152,70 @@ def test_repeated_color_blocks_the_only_route():
     assert spanning_rainbow_path_between(g, vs, 0, 3).vertices == (0, 1, 2, 3)
     check_spanning_searches(g, vs)
 
+
+
+# === hand cases for the aux oracle's end rotations ===
+
+def spied_searches(monkeypatch, module):
+    """Record [root, hits] for each spanning search `module` starts."""
+    log = []
+    inner = module._span_ends
+
+    def spy(start, full, adj, adj_mask, wanted, hit):
+        rec = [start, 0]
+        log.append(rec)
+
+        def counted(path):
+            rec[1] += 1
+            return hit(path)
+
+        inner(start, full, adj, adj_mask, wanted, counted)
+
+    monkeypatch.setattr(module, "_span_ends", spy)
+    return log
+
+
+def test_rotations_fill_in_the_pairs_of_later_roots(monkeypatch):
+    # K4 with six colors: the first path from 0, 0-1-2-3, rotates into a
+    # path for every pair, so root 0 stops at its first hit and roots 1
+    # and 2 have nothing left to find
+    g = graph(4, [(0, 1, 0), (0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 4),
+                  (2, 3, 5)])
+    pstar = path_from_vertices(g, (0, 1, 2, 3))
+    log = spied_searches(monkeypatch, terminals)
+    aux = build_aux_oracle(g, pstar)
+    assert log == [[0, 1]]
+    assert len(aux.edges) == 6
+    check_oracles(g, pstar)
+
+
+def test_root_with_every_later_partner_known_is_skipped(monkeypatch):
+    # a rainbow 5-cycle: rotations give every cycle edge as a pair, and
+    # root 3's only later vertex, 4, is one of them, so root 3 is skipped;
+    # roots 1 and 2 still search for their unknown partners and find none
+    g = graph(5, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3), (0, 4, 4)])
+    pstar = path_from_vertices(g, (0, 1, 2, 3, 4))
+    log = spied_searches(monkeypatch, terminals)
+    aux = build_aux_oracle(g, pstar)
+    assert log == [[0, 1], [1, 0], [2, 0]]
+    assert aux.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+    check_oracles(g, pstar)
+
+
+def test_rotation_by_a_chord_colored_like_the_path_is_refused():
+    # the chord 0-3 has the color of the path edge 1-2, so neither end
+    # rotation of 0-1-2-3 (to 0-3-2-1 or to 3-0-1-2) is rainbow, and the
+    # pairs (0, 1) and (2, 3) do not exist
+    g = graph(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 1)])
+    pstar = path_from_vertices(g, (0, 1, 2, 3))
+    assert build_aux_oracle(g, pstar).edges == {(0, 3), (1, 2)}
+    check_oracles(g, pstar)
+
+
+def test_path_from_stops_at_its_first_hit(monkeypatch):
+    # in K5 with ten colors every order is a rainbow path, so a search
+    # that went on would reach all four ends
+    g = graph(5, [(u, v, 5 * u + v) for u in range(5) for v in range(u + 1, 5)])
+    log = spied_searches(monkeypatch, search)
+    assert spanning_rainbow_path_from(g, range(5), 0).vertices == (0, 1, 2, 3, 4)
+    assert log == [[0, 1]]
