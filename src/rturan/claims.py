@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .constructions import matching_step_cap, rotation_bound
 from .errors import GuardError, PreconditionError
 from .graphs import ColoredGraph
 from .profile import PathProfile, compute_profile
@@ -68,25 +69,20 @@ class ClaimReport:
 
 @dataclass(frozen=True)
 class ClaimContext:
-    """Pieces that are expensive enough to share with the suite driver."""
+    """P* = prof.path, terminals = aux.vertices, matching = mstats.pairs."""
     g: ColoredGraph
-    pstar: RainbowPath
     prof: PathProfile
     maximal: bool
-    terminals: frozenset
     aux: AuxGraph
-    pairs: tuple
     mstats: MatchingReport
 
 
 def build_claim_context(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
                         budget: Optional[int] = None) -> ClaimContext:
+    """The context for `pstar`, or for a proven longest path when it is None;
+    a given path's maximality is decided by one exists search."""
     if pstar is None:
-        found = longest_rainbow_path(g, budget=budget)
-        if not found.proven_optimal:
-            raise GuardError("claims", "search budget too small to pin the "
-                             "longest rainbow path")
-        pstar = found.best
+        pstar = longest_rainbow_path(g, budget=budget).pinned()
         maximal = True
     else:
         probe = has_rainbow_path(g, pstar.length + 1, budget=budget)
@@ -94,29 +90,22 @@ def build_claim_context(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
             raise GuardError("claims", "search budget too small to decide "
                              "maximality")
         maximal = not probe.found
-    if pstar is None or pstar.length < 1:
+    if pstar.length < 1:
         raise PreconditionError("claim checking needs a rainbow path with "
                                 "at least one edge")
     prof = compute_profile(g, pstar)
     aux = build_aux_oracle(g, pstar)
-    terminals = frozenset(aux.vertices)
-    pairs = maximum_matching(aux)
-    mstats = matching_stats(g, pstar, pairs)
-    return ClaimContext(g=g, pstar=pstar, prof=prof, maximal=maximal,
-                        terminals=terminals, aux=aux, pairs=pairs,
+    mstats = matching_stats(g, pstar, maximum_matching(aux))
+    return ClaimContext(g=g, prof=prof, maximal=maximal, aux=aux,
                         mstats=mstats)
 
 
-def check_claims(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
-                 ctx: Optional[ClaimContext] = None,
-                 budget: Optional[int] = None) -> ClaimReport:
-    if ctx is None:
-        ctx = build_claim_context(g, pstar, budget=budget)
-    prof, pstar = ctx.prof, ctx.pstar
+def check_claims(ctx: ClaimContext) -> ClaimReport:
+    """The whole battery on one context, each claim behind its gates."""
+    g, prof, mstats = ctx.g, ctx.prof, ctx.mstats
     k = prof.k
-    colors = pstar.colors
-    pos = {v: i for i, v in enumerate(pstar.vertices)}
-    tpos = frozenset(pos[v] for v in ctx.terminals)
+    pos = {v: i for i, v in enumerate(prof.path.vertices)}
+    tpos = frozenset(pos[v] for v in ctx.aux.vertices)
     t = len(tpos)
 
     def t_range(x, y):
@@ -134,7 +123,7 @@ def check_claims(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
 
     hyp = {
         "maximal": ctx.maximal,
-        "min_degree": g.min_degree() >= Fraction(9 * k, 7) + 2,
+        "min_degree": g.min_degree() >= rotation_bound(k),
         "standing": not prof.far_edge_is_new,
         "pivots": prof.pivots_present,
         "window_order": prof.pivots_present and lo <= hi,
@@ -142,7 +131,7 @@ def check_claims(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
     }
 
     def exit_colors_on_path():
-        stray = (prof.start_out - set(colors)) | (prof.end_out - set(colors))
+        stray = (prof.start_out | prof.end_out) - set(prof.path_colors)
         return not stray, f"colors leaving the path ends: stray={sorted(stray)}"
 
     def exit_swap_disjoint():
@@ -261,26 +250,25 @@ def check_claims(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
 
     def matching_exists_floor():
         q = min(ctx.aux.min_degree(), t // 2)
-        return len(ctx.pairs) >= q, f"matching={len(ctx.pairs)} floor={q}"
+        return mstats.size >= q, f"matching={mstats.size} floor={q}"
 
     def matched_pair_nonedges():
-        m = ctx.mstats.size
-        need = 2 * m * m - 2 * m - Fraction(sum(ctx.mstats.non_edge_counts), 2)
-        return ctx.mstats.induced_edges >= need, \
-            f"induced={ctx.mstats.induced_edges} floor={need}"
+        m = mstats.size
+        need = 2 * m * m - 2 * m - Fraction(sum(mstats.non_edge_counts), 2)
+        return mstats.induced_edges >= need, \
+            f"induced={mstats.induced_edges} floor={need}"
 
     def matched_pair_degree_bound():
         bad = []
-        for (ai, bi), ni in zip(ctx.mstats.pairs, ctx.mstats.non_edge_counts):
-            if ctx.g.degree(ai) + ctx.g.degree(bi) > 3 * k - Fraction(ni, 2):
+        for (ai, bi), ni in zip(mstats.pairs, mstats.non_edge_counts):
+            if g.degree(ai) + g.degree(bi) > 3 * k - Fraction(ni, 2):
                 bad.append((ai, bi))
         return not bad, f"pairs over the degree cap: {bad}"
 
     def matching_step_bound():
-        m = ctx.mstats.size
-        cap = (3 * k + 2 - 2 * m) * m
-        return ctx.mstats.incident_edges <= cap, \
-            f"incident={ctx.mstats.incident_edges} cap={cap}"
+        cap = matching_step_cap(k, mstats.size)
+        return mstats.incident_edges <= cap, \
+            f"incident={mstats.incident_edges} cap={cap}"
 
     battery = (
         ("exit_colors_on_path", ("maximal",), exit_colors_on_path),

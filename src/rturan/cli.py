@@ -5,7 +5,7 @@ Subcommands mirror the library layers:
   rt graph validate|convert      file handling and properness
   rt rainbow longest|exists      exact search
   rt construct f2k|mm|blowup     extremal colorings
-  rt bounds                      coefficient table by forbidden path length
+  rt bounds                      coefficient table by longest allowed path k
   rt engine profile|terminals|aux|claims|induct
                                  the rotation machinery on a concrete graph
   rt oracle exstar|colorings|eg  small-case brute force
@@ -71,13 +71,9 @@ def _fixed_path(g: ColoredGraph, raw: str):
 
 def _pick_path(g: ColoredGraph, args):
     """The path the engine works on: either --path, or a proven longest."""
-    if getattr(args, "path", None):
+    if args.path:
         return _fixed_path(g, args.path)
-    found = longest_rainbow_path(g, budget=getattr(args, "budget", None))
-    if not found.proven_optimal or found.best is None:
-        raise GuardError("search", "budget too small to pin the longest "
-                         "rainbow path; raise --budget or pass --path")
-    return found.best
+    return longest_rainbow_path(g, budget=args.budget).pinned()
 
 
 def _path_obj(p) -> dict:
@@ -314,8 +310,7 @@ def cmd_engine_aux(args) -> int:
 def cmd_engine_claims(args) -> int:
     g = load_graph(args.file)
     p = _fixed_path(g, args.path) if args.path else None
-    ctx = build_claim_context(g, p, budget=args.budget)
-    rep = check_claims(g, ctx=ctx)
+    rep = check_claims(build_claim_context(g, p, budget=args.budget))
     if args.json:
         _emit_json({"k": rep.k, "hypotheses": rep.hypotheses,
                     "counts": rep.counts(),
@@ -348,8 +343,8 @@ def cmd_engine_induct(args) -> int:
         obj["verified"] = verified
         _emit_json(obj)
     else:
-        _emit(f"n={cert.n} edges={cert.total_edges} forbidden length="
-              f"{cert.k} bound={frac_str(cert.bound)}/vertex")
+        _emit(f"n={cert.n} edges={cert.total_edges} longest allowed path "
+              f"k={cert.k} bound={frac_str(cert.bound)}/vertex")
         for i, s in enumerate(cert.steps):
             _emit(f"  step {i}: {s.kind} removed {len(s.removed_vertices)} "
                   f"vertices ({','.join(map(str, s.removed_vertices))}), "
@@ -549,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     ind = esub.add_parser("induct", help="vertex deletion edge bound")
     ind.add_argument("file")
     ind.add_argument("--k", type=int, required=True,
-                     help="forbidden rainbow path length (edges)")
+                     help="longest allowed rainbow path length (edges)")
     ind.add_argument("--budget", type=int, default=None)
     ind.add_argument("-o", "--out", help="write the certificate as JSON")
     _add_json(ind)

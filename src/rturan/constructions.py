@@ -119,11 +119,23 @@ class BoundTableRow:
             raise PreconditionError("needs k >= 1")
 
 
+def rotation_bound(k: int) -> Fraction:
+    """9k/7 + 2: the edges per vertex, and the min-degree hypothesis, when
+    no rainbow path has more than k edges."""
+    return Fraction(9 * k, 7) + 2
+
+
+def matching_step_cap(k: int, m: int) -> int:
+    """(3k + 2 - 2m) m: most edges lost deleting m matched terminal pairs
+    of a longest rainbow path with k edges."""
+    return (3 * k + 2 - 2 * m) * m
+
+
 def bound_table_row(k: int) -> BoundTableRow:
     return BoundTableRow(
         k=k,
         lower=Fraction(k, 2),
-        upper_new=Fraction(9 * k, 7) + 2,
+        upper_new=rotation_bound(k),
         upper_old=-((-(3 * k + 1)) // 2),  # ceil((3k+1)/2)
         eg_baseline=Fraction(k, 2),
     )

@@ -225,10 +225,11 @@ def check_instance(g: ColoredGraph, label: str,
         return fails, None
 
     found = longest_rainbow_path(g, budget=budget)
-    if not found.proven_optimal or found.best is None:
-        fail("search", "budget too small to pin the longest rainbow path")
+    try:
+        pstar = found.pinned()
+    except GuardError as e:
+        fail("search", e.detail)
         return fails, None
-    pstar = found.best
     if pstar.length < 1:
         fail("search", "instance has no rainbow path with an edge")
         return fails, None
@@ -245,8 +246,7 @@ def check_instance(g: ColoredGraph, label: str,
         return fails, None
 
     aux_oracle = build_aux_oracle(g, pstar)
-    oracle_t = frozenset(aux_oracle.vertices)
-    loose = trep.rule_terminals - oracle_t
+    loose = trep.rule_terminals.difference(aux_oracle.vertices)
     if loose:
         fail("terminal_rules", f"rules name non-terminals {sorted(loose)}")
 
@@ -260,14 +260,12 @@ def check_instance(g: ColoredGraph, label: str,
         fail("aux_rules", f"rule edges missing from the oracle: "
              f"{sorted(loose_edges)}")
 
-    pairs = maximum_matching(aux_oracle)
-    ctx = ClaimContext(g=g, pstar=pstar, prof=prof, maximal=True,
-                       terminals=oracle_t, aux=aux_oracle, pairs=pairs,
-                       mstats=matching_stats(g, pstar, pairs))
-    report = check_claims(g, ctx=ctx)
-    for name in report.falsified:
-        outcome = next(o for o in report.outcomes if o.name == name)
-        fail(f"claim:{name}", outcome.detail)
+    mstats = matching_stats(g, pstar, maximum_matching(aux_oracle))
+    report = check_claims(ClaimContext(g=g, prof=prof, maximal=True,
+                                       aux=aux_oracle, mstats=mstats))
+    for o in report.outcomes:
+        if o.status == "falsified":
+            fail(f"claim:{o.name}", o.detail)
 
     if tamper:
         accepted = _tamper_once(g, pstar, trep.fires)

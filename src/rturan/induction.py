@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .constructions import matching_step_cap, rotation_bound
 from .errors import FalsificationError, GuardError, PreconditionError
 from .graphs import ColoredGraph, induced_subgraph, validate_proper
 from .search import has_rainbow_path, longest_rainbow_path
@@ -92,7 +93,7 @@ def certificate_from_json_obj(obj: dict) -> InductionCertificate:
 def verify_certificate(cert: InductionCertificate,
                        g: Optional[ColoredGraph] = None) -> bool:
     """Re-run the certificate arithmetic without re-running the search."""
-    if cert.bound != Fraction(9 * cert.k, 7) + 2:
+    if cert.bound != rotation_bound(cert.k):
         return False
     removed = [v for s in cert.steps for v in s.removed_vertices]
     if len(removed) != len(set(removed)) or len(removed) != cert.n:
@@ -123,28 +124,23 @@ def induction_step(g: ColoredGraph, k: int, budget: Optional[int] = None):
     The record's vertex ids live in g's numbering; callers stitching steps
     together must translate through the returned map.
     """
-    bound = Fraction(9 * k, 7) + 2
+    bound = rotation_bound(k)
     dmin = g.min_degree()
     if dmin < bound:
         v = min(u for u in range(g.n) if g.degree(u) == dmin)
         sub, remap = induced_subgraph(g, [u for u in range(g.n) if u != v])
         return (StepRecord("low_degree", (v,), dmin, bound), sub, remap)
 
-    found = longest_rainbow_path(g, budget=budget)
-    if not found.proven_optimal:
-        raise GuardError("induct", "search budget too small to pin the "
-                         "longest rainbow path")
-    pstar = found.best
+    pstar = longest_rainbow_path(g, budget=budget).pinned()
     k_cur = pstar.length
     if k_cur > k:
         raise PreconditionError(
             f"graph has a rainbow path with {k_cur} edges, over the "
             f"promised {k}")
-    aux = build_aux_oracle(g, pstar)
-    pairs = maximum_matching(aux)
-    m = len(pairs)
-    stats = matching_stats(g, pstar, pairs)
-    cap = (3 * k_cur + 2 - 2 * m) * m
+    stats = matching_stats(g, pstar,
+                           maximum_matching(build_aux_oracle(g, pstar)))
+    m = stats.size
+    cap = matching_step_cap(k_cur, m)
     if stats.incident_edges > cap:
         raise FalsificationError(
             f"matching step removes {stats.incident_edges} edges, the "
@@ -179,7 +175,7 @@ def run_induction(g: ColoredGraph, k: int,
             f"graph has a rainbow path with {k + 1} edges; the bound's "
             f"hypothesis fails")
 
-    bound = Fraction(9 * k, 7) + 2
+    bound = rotation_bound(k)
     steps = []
     cur = g
     to_orig = {v: v for v in range(g.n)}

@@ -160,6 +160,16 @@ class SearchOutcome:
     proven_optimal: bool
     nodes_expanded: int
 
+    def pinned(self) -> RainbowPath:
+        """The proven longest path; GuardError if the budget ran out first,
+        PreconditionError on a graph with no vertices (no path at all)."""
+        if not self.proven_optimal:
+            raise GuardError("search", "budget too small to pin the longest "
+                             "rainbow path")
+        if self.best is None:
+            raise PreconditionError("the graph has no vertices, so no path")
+        return self.best
+
 
 @dataclass(frozen=True)
 class ExistsOutcome:

@@ -10,7 +10,7 @@ from rturan.graphs import ColoredGraph, one_factorized_complete
 from rturan.profile import compute_profile
 from rturan.search import RainbowPath, path_from_vertices
 from rturan.terminals import (build_aux_oracle, matching_stats,
-                              maximum_matching, terminal_oracle)
+                              maximum_matching)
 
 
 def hand_graph():
@@ -31,7 +31,7 @@ def reversed_window_graph():
 
 def test_hand_instance_hypotheses():
     g = hand_graph()
-    rep = check_claims(g, path_from_vertices(g, range(6)))
+    rep = check_claims(build_claim_context(g, path_from_vertices(g, range(6))))
     assert rep.hypotheses == {
         "maximal": True, "min_degree": False, "standing": True,
         "pivots": True, "window_order": True, "window_reversed": False,
@@ -40,7 +40,7 @@ def test_hand_instance_hypotheses():
 
 def test_hand_instance_outcomes():
     g = hand_graph()
-    rep = check_claims(g, path_from_vertices(g, range(6)))
+    rep = check_claims(build_claim_context(g, path_from_vertices(g, range(6))))
     assert rep.k == 5
     assert rep.counts() == {"ok": 18, "falsified": 0, "skipped": 5}
     assert rep.all_ok and rep.falsified == ()
@@ -56,7 +56,7 @@ def test_hand_instance_outcomes():
 
 def test_skip_details_name_the_missing_hypothesis():
     g = hand_graph()
-    rep = check_claims(g, path_from_vertices(g, range(6)))
+    rep = check_claims(build_claim_context(g, path_from_vertices(g, range(6))))
     details = {o.name: o.detail for o in rep.outcomes
                if o.status == "skipped"}
     assert details["fresh_floor"] == "needs min_degree"
@@ -65,8 +65,9 @@ def test_skip_details_name_the_missing_hypothesis():
 
 def test_auto_pstar_matches_explicit():
     g = hand_graph()
-    auto = check_claims(g)
-    explicit = check_claims(g, path_from_vertices(g, range(6)))
+    auto = check_claims(build_claim_context(g))
+    explicit = check_claims(
+        build_claim_context(g, path_from_vertices(g, range(6))))
     assert auto.k == explicit.k == 5
     assert auto.counts() == explicit.counts()
 
@@ -75,7 +76,7 @@ def test_auto_pstar_matches_explicit():
 
 def test_reversed_window_swaps_the_gates():
     g = reversed_window_graph()
-    rep = check_claims(g, path_from_vertices(g, range(6)))
+    rep = check_claims(build_claim_context(g, path_from_vertices(g, range(6))))
     assert rep.hypotheses["window_reversed"] and \
         not rep.hypotheses["window_order"]
     status = {o.name: o.status for o in rep.outcomes}
@@ -89,7 +90,8 @@ def test_reversed_window_swaps_the_gates():
 
 def test_non_maximal_pstar_skips_maximal_claims():
     g = hand_graph()
-    rep = check_claims(g, path_from_vertices(g, [1, 2, 3]))
+    rep = check_claims(
+        build_claim_context(g, path_from_vertices(g, [1, 2, 3])))
     assert rep.hypotheses["maximal"] is False
     status = {o.name: o.status for o in rep.outcomes}
     assert status["exit_colors_on_path"] == "skipped"
@@ -101,13 +103,10 @@ def test_false_maximality_gets_caught():
     g = hand_graph()
     p = path_from_vertices(g, [1, 2, 3])
     prof = compute_profile(g, p)
-    ts = terminal_oracle(g, p)
     aux = build_aux_oracle(g, p)
-    pairs = maximum_matching(aux)
-    ctx = ClaimContext(g=g, pstar=p, prof=prof, maximal=True, terminals=ts,
-                       aux=aux, pairs=pairs,
-                       mstats=matching_stats(g, p, pairs))
-    rep = check_claims(g, ctx=ctx)
+    ctx = ClaimContext(g=g, prof=prof, maximal=True, aux=aux,
+                       mstats=matching_stats(g, p, maximum_matching(aux)))
+    rep = check_claims(ctx)
     assert not rep.all_ok
     assert "exit_colors_on_path" in rep.falsified
 
@@ -116,7 +115,7 @@ def test_false_maximality_gets_caught():
 
 @pytest.mark.parametrize("g", [maamoun_meyniel(2), bipartite_f2k(2)])
 def test_stock_colorings_no_falsification(g):
-    rep = check_claims(g)
+    rep = check_claims(build_claim_context(g))
     assert rep.all_ok
     assert rep.hypotheses["maximal"] is True
 
@@ -125,19 +124,20 @@ def test_stock_colorings_no_falsification(g):
 
 def test_budget_guard_auto_pstar():
     with pytest.raises(GuardError):
-        check_claims(one_factorized_complete(12), budget=3)
+        check_claims(
+            build_claim_context(one_factorized_complete(12), budget=3))
 
 
 def test_budget_guard_maximality_probe():
     g = one_factorized_complete(12)
     p = path_from_vertices(g, list(range(10)))
     with pytest.raises(GuardError):
-        check_claims(g, p, budget=2)
+        check_claims(build_claim_context(g, p, budget=2))
 
 
 def test_single_vertex_path_refused():
     with pytest.raises(PreconditionError):
-        check_claims(hand_graph(), RainbowPath((0,), ()))
+        check_claims(build_claim_context(hand_graph(), RainbowPath((0,), ())))
 
 
 def test_context_builder_probes_maximality():
@@ -145,4 +145,4 @@ def test_context_builder_probes_maximality():
     ctx = build_claim_context(g, path_from_vertices(g, [1, 2, 3]))
     assert ctx.maximal is False
     ctx2 = build_claim_context(g)
-    assert ctx2.maximal is True and ctx2.pstar.length == 5
+    assert ctx2.maximal is True and ctx2.prof.path.length == 5

@@ -269,6 +269,15 @@ def test_single_vertex_path_oracles(tmp_path, capsys):
                                          "min_degree": 0}
 
 
+@pytest.mark.parametrize("cmd", ["profile", "terminals", "aux", "claims"])
+def test_engine_on_a_graph_with_no_vertices_is_input_error(tmp_path, capsys,
+                                                           cmd):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0 0\n")
+    assert main(["engine", cmd, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_claims_clean(f2k_file, capsys):
     code, out = run(capsys, ["engine", "claims", f2k_file])
     assert code == 0
@@ -280,6 +289,9 @@ def test_induct_writes_certificate(f2k_file, tmp_path, capsys):
     code, out = run(capsys, ["engine", "induct", f2k_file, "--k", "3",
                              "-o", cert_path])
     assert code == 0
+    # k is the longest allowed path, so the bound is 9*3/7 + 2 = 41/7
+    assert out.splitlines()[0] == ("n=8 edges=16 longest allowed path k=3 "
+                                   "bound=41/7/vertex")
     assert "edge bound holds: yes" in out
     with open(cert_path, "r", encoding="utf-8") as fh:
         cert = certificate_from_json_obj(json.load(fh))

@@ -8,7 +8,7 @@ import pytest
 
 from rturan.constructions import bipartite_f2k, maamoun_meyniel
 from rturan.corpus import random_instance
-from rturan.errors import GuardError, PathError
+from rturan.errors import GuardError, PathError, PreconditionError
 from rturan.graphs import ColoredGraph, one_factorized_complete
 from rturan.search import (RainbowPath, has_rainbow_path, is_rainbow,
                            longest_rainbow_path, path_from_vertices,
@@ -155,6 +155,16 @@ def test_budget_can_leave_search_undecided():
     g = one_factorized_complete(10)
     out = longest_rainbow_path(g, budget=3)
     assert not out.proven_optimal
+
+
+def test_pinned_refuses_an_unproven_search_and_an_empty_graph():
+    with pytest.raises(GuardError, match="^search: budget too small"):
+        longest_rainbow_path(one_factorized_complete(10), budget=3).pinned()
+    with pytest.raises(PreconditionError):
+        longest_rainbow_path(ColoredGraph(0, (), 1, ())).pinned()
+    g = bipartite_f2k(2)
+    out = longest_rainbow_path(g)
+    assert out.pinned() is out.best and out.best.length == 3
 
 
 def test_longest_budget_counts_the_refused_node():

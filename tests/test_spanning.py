@@ -10,6 +10,7 @@ end rotations, must also equal the plain one-search-per-root loop
 """
 
 import random
+import sys
 
 import pytest
 
@@ -100,6 +101,32 @@ def test_aux_oracle_equals_reference_on_suite_instances(seed, kind):
         g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
         pstar = longest_rainbow_path(g).best
         assert build_aux_oracle(g, pstar) == reference_aux(g, pstar)
+
+
+@pytest.mark.parametrize("seed,kind,most", [(808, "random", 51_538),
+                                            (909, "bare_path", 3_540)])
+def test_prune_keeps_the_spanning_walk_small(seed, kind, most):
+    # the dead-end and single-way-in prune is the only thing that keeps the
+    # walk this small: with it switched off below the root the same
+    # instances take 69,076 and 7,971 walk calls
+    rng = random.Random(seed)
+    walks = 0
+
+    def count(frame, event, arg):
+        nonlocal walks
+        if (event == "call"
+                and frame.f_code.co_qualname == "_span_ends.<locals>.walk"):
+            walks += 1
+
+    for _ in range(40):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+        pstar = longest_rainbow_path(g).pinned()
+        sys.setprofile(count)
+        try:
+            build_aux_oracle(g, pstar)
+        finally:
+            sys.setprofile(None)
+    assert walks <= most
 
 
 # === hand cases for the single-way-in prune ===
