@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constructions import matching_step_cap, rotation_bound
+from .constructions import chord_floor, matching_step_cap, rotation_bound
 from .errors import GuardError, PreconditionError
 from .graphs import ColoredGraph
 from .profile import PathProfile, compute_profile
@@ -115,6 +115,7 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
     l_nice, r_nice = len(prof.start_nice), len(prof.end_nice)
     l_out, r_out = len(prof.start_out), len(prof.end_out)
     lo, hi = prof.win_lo, prof.win_hi
+    chord_q = chord_floor(k)
     # the chord checks read each end as the v_0 end of a view: P* for v_0,
     # P* reversed for v_k, whose terminal position i is k - i on P*
     views = (("start", prof, tpos, lambda i: i),
@@ -156,13 +157,12 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
         return ok, "old-side and in-side residual definitions"
 
     def fresh_floor():
-        q = Fraction(2 * k, 7) + 2
-        return (l_new >= q and r_new >= q,
-                f"l_new={l_new} r_new={r_new} floor={q}")
+        return (l_new >= chord_q and r_new >= chord_q,
+                f"l_new={l_new} r_new={r_new} floor={chord_q}")
 
     def nice_floor():
-        q = Fraction(4 * k, 7) + 4
-        return l_nice + r_nice >= q, f"l_nice+r_nice={l_nice + r_nice} floor={q}"
+        return (l_nice + r_nice >= 2 * chord_q,
+                f"l_nice+r_nice={l_nice + r_nice} floor={2 * chord_q}")
 
     def far_jump_terminals():
         if not prof.far_edge_is_new:
@@ -244,9 +244,8 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
         return t >= q, f"t={t} floor={q}"
 
     def aux_degree_floor():
-        q = Fraction(2 * k, 7) + 2
-        return ctx.aux.min_degree() >= q, \
-            f"aux min degree={ctx.aux.min_degree()} floor={q}"
+        return ctx.aux.min_degree() >= chord_q, \
+            f"aux min degree={ctx.aux.min_degree()} floor={chord_q}"
 
     def matching_exists_floor():
         q = min(ctx.aux.min_degree(), t // 2)

@@ -107,8 +107,8 @@ def cmd_graph_validate(args) -> int:
 def cmd_graph_convert(args) -> int:
     g = load_graph(args.file)
     if args.out is None:
-        fmt = "json" if args.to == "json" else "text"
-        _emit(serialize_graph_json(g) if fmt == "json" else serialize_graph(g))
+        _emit(serialize_graph_json(g) if args.to == "json"
+              else serialize_graph(g))
     else:
         save_graph(g, args.out)
     return 0
@@ -449,15 +449,22 @@ def cmd_suite(args) -> int:
 
 # -- wiring ------------------------------------------------------------------
 
-def _add_json(p) -> None:
-    p.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _add_path_args(p) -> None:
-    p.add_argument("--path", metavar="V0,V1,...",
-                   help="fix the rainbow path instead of searching")
-    p.add_argument("--budget", type=int, default=None,
-                   help="search node budget (default: unlimited)")
+def _command(sub, name: str, fn, help: str, *shared: str):
+    """Subcommand `name` running fn, with the shared arguments `shared`
+    names: "file", "path" (--path and --budget), "budget" and "json"."""
+    p = sub.add_parser(name, help=help)
+    if "file" in shared:
+        p.add_argument("file")
+    if "path" in shared:
+        p.add_argument("--path", metavar="V0,V1,...",
+                       help="fix the rainbow path instead of searching")
+    if "path" in shared or "budget" in shared:
+        p.add_argument("--budget", type=int, default=None,
+                       help="search node budget (default: unlimited)")
+    if "json" in shared:
+        p.add_argument("--json", action="store_true", help="emit JSON")
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,92 +474,60 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser("graph", help="read, check and convert files")
     gsub = graph.add_subparsers(dest="sub", required=True)
-    v = gsub.add_parser("validate", help="properness and basic stats")
-    v.add_argument("file")
-    _add_json(v)
-    v.set_defaults(fn=cmd_graph_validate)
-    cnv = gsub.add_parser("convert", help="rewrite between text and json")
-    cnv.add_argument("file")
+    _command(gsub, "validate", cmd_graph_validate,
+             "properness and basic stats", "file", "json")
+    cnv = _command(gsub, "convert", cmd_graph_convert,
+                   "rewrite between text and json", "file")
     cnv.add_argument("-o", "--out", help="output path (format by extension)")
     cnv.add_argument("--to", choices=("text", "json"), default="text",
                      help="stdout format when no -o is given")
-    cnv.set_defaults(fn=cmd_graph_convert)
 
     rainbow = sub.add_parser("rainbow", help="exact rainbow path search")
     rsub = rainbow.add_subparsers(dest="sub", required=True)
-    lg = rsub.add_parser("longest", help="longest rainbow path")
-    lg.add_argument("file")
-    lg.add_argument("--budget", type=int, default=None)
-    _add_json(lg)
-    lg.set_defaults(fn=cmd_rainbow_longest)
-    ex = rsub.add_parser("exists", help="rainbow path of a given length?")
-    ex.add_argument("file")
+    _command(rsub, "longest", cmd_rainbow_longest, "longest rainbow path",
+             "file", "budget", "json")
+    ex = _command(rsub, "exists", cmd_rainbow_exists,
+                  "rainbow path of a given length?", "file", "budget", "json")
     ex.add_argument("--length", type=int, required=True,
                     help="edge count of the wanted path")
-    ex.add_argument("--budget", type=int, default=None)
-    _add_json(ex)
-    ex.set_defaults(fn=cmd_rainbow_exists)
 
     cons = sub.add_parser("construct", help="extremal colorings")
     csub = cons.add_subparsers(dest="family", required=True)
-    f2k = csub.add_parser("f2k", help="complete bipartite xor coloring")
-    f2k.add_argument("--k", type=int, required=True)
-    f2k.add_argument("-o", "--out")
-    f2k.set_defaults(fn=cmd_construct, family="f2k")
-    mm = csub.add_parser("mm", help="complete graph xor coloring")
-    mm.add_argument("--k", type=int, required=True)
-    mm.add_argument("-o", "--out")
-    mm.set_defaults(fn=cmd_construct, family="mm")
-    bl = csub.add_parser("blowup", help="disjoint copies plus padding")
-    bl.add_argument("--k", type=int, required=True)
-    bl.add_argument("--n", type=int, required=True)
-    bl.add_argument("-o", "--out")
-    bl.set_defaults(fn=cmd_construct, family="blowup")
+    for family, about in (("f2k", "complete bipartite xor coloring"),
+                          ("mm", "complete graph xor coloring"),
+                          ("blowup", "disjoint copies plus padding")):
+        c = _command(csub, family, cmd_construct, about)
+        c.add_argument("--k", type=int, required=True)
+        if family == "blowup":
+            c.add_argument("--n", type=int, required=True)
+        c.add_argument("-o", "--out")
 
-    bounds = sub.add_parser("bounds", help="per-length coefficient table")
+    bounds = _command(sub, "bounds", cmd_bounds,
+                      "per-length coefficient table", "json")
     bounds.add_argument("--kmax", type=int, default=16)
     bounds.add_argument("--csv", action="store_true", help="emit CSV")
-    _add_json(bounds)
-    bounds.set_defaults(fn=cmd_bounds)
 
     engine = sub.add_parser("engine", help="rotation machinery")
     esub = engine.add_subparsers(dest="sub", required=True)
-    pr = esub.add_parser("profile", help="chord color sets of a path")
-    pr.add_argument("file")
-    _add_path_args(pr)
-    _add_json(pr)
-    pr.set_defaults(fn=cmd_engine_profile)
-    tm = esub.add_parser("terminals", help="terminal vertices, two ways")
-    tm.add_argument("file")
-    tm.add_argument("--mode", choices=("rules", "oracle", "both"),
-                    default="both")
-    _add_path_args(tm)
-    _add_json(tm)
-    tm.set_defaults(fn=cmd_engine_terminals)
-    ax = esub.add_parser("aux", help="terminal pair graph, two ways")
-    ax.add_argument("file")
-    ax.add_argument("--mode", choices=("rules", "oracle", "both"),
-                    default="both")
-    _add_path_args(ax)
-    _add_json(ax)
-    ax.set_defaults(fn=cmd_engine_aux)
-    cl = esub.add_parser("claims", help="run the claim battery")
-    cl.add_argument("file")
-    _add_path_args(cl)
-    _add_json(cl)
-    cl.set_defaults(fn=cmd_engine_claims)
-    ind = esub.add_parser("induct", help="vertex deletion edge bound")
-    ind.add_argument("file")
+    _command(esub, "profile", cmd_engine_profile,
+             "chord color sets of a path", "file", "path", "json")
+    for name, fn, about in (
+            ("terminals", cmd_engine_terminals, "terminal vertices, two ways"),
+            ("aux", cmd_engine_aux, "terminal pair graph, two ways")):
+        _command(esub, name, fn, about, "file", "path", "json").add_argument(
+            "--mode", choices=("rules", "oracle", "both"), default="both")
+    _command(esub, "claims", cmd_engine_claims, "run the claim battery",
+             "file", "path", "json")
+    ind = _command(esub, "induct", cmd_engine_induct,
+                   "vertex deletion edge bound", "file", "budget", "json")
     ind.add_argument("--k", type=int, required=True,
                      help="longest allowed rainbow path length (edges)")
-    ind.add_argument("--budget", type=int, default=None)
     ind.add_argument("-o", "--out", help="write the certificate as JSON")
-    _add_json(ind)
-    ind.set_defaults(fn=cmd_engine_induct)
 
     oracle = sub.add_parser("oracle", help="small case brute force")
     osub = oracle.add_subparsers(dest="sub", required=True)
-    xs = osub.add_parser("exstar", help="exact extremal edge count")
+    xs = _command(osub, "exstar", cmd_oracle_exstar,
+                  "exact extremal edge count", "json")
     xs.add_argument("--n", type=int, required=True)
     xs.add_argument("--len", type=int, required=True,
                     help="forbidden rainbow path length (edges)")
@@ -560,9 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest n the scan will attempt")
     xs.add_argument("--witness", action="store_true",
                     help="print an extremal coloring")
-    _add_json(xs)
-    xs.set_defaults(fn=cmd_oracle_exstar)
-    co = osub.add_parser("colorings", help="canonical proper colorings")
+    co = _command(osub, "colorings", cmd_oracle_colorings,
+                  "canonical proper colorings")
     co.add_argument("file", help="graph file; only the skeleton is used")
     co.add_argument("--count", action="store_true")
     co.add_argument("--len", type=int, default=None,
@@ -571,17 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="how many colorings to print")
     co.add_argument("--guard", type=int, default=COLORING_EDGE_GUARD,
                     help="most edges the enumeration will attempt")
-    co.set_defaults(fn=cmd_oracle_colorings)
-    eg = osub.add_parser("eg", help="classical path bound and packing")
+    eg = _command(osub, "eg", cmd_oracle_eg,
+                  "classical path bound and packing", "json")
     eg.add_argument("--n", type=int, required=True)
     eg.add_argument("--k", type=int, required=True,
                     help="forbidden path length (edges)")
     eg.add_argument("--witness", action="store_true",
                     help="print the packing coloring")
-    _add_json(eg)
-    eg.set_defaults(fn=cmd_oracle_eg)
 
-    suite = sub.add_parser("suite", help="randomized cross-check sweep")
+    suite = _command(sub, "suite", cmd_suite, "randomized cross-check sweep",
+                     "budget", "json")
     suite.add_argument("--config", help="RunConfig as JSON; flags override")
     suite.add_argument("--seed", type=int, default=None)
     suite.add_argument("--instances", type=int, default=None)
@@ -591,13 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="edge_prob")
     suite.add_argument("--kind", choices=("random", "bare_path"),
                        default=None)
-    suite.add_argument("--budget", type=int, default=None)
     suite.add_argument("--tamper", action="store_const", const=True,
                        default=None,
                        help="also corrupt one witness per instance and "
                             "check that it is refused")
-    _add_json(suite)
-    suite.set_defaults(fn=cmd_suite)
     return top
 
 

@@ -33,9 +33,11 @@ from .graphs import ColoredGraph, check_size, disjoint_union
 BOUND_TABLE_GUARD = 10_000
 
 
-def _check_k(k: int) -> None:
+def _check_k(k: int, n: int = 0) -> None:
     if k < 2:
         raise PreconditionError("needs k >= 2; below that there is no zero-sum structure")
+    if n < 0:
+        raise PreconditionError("needs n >= 0")
 
 
 def _xor_order(k: int, size) -> int:
@@ -75,17 +77,15 @@ def maamoun_meyniel(k: int) -> ColoredGraph:
 def lower_bound_edges(k: int, n: int) -> int:
     """Edges of the densest disjoint packing of bipartite_f2k(k) copies into
     n vertices: 4^k * floor(n / 2^{k+1})."""
-    _check_k(k)
-    if n < 0:
-        raise PreconditionError("needs n >= 0")
+    _check_k(k, n)
     return (4 ** k) * (n // (2 ** (k + 1)))
 
 
 def blowup(k: int, n: int) -> ColoredGraph:
     """floor(n / 2^{k+1}) disjoint copies of bipartite_f2k(k), sharing one
     palette, padded with isolated vertices up to exactly n."""
-    _check_k(k)
-    copies = max(0, n >> (k + 1))  # n // 2^{k+1}, without forming 2^{k+1}
+    _check_k(k, n)
+    copies = n >> (k + 1)  # n // 2^{k+1}, without forming 2^{k+1}
     check_size("construct", n, copies << (2 * k))
     g = disjoint_union([bipartite_f2k(k)] * copies if copies else [],
                        share_colors=True)
@@ -123,6 +123,13 @@ def rotation_bound(k: int) -> Fraction:
     """9k/7 + 2: the edges per vertex, and the min-degree hypothesis, when
     no rainbow path has more than k edges."""
     return Fraction(9 * k, 7) + 2
+
+
+def chord_floor(k: int) -> Fraction:
+    """2k/7 + 2: under the min-degree hypothesis, the fresh chords at each
+    end of a longest rainbow path and the aux graph's min degree (the nice
+    chords at both ends reach twice it)."""
+    return Fraction(2 * k, 7) + 2
 
 
 def matching_step_cap(k: int, m: int) -> int:

@@ -12,11 +12,13 @@ File formats:
              An optional "# sides 0101..." comment carries the bipartition.
   json       {"n":, "m":, "colors":, "edges": [[u,v,c],...], "sides": null|[0,1,...]}
 
-parse_graph(serialize_graph(g)) == g for every valid graph, in both formats.
-A file declaring more than PARSE_VERTEX_GUARD vertices or EDGE_GUARD edges
-is refused before anything is allocated for them (GuardError, exit 3 on the
-command line); the constructions check the same guards against their
-closed-form sizes before they build anything.
+Both end in one acceptance rule: integers only, u < v, m equal to the
+number of edge rows. parse_graph(serialize_graph(g)) == g for every valid
+graph, in both formats. A file declaring more than PARSE_VERTEX_GUARD
+vertices, or more than EDGE_GUARD edges or colors, is refused before
+anything is allocated for them (GuardError, exit 3 on the command line);
+the constructions check the same guards against their closed-form sizes
+before they build anything.
 """
 
 from __future__ import annotations
@@ -298,44 +300,66 @@ def serialize_graph_json(g: ColoredGraph) -> str:
     return json.dumps(graph_to_json_obj(g), indent=1) + "\n"
 
 
-def check_size(topic: str, n: int, m: int) -> None:
-    """Refuse a graph of more than PARSE_VERTEX_GUARD vertices or EDGE_GUARD
-    edges (GuardError); callers check before they allocate."""
+def check_size(topic: str, n: int, m: int, colors: int = 0) -> None:
+    """Refuse a graph of more than PARSE_VERTEX_GUARD vertices, or more than
+    EDGE_GUARD edges or colors (GuardError); callers check before they
+    allocate. The search table holds 1 << color for every edge end."""
     if n > PARSE_VERTEX_GUARD:
         raise GuardError(topic, f"n={n} exceeds the vertex guard "
                                 f"{PARSE_VERTEX_GUARD}")
-    if m > EDGE_GUARD:
-        raise GuardError(topic, f"m={m} exceeds the edge guard {EDGE_GUARD}")
+    for name, size in (("m", m), ("colors", colors)):
+        if size > EDGE_GUARD:
+            raise GuardError(topic, f"{name}={size} exceeds the edge guard "
+                                    f"{EDGE_GUARD}")
+
+
+def _ints(xs) -> bool:
+    return all(type(x) is int for x in xs)  # a bool or a float is no int
+
+
+def _graph_from_fields(n, m, colors, rows: list, sides) -> ColoredGraph:
+    """The one acceptance rule of both formats: integers only, sizes within
+    check_size before anything is built, m equal to the number of rows; the
+    ColoredGraph constructor refuses the rest (u >= v, an end outside
+    0..n-1, a repeated edge, a color outside the palette, bad sides)."""
+    if not _ints((n, m, colors)):
+        raise GraphError("n, m and colors must be integers")
+    check_size("parse", n, m, colors)
+    if m != len(rows):
+        raise GraphError(f"expected {m} edge rows, found {len(rows)}")
+    if not all(type(r) is list and len(r) == 3 and _ints(r) for r in rows):
+        raise GraphError("every edge row must be three integers 'u v c'")
+    if sides is not None and not (type(sides) is list and _ints(sides)):
+        raise GraphError("sides must be a list of 0s and 1s")
+    return ColoredGraph(n, tuple(map(tuple, rows)), colors,
+                        None if sides is None else tuple(sides))
 
 
 def graph_from_json_obj(obj: dict) -> ColoredGraph:
+    """A JSON graph object through _graph_from_fields; "m" defaults to the
+    number of rows and "sides" to null."""
     try:
-        n = int(obj["n"])
-        check_size("parse", n, len(obj["edges"]))
-        colors = int(obj["colors"])
-        edges = [(int(u), int(v), int(c)) for (u, v, c) in obj["edges"]]
-        sides = obj.get("sides")
-        if sides is not None:
-            sides = tuple(int(s) for s in sides)
-        m = int(obj["m"]) if "m" in obj else len(edges)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphError(f"bad json graph object: {exc}") from None
-    if m != len(edges):
-        raise GraphError("declared m does not match edge list length")
-    return ColoredGraph.from_edges(n, edges, num_colors=colors, sides=sides)
+        n, colors, rows = obj["n"], obj["colors"], obj["edges"]
+    except KeyError as exc:
+        raise GraphError(f"bad json graph object: missing {exc}") from None
+    if type(rows) is not list:
+        raise GraphError("edges must be a list of [u, v, c] rows")
+    return _graph_from_fields(n, obj.get("m", len(rows)), colors, rows,
+                              obj.get("sides"))
 
 
 def parse_graph(text: str) -> ColoredGraph:
-    """Parse either format; JSON is recognized by a leading '{'. A header
-    declaring more than PARSE_VERTEX_GUARD vertices or EDGE_GUARD edges
-    raises GuardError before the edge lines are read."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Parse either format (JSON starts with '{'); both end in
+    _graph_from_fields. The text lexer checks the header's sizes before it
+    reads an edge line, and stops at the first line past the header's m."""
+    if text.lstrip().startswith("{"):
         try:
-            return graph_from_json_obj(json.loads(text))
-        except json.JSONDecodeError as exc:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers an int past the 4300-digit conversion limit
             raise GraphError(f"bad json: {exc}") from None
-    sides: Optional[tuple[int, ...]] = None
+        return graph_from_json_obj(obj)
+    sides: Optional[list[int]] = None
     empty_tag = False
     head: Optional[list[int]] = None
     rows: list[list[int]] = []
@@ -346,43 +370,36 @@ def parse_graph(text: str) -> ColoredGraph:
             if body.startswith("sides"):
                 bits = body[len("sides"):].strip()
                 if bits and all(ch in "01" for ch in bits):
-                    sides = tuple(int(ch) for ch in bits)
+                    sides = [int(ch) for ch in bits]
                 empty_tag = empty_tag or not bits
             continue
         if not line:
             continue
         parts = line.split()
-        if not all(p.lstrip("-").isdigit() for p in parts):
+        if not all(p.isascii() and p.removeprefix("-").isdigit()
+                   for p in parts):
             raise GraphError(f"line {lineno}: non-integer token")
-        row = [int(p) for p in parts]
+        try:
+            row = [int(p) for p in parts]
+        except ValueError:  # past int()'s 4300-digit conversion limit
+            raise GraphError(f"line {lineno}: integer too long") from None
         if head is None:
             if len(row) != 3:
                 raise GraphError("header must be 'n m C'")
-            check_size("parse", row[0], row[1])
+            check_size("parse", *row)
             head = row
-        elif len(rows) == head[1]:
+        elif len(rows) >= head[1]:
             # more lines than the header allows: stop before storing them
             raise GraphError(f"expected {head[1]} edge lines, found more")
         else:
             rows.append(row)
     if head is None:
         raise GraphError("empty graph file")
-    n, m, num_colors = head
-    if empty_tag and n == 0 and sides is None:
+    if empty_tag and head[0] == 0 and sides is None:
         # the bipartition of a graph with no vertices; on n > 0 a bare tag
         # is ignored, like any other tag that does not parse
-        sides = ()
-    if len(rows) != m:
-        raise GraphError(f"expected {m} edge lines, found {len(rows)}")
-    edges = []
-    for row in rows:
-        if len(row) != 3:
-            raise GraphError(f"edge line needs 'u v c', got {row}")
-        u, v, c = row
-        if not (0 <= u < v < n):
-            raise GraphError(f"edge ({u},{v}) violates 0 <= u < v < n")
-        edges.append((u, v, c))
-    return ColoredGraph.from_edges(n, edges, num_colors=num_colors, sides=sides)
+        sides = []
+    return _graph_from_fields(*head, rows, sides)
 
 
 def load_graph(path: str) -> ColoredGraph:

@@ -63,6 +63,12 @@ def test_construct_guard_rejected(capsys):
     assert main(["construct", "f2k", "--k", "1"]) == 2
 
 
+def test_construct_blowup_refuses_negative_n(capsys):
+    assert main(["construct", "blowup", "--k", "2", "--n", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: needs n >= 0\n"
+
+
 def test_oversized_construction_is_refused_before_it_builds(capsys):
     start = time.perf_counter()
     for argv in (["f2k", "--k", "20"], ["f2k", "--k", "1000000000"],
@@ -141,11 +147,12 @@ def test_huge_edge_count_is_refused_at_parse(tmp_path, monkeypatch, capsys):
     assert "refused: parse" in capsys.readouterr().err
     monkeypatch.setattr(graphs, "EDGE_GUARD", 3)
     star = [[0, v, v - 1] for v in range(1, 5)]
+    # a palette of m colors, so that at m = 3 the palette guard passes too
     for m in (3, 4):
-        text = f"5 {m} 4\n" + "".join(f"{u} {v} {c}\n" for u, v, c in star[:m])
+        text = f"5 {m} {m}\n" + "".join(f"{u} {v} {c}\n" for u, v, c in star[:m])
         huge.write_text(text)
         assert main(["graph", "validate", str(huge)]) == (0 if m == 3 else 3)
-        huge.write_text(json.dumps({"n": 5, "colors": 4, "edges": star[:m]}))
+        huge.write_text(json.dumps({"n": 5, "colors": m, "edges": star[:m]}))
         assert main(["graph", "validate", str(huge)]) == (0 if m == 3 else 3)
 
 
@@ -400,6 +407,50 @@ def test_suite_rejects_unknown_config_key(tmp_path, capsys):
     assert main(["suite", "--config", str(cfg)]) == 2
     cfg.write_text("{ not json")
     assert main(["suite", "--config", str(cfg)]) == 2
+
+
+def _graph_files(n, m, colors, rows):
+    """One graph as a text file and as a JSON file, each field written as
+    the raw token given."""
+    text = f"{n} {m} {colors}\n" + "".join(f"{u} {v} {c}\n"
+                                           for u, v, c in rows)
+    edges = ", ".join(f"[{u}, {v}, {c}]" for u, v, c in rows)
+    return {"txt": text, "json": f'{{"n": {n}, "m": {m}, "colors": '
+                                 f'{colors}, "edges": [{edges}]}}'}
+
+
+# a 20-edge path whose color ids sit near 5 * 10^7: the search table keeps
+# 1 << color per edge end, about 400 MB here, so the palette guard refuses it
+_PALETTE = (21, 20, 50_000_020, [(i, i + 1, 50_000_000 + i) for i in range(20)])
+
+MALFORMED = [
+    ("n=1e400", ("1e400", 1, 1, [(0, 1, 0)]), 2),
+    ("m=1e400", (2, "1e400", 1, [(0, 1, 0)]), 2),
+    ("color=1e400", (2, 1, 1, [(0, 1, "1e400")]), 2),
+    ("n=NaN", ("NaN", 1, 1, [(0, 1, 0)]), 2),
+    ("m=NaN", (2, "NaN", 1, [(0, 1, 0)]), 2),
+    ("color=NaN", (2, 1, 1, [(0, 1, "NaN")]), 2),
+    ("n=3.7", ("3.7", 1, 1, [(0, 1, 0)]), 2),
+    ("color=true", (2, 1, 2, [(0, 1, "true")]), 2),  # not color 1
+    ("u>v", (2, 1, 1, [(1, 0, 0)]), 2),  # "1 0 c" and [1, 0, c]
+    ("palette", _PALETTE, 3),
+]
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name,fields,code", MALFORMED,
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_graph_files_exit_2_or_3(tmp_path, capsys, fmt, name,
+                                           fields, code):
+    path = tmp_path / f"g.{fmt}"
+    path.write_text(_graph_files(*fields)[fmt])
+    if name == "palette" and fmt == "txt":
+        assert path.stat().st_size == 296
+    for argv in (["graph", "validate"], ["rainbow", "longest"]):
+        assert main(argv + [str(path)]) == code, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("error: " if code == 2 else "refused: parse")
 
 
 @pytest.mark.parametrize("obj", [{"instances": "5"}, {"seed": 1.5},

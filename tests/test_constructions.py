@@ -117,6 +117,12 @@ def test_blowup_zero_copies():
     assert g.n == 7 and g.m == 0
 
 
+def test_blowup_refuses_negative_n():
+    with pytest.raises(PreconditionError):
+        blowup(2, -5)
+    assert blowup(2, 0).n == 0
+
+
 # === bound table ===
 
 def test_bound_table_equality_pivot():

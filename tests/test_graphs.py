@@ -1,9 +1,11 @@
 import json
+import random
 import re
 
 import pytest
 
 from rturan.constructions import bipartite_f2k, blowup, maamoun_meyniel
+from rturan.corpus import random_instance
 from rturan.errors import GraphError, GuardError
 from rturan.graphs import (PARSE_VERTEX_GUARD, ColoredGraph, GraphSkeleton,
                            complete_bipartite, complete_graph,
@@ -182,6 +184,22 @@ def test_empty_sides_tag_survives_text():
     assert parse_graph(serialize_graph(g)).sides == ()
     # on a graph with vertices a bare tag is ignored, as it always was
     assert parse_graph("2 0 0\n# sides\n").sides is None
+
+
+def test_both_formats_read_back_the_same_graph():
+    # the constructions and the first 200 instances of each criterion-08
+    # sweep, drawn as run_suite draws them
+    graphs = [bipartite_f2k(2), bipartite_f2k(3), maamoun_meyniel(2),
+              maamoun_meyniel(3), blowup(2, 16), blowup(2, 20), blowup(2, 7),
+              one_factorized_complete(6), ColoredGraph(0, (), 0, ()),
+              ColoredGraph(3, (), 2)]
+    for seed, kind in ((808, "random"), (909, "bare_path")):
+        rng = random.Random(seed)
+        graphs += [random_instance(rng, rng.randint(5, 12), 0.45, kind)
+                   for _ in range(200)]
+    for g in graphs:
+        assert parse_graph(serialize_graph(g)) == g
+        assert parse_graph(serialize_graph_json(g)) == g
 
 
 def test_save_load_by_extension(tmp_path):

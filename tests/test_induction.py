@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from rturan import induction
 from rturan.constructions import bipartite_f2k
-from rturan.errors import GuardError, PreconditionError
+from rturan.errors import FalsificationError, GuardError, PreconditionError
 from rturan.graphs import (ColoredGraph, disjoint_union,
                            one_factorized_complete)
 from rturan.induction import (InductionCertificate, StepRecord,
@@ -55,6 +56,36 @@ def test_step_removes_smallest_min_degree_vertex():
     assert rec.kind == "low_degree"
     assert rec.removed_vertices == (1,) and rec.removed_edges == 3
     assert sub.n == 5 and 1 not in remap
+
+
+def test_matching_branch_step(monkeypatch):
+    # No graph small enough to search has min degree 9k/7 + 2 without a
+    # longer rainbow path, so the bound is lowered to reach the branch.
+    # K_{4,4} xor has min degree 4 and longest rainbow paths of 3 edges.
+    g = bipartite_f2k(2)
+    monkeypatch.setattr(induction, "rotation_bound", lambda k: Fraction(4))
+    rec, sub, remap = induction_step(g, 3)
+    assert rec == StepRecord("matching", (0, 1, 4, 6), 12, 16)
+    assert sub.n == 4 and sub.m == g.m - 12
+    assert sorted(remap) == [2, 3, 5, 7]
+    # the telescoping budget is strict: 12 edges against 3 * 4 fails
+    monkeypatch.setattr(induction, "rotation_bound", lambda k: Fraction(3))
+    with pytest.raises(FalsificationError, match="telescoping"):
+        induction_step(g, 3)
+
+
+def test_matching_branch_cap_exit(monkeypatch):
+    g = bipartite_f2k(2)
+    monkeypatch.setattr(induction, "rotation_bound", lambda k: Fraction(4))
+    # the real cap (3k + 2 - 2m) m = 14 at k = 3, m = 2; the step removes 12
+    for cap, ok in ((12, True), (11, False)):
+        monkeypatch.setattr(induction, "matching_step_cap",
+                            lambda k, m, cap=cap: cap)
+        if ok:
+            assert induction_step(g, 3)[0].removed_edges == 12
+        else:
+            with pytest.raises(FalsificationError, match="allow 11"):
+                induction_step(g, 3)
 
 
 # === serialization ===
