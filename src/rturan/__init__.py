@@ -12,11 +12,11 @@ bound, and small-case brute force to keep everything honest.
 from .errors import (FalsificationError, GraphError, GuardError, PathError,
                      PreconditionError, WitnessError)
 from .graphs import (ColoredGraph, GraphSkeleton, ProperColoringReport,
-                     complete_bipartite, complete_graph, disjoint_union,
-                     graph_from_json_obj, graph_to_json_obj, induced_subgraph,
-                     load_graph, one_factorization, one_factorized_complete,
-                     parse_graph, save_graph, serialize_graph,
-                     serialize_graph_json, validate_proper)
+                     complete_graph, disjoint_union, graph_from_json_obj,
+                     graph_to_json_obj, induced_subgraph, load_graph,
+                     one_factorization, one_factorized_complete, parse_graph,
+                     save_graph, serialize_graph, serialize_graph_json,
+                     validate_proper)
 from .search import (ExistsOutcome, RainbowPath, SearchOutcome,
                      has_rainbow_path, is_rainbow, longest_rainbow_path,
                      path_from_vertices, spanning_rainbow_path_between,
@@ -31,9 +31,8 @@ from .terminals import (AuxEdgeFire, AuxGraph, MatchingReport, RuleFire,
                         terminal_rules)
 from .claims import (ClaimContext, ClaimOutcome, ClaimReport,
                      build_claim_context, check_claims)
-from .induction import (InductionCertificate, StepRecord,
-                        certificate_from_json_obj, frac_str, induction_step,
-                        run_induction, verify_certificate)
+from .induction import (InductionCertificate, StepRecord, frac_str,
+                        induction_step, run_induction, verify_certificate)
 from .oracle import (ExstarResult, clique_packing, coloring_avoiding,
                      count_proper_colorings, erdos_gallai_bound, exstar_small,
                      packing_edge_count, proper_colorings)

@@ -15,10 +15,12 @@ File formats:
 Both end in one acceptance rule: integers only, u < v, m equal to the
 number of edge rows. parse_graph(serialize_graph(g)) == g for every valid
 graph, in both formats. A file declaring more than PARSE_VERTEX_GUARD
-vertices, or more than EDGE_GUARD edges or colors, is refused before
-anything is allocated for them (GuardError, exit 3 on the command line);
-the constructions check the same guards against their closed-form sizes
-before they build anything.
+vertices, or more than EDGE_GUARD edges or colors, is refused (GuardError,
+exit 3 on the command line): a text file at its header, before any edge
+line is stored, and a JSON file once json.loads has built its rows (a
+2.75 MB file of 250,001 rows peaks at about 24 MB), before any graph is
+built. The constructions check the same guards against their closed-form
+sizes before they build anything.
 """
 
 from __future__ import annotations
@@ -128,19 +130,35 @@ class ColoredGraph:
 
     @property
     def _bits(self) -> tuple:
-        """Per vertex, one (neighbour, 1 << neighbour, 1 << color) tuple per
-        edge, in ascending order: the table the search kernels read. Built
-        on the first search of this graph and kept, so loading, validating
-        and converting a graph never pay for its big ints. (Cached by hand:
-        functools.cached_property takes a lock on every first read, a few
-        microseconds, several percent of a search on K5.)"""
+        """Per vertex, one (neighbour, 1 << neighbour, 1 << rank) tuple per
+        edge, in ascending order: the table the search kernels read. A
+        color's rank is its place in sorted(used_colors()), so the color
+        ints stay below 2 ** m however large the color ids are; a color
+        mask tests the same as one over the ids, as ranks are a bijection.
+        Built on the first search of this graph and kept, so loading,
+        validating and converting a graph never pay for its big ints.
+        (Cached by hand: functools.cached_property takes a lock on every
+        first read, a few microseconds, several percent of a search on K5.)"""
         bits = self.__dict__.get("_bits_cache")
         if bits is None:
             nbrs = self._nbrs
-            bits = tuple([tuple([(w, 1 << w, 1 << c) for (w, c) in nbrs[v]])
+            cbit = {c: 1 << r for r, c in
+                    enumerate(sorted({c for (_, _, c) in self.edges}))}
+            bits = tuple([tuple([(w, 1 << w, cbit[c]) for (w, c) in nbrs[v]])
                           for v in range(self.n)])
             self.__dict__["_bits_cache"] = bits
         return bits
+
+    @property
+    def _edge_bits(self) -> dict:
+        """(u, v) -> the color bit _bits holds for that edge, u < v. Built
+        on the first read and kept, like _bits."""
+        ebits = self.__dict__.get("_edge_bits_cache")
+        if ebits is None:
+            ebits = {(v, w): cb for v, row in enumerate(self._bits)
+                     for (w, _, cb) in row if v < w}
+            self.__dict__["_edge_bits_cache"] = ebits
+        return ebits
 
     # -- queries ------------------------------------------------------------
 
@@ -166,9 +184,6 @@ class ColoredGraph:
             return self._col[_norm(u, v)]
         except KeyError:
             raise GraphError(f"no edge ({u},{v})") from None
-
-    def colors_at(self, v: int) -> frozenset[int]:
-        return frozenset(c for (_, c) in self._nbrs[v])
 
     def used_colors(self) -> frozenset[int]:
         return frozenset(c for (_, _, c) in self.edges)
@@ -202,12 +217,6 @@ def validate_proper(g: ColoredGraph) -> ProperColoringReport:
 
 def complete_graph(n: int) -> GraphSkeleton:
     return GraphSkeleton(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
-
-
-def complete_bipartite(a: int, b: int) -> GraphSkeleton:
-    """K_{a,b} with the bipartition recorded: side 0 is 0..a-1, side 1 is a..a+b-1."""
-    edges = tuple((u, a + w) for u in range(a) for w in range(b))
-    return GraphSkeleton(a + b, edges, sides=tuple([0] * a + [1] * b))
 
 
 def one_factorization(n: int) -> list[list[Edge]]:
@@ -303,7 +312,7 @@ def serialize_graph_json(g: ColoredGraph) -> str:
 def check_size(topic: str, n: int, m: int, colors: int = 0) -> None:
     """Refuse a graph of more than PARSE_VERTEX_GUARD vertices, or more than
     EDGE_GUARD edges or colors (GuardError); callers check before they
-    allocate. The search table holds 1 << color for every edge end."""
+    allocate."""
     if n > PARSE_VERTEX_GUARD:
         raise GuardError(topic, f"n={n} exceeds the vertex guard "
                                 f"{PARSE_VERTEX_GUARD}")

@@ -77,19 +77,6 @@ class InductionCertificate:
         }
 
 
-def certificate_from_json_obj(obj: dict) -> InductionCertificate:
-    steps = tuple(
-        StepRecord(kind=s["kind"],
-                   removed_vertices=tuple(s["removed_vertices"]),
-                   removed_edges=int(s["removed_edges"]),
-                   bound_used=Fraction(s["bound_used"]))
-        for s in obj["steps"])
-    return InductionCertificate(n=int(obj["n"]), k=int(obj["k"]),
-                                bound=Fraction(obj["bound_value_rational"]),
-                                total_edges=int(obj["total_edges"]),
-                                holds=bool(obj["holds"]), steps=steps)
-
-
 def verify_certificate(cert: InductionCertificate,
                        g: Optional[ColoredGraph] = None) -> bool:
     """Re-run the certificate arithmetic without re-running the search."""

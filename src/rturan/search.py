@@ -5,9 +5,10 @@ a used-color bitmask (Python ints, so palettes of any size work; nothing
 special happens at 128 colors). Neighbor lists are visited in ascending
 order, which makes every result deterministic. Both kernels read the
 neighbour bit table ColoredGraph builds once per graph, on its first search
-(`_bits`: per vertex, one (neighbour, 1 << neighbour, 1 << color) tuple per
-edge, in ascending order); no search rebuilds it, and a spanning query only
-filters it down to its vertex set.
+(`_bits`: per vertex, one (neighbour, 1 << neighbour, 1 << rank) tuple per
+edge, in ascending order, a color's rank being its place among the colors in
+use); no search rebuilds it, and a spanning query only filters it down to
+its vertex set.
 
 longest_rainbow_path and has_rainbow_path share one recursive kernel, _dfs.
 It searches for rainbow paths longer than a floor from every root in
@@ -138,19 +139,16 @@ def path_from_vertices(g: ColoredGraph, vertices: Sequence[int]) -> RainbowPath:
     return RainbowPath._prechecked(vs, tuple(colors))
 
 
-def is_rainbow(g: ColoredGraph, path) -> bool:
+def is_rainbow(g: ColoredGraph, path: RainbowPath) -> bool:
     """True iff `path` is a path of g with pairwise distinct edge colors.
 
-    `path` may be a RainbowPath or a bare vertex sequence. A sequence that is
-    not a path at all (repeated vertex, missing edge, wrong recorded color)
-    raises PathError; that situation is an error, not merely non-rainbow.
+    A path that is not a path of g at all (missing edge, wrong recorded
+    color) raises PathError; that situation is an error, not merely
+    non-rainbow.
     """
-    if isinstance(path, RainbowPath):
-        rebuilt = path_from_vertices(g, path.vertices)
-        if rebuilt.colors != path.colors:
-            raise PathError("recorded colors disagree with the graph")
-    else:
-        rebuilt = path_from_vertices(g, path)
+    rebuilt = path_from_vertices(g, path.vertices)
+    if rebuilt.colors != path.colors:
+        raise PathError("recorded colors disagree with the graph")
     return rebuilt.is_rainbow()
 
 

@@ -69,7 +69,8 @@ vertex-deletion step of the edge-count bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -93,7 +94,6 @@ class RuleFire:
 
 @dataclass(frozen=True)
 class TerminalReport:
-    path: RainbowPath
     fires: tuple
     rule_terminals: frozenset
 
@@ -193,7 +193,7 @@ def terminal_rules(g: ColoredGraph, pstar: RainbowPath,
                                       ("end", k - i), seq, ends))
 
     found = frozenset(v for f in fires for v in f.terminals)
-    return TerminalReport(path=pstar, fires=tuple(fires), rule_terminals=found)
+    return TerminalReport(fires=tuple(fires), rule_terminals=found)
 
 
 def terminal_oracle(g: ColoredGraph, pstar: RainbowPath) -> frozenset:
@@ -213,26 +213,10 @@ class AuxEdgeFire:
 class AuxGraph:
     vertices: tuple
     edges: frozenset       # of sorted vertex-id pairs
-    _nbrs: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        nbrs: dict = {}
-        for (a, b) in self.edges:
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-        object.__setattr__(self, "_nbrs",
-                           {v: tuple(sorted(ws)) for v, ws in nbrs.items()})
-
-    def neighbors(self, v) -> tuple:
-        return self._nbrs.get(v, ())
-
-    def degree(self, v) -> int:
-        return len(self._nbrs.get(v, ()))
 
     def min_degree(self) -> int:
-        if not self.vertices:
-            return 0
-        return min(self.degree(v) for v in self.vertices)
+        degree = Counter(v for e in self.edges for v in e)
+        return min((degree[v] for v in self.vertices), default=0)
 
 
 def _jump_rotations(g: ColoredGraph, w: RainbowPath):
@@ -307,7 +291,7 @@ def _rotation_pairs(g: ColoredGraph, adj, path, known: list,
     spanning rainbow path. This is the oracle's own rotation, written apart
     from the rules it checks (_jump_rotations, _start_rules).
     """
-    col = g._col
+    ebits = g._edge_bits
     s = len(path)
 
     def learn(a: int, b: int) -> bool:
@@ -319,7 +303,7 @@ def _rotation_pairs(g: ColoredGraph, adj, path, known: list,
         return True
 
     learn(path[0], path[-1])
-    todo = [(path, [1 << col[(a, b) if a < b else (b, a)]
+    todo = [(path, [ebits[(a, b) if a < b else (b, a)]
                     for a, b in zip(path, path[1:])])]
     while todo:
         q, cb = todo.pop()

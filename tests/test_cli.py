@@ -15,7 +15,7 @@ from rturan import cli, constructions, graphs
 from rturan.cli import main
 from rturan.graphs import PARSE_VERTEX_GUARD, load_graph, parse_graph
 from rturan.oracle import COLORING_EDGE_GUARD, EXSTAR_VERTEX_GUARD
-from rturan.induction import certificate_from_json_obj, verify_certificate
+from rturan.induction import run_induction, verify_certificate
 
 
 @pytest.fixture
@@ -300,10 +300,12 @@ def test_induct_writes_certificate(f2k_file, tmp_path, capsys):
     assert out.splitlines()[0] == ("n=8 edges=16 longest allowed path k=3 "
                                    "bound=41/7/vertex")
     assert "edge bound holds: yes" in out
+    g = load_graph(f2k_file)
+    cert = run_induction(g, 3)
     with open(cert_path, "r", encoding="utf-8") as fh:
-        cert = certificate_from_json_obj(json.load(fh))
+        assert json.load(fh) == cert.to_json_obj()
     assert cert.total_edges == 16 and cert.holds
-    assert verify_certificate(cert, load_graph(f2k_file))
+    assert verify_certificate(cert, g)
 
 
 def test_induct_rejects_broken_promise(f2k_file, capsys):
@@ -419,8 +421,8 @@ def _graph_files(n, m, colors, rows):
                                  f'{colors}, "edges": [{edges}]}}'}
 
 
-# a 20-edge path whose color ids sit near 5 * 10^7: the search table keeps
-# 1 << color per edge end, about 400 MB here, so the palette guard refuses it
+# a 20-edge path whose color ids sit near 5 * 10^7: its palette passes
+# EDGE_GUARD, so the palette guard refuses it
 _PALETTE = (21, 20, 50_000_020, [(i, i + 1, 50_000_000 + i) for i in range(20)])
 
 MALFORMED = [
@@ -495,3 +497,40 @@ def test_bad_config_and_graph_files_are_input_errors(tmp_path, capsys):
         g.write_bytes(raw)
         assert main(["graph", "validate", str(g)]) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+# === every output mode ===
+
+# (argv with FILE for the f2k fixture, exit code, first line of text output);
+# a --json mode must print one JSON object or list instead
+OUTPUT_MODES = [
+    (["graph", "validate", "FILE", "--json"], 0, None),
+    (["rainbow", "longest", "FILE"], 0, "longest rainbow path: 3 edges"),
+    (["rainbow", "exists", "FILE", "--length", "3", "--json"], 0, None),
+    (["bounds", "--kmax", "3"], 0,
+     "   k      lower    upper_new  upper_old       eg"),
+    (["engine", "profile", "FILE", "--json"], 0, None),
+    (["engine", "claims", "FILE", "--json"], 0, None),
+    (["engine", "induct", "FILE", "--k", "3", "--json"], 0, None),
+    (["oracle", "exstar", "--n", "4", "--len", "3"], 0,
+     "exstar(n=4, path_edges=3) = 6"),
+    (["oracle", "eg", "--n", "10", "--k", "4", "--json"], 0, None),
+    (["oracle", "eg", "--n", "5", "--k", "2", "--witness"], 0,
+     "no path with 2 edges on 5 vertices: at most 5/2 edges, "
+     "clique packing gives 2"),
+    (["suite", "--instances", "3", "--n-max", "6"], 0,
+     "3 instances in"),
+]
+
+
+@pytest.mark.parametrize("argv,code,head", OUTPUT_MODES,
+                         ids=[" ".join(a[:2]) + (" json" if "--json" in a
+                                                  else "")
+                              for a, _, _ in OUTPUT_MODES])
+def test_output_modes(f2k_file, capsys, argv, code, head):
+    got, out = run(capsys, [f2k_file if a == "FILE" else a for a in argv])
+    assert got == code
+    if "--json" in argv:
+        assert isinstance(json.loads(out), (dict, list))
+    else:
+        assert out.splitlines()[0].startswith(head)

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -8,12 +9,12 @@ from rturan.constructions import bipartite_f2k, blowup, maamoun_meyniel
 from rturan.corpus import random_instance
 from rturan.errors import GraphError, GuardError
 from rturan.graphs import (PARSE_VERTEX_GUARD, ColoredGraph, GraphSkeleton,
-                           complete_bipartite, complete_graph,
-                           disjoint_union, graph_from_json_obj,
+                           complete_graph, disjoint_union, graph_from_json_obj,
                            graph_to_json_obj, induced_subgraph, load_graph,
                            one_factorization, one_factorized_complete,
                            parse_graph, save_graph, serialize_graph,
                            serialize_graph_json, validate_proper)
+from rturan.search import longest_rainbow_path
 
 
 def small():
@@ -45,7 +46,7 @@ def test_colored_graph_accessors():
     assert g.n == 4 and g.m == 4
     assert g.degree(0) == 2 and g.min_degree() == 2
     assert g.has_edge(3, 0) and not g.has_edge(0, 2)
-    assert g.colors_at(1) == frozenset({0, 1})
+    assert {c for (_, c) in g.neighbors(1)} == {0, 1}
     assert g.used_colors() == frozenset({0, 1})
     assert set(g.neighbors(2)) == {(1, 1), (3, 0)}
     with pytest.raises(GraphError):
@@ -84,11 +85,14 @@ def test_bit_table_is_derived_state():
     assert h._bits is h._bits  # built once, then kept
     assert g == h and hash(g) == hash(h)
     for g in (small(), bipartite_f2k(2), maamoun_meyniel(3), blowup(2, 9),
-              one_factorized_complete(6), ColoredGraph(3, (), 0)):
-        # the table the search kernels used to rebuild on every call
-        old = [tuple((w, 1 << w, 1 << c) for (w, c) in g.neighbors(v))
-               for v in range(g.n)]
-        assert list(g._bits) == old
+              one_factorized_complete(6), ColoredGraph(3, (), 0),
+              ColoredGraph.from_edges(4, [(0, 1, 9), (1, 2, 4), (2, 3, 7)])):
+        # a color's bit is that of its rank among the colors in use
+        rank = {c: r for r, c in enumerate(sorted(g.used_colors()))}
+        table = [tuple((w, 1 << w, 1 << rank[c]) for (w, c) in g.neighbors(v))
+                 for v in range(g.n)]
+        assert list(g._bits) == table
+        assert g._edge_bits == {(u, v): 1 << rank[c] for (u, v, c) in g.edges}
 
 
 def test_negative_palette_rejected():
@@ -111,8 +115,6 @@ def test_validate_proper_finds_clash():
 
 def test_complete_graphs():
     assert complete_graph(5).m == 10
-    kb = complete_bipartite(2, 3)
-    assert kb.m == 6 and kb.sides == (0, 0, 1, 1, 1)
 
 
 def test_one_factorization_even():
@@ -164,6 +166,8 @@ def test_induced_subgraph_remap():
 def test_text_round_trip():
     g = small()
     assert parse_graph(serialize_graph(g)) == g
+    # blank lines, anywhere, are skipped
+    assert parse_graph("\n" + serialize_graph(g).replace("\n", "\n\n")) == g
 
 
 def test_json_round_trip():
@@ -259,3 +263,25 @@ def test_loading_a_long_path_builds_no_search_table(tmp_path):
     assert parse_graph(serialize_graph_json(g)) == g
     assert "_bits_cache" not in vars(g)
 
+
+def test_search_table_does_not_grow_with_color_ids(tmp_path):
+    # a 1000-edge path whose color ids sit near the palette guard: the
+    # table holds color ranks, so it stays small
+    path = tmp_path / "path.txt"
+    path.write_text("1001 1000 250000\n" + "".join(
+        f"{i} {i + 1} {249_000 + i}\n" for i in range(1000)))
+    g = load_graph(str(path))
+    tracemalloc.start()
+    try:
+        g._bits
+        size = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size < 2_000_000
+    # the same path, its colors shifted: same longest path, same search
+    low = ColoredGraph.from_edges(201, [(i, i + 1, i) for i in range(200)])
+    high = ColoredGraph.from_edges(201, [(i, i + 1, 249_000 + i)
+                                         for i in range(200)])
+    a, b = longest_rainbow_path(low), longest_rainbow_path(high)
+    assert a.best.vertices == b.best.vertices
+    assert a.nodes_expanded == b.nodes_expanded

@@ -1,4 +1,4 @@
-"""Edge-bound certificates: building, arithmetic checking, JSON round trip,
+"""Edge-bound certificates: building, arithmetic checking, JSON output,
 and rejection of tampered records."""
 
 import dataclasses
@@ -12,8 +12,7 @@ from rturan.constructions import bipartite_f2k
 from rturan.errors import FalsificationError, GuardError, PreconditionError
 from rturan.graphs import (ColoredGraph, disjoint_union,
                            one_factorized_complete)
-from rturan.induction import (InductionCertificate, StepRecord,
-                              certificate_from_json_obj, frac_str,
+from rturan.induction import (InductionCertificate, StepRecord, frac_str,
                               induction_step, run_induction,
                               verify_certificate)
 
@@ -96,8 +95,11 @@ def test_certificate_json_round_trip():
     assert obj["bound_value_rational"] == "32/7"
     assert set(obj["steps"][0]) == {"kind", "removed_vertices",
                                     "removed_edges", "bound_used"}
-    again = certificate_from_json_obj(json.loads(json.dumps(obj)))
-    assert again == cert
+    assert json.loads(json.dumps(obj)) == obj
+    assert (obj["n"], obj["k"], obj["total_edges"], obj["holds"]) \
+        == (cert.n, cert.k, cert.total_edges, cert.holds)
+    assert [tuple(s["removed_vertices"]) for s in obj["steps"]] \
+        == [s.removed_vertices for s in cert.steps]
 
 
 def test_frac_str_forms():
@@ -134,6 +136,12 @@ def test_verifier_cross_checks_graph():
     assert verify_certificate(cert, k4())
     assert not verify_certificate(cert, one_factorized_complete(6))
     assert not verify_certificate(broken(cert, n=5))
+    # ids 1..4: the arithmetic holds, but they are not the graph's vertices
+    shifted = tuple(dataclasses.replace(
+        s, removed_vertices=tuple(v + 1 for v in s.removed_vertices))
+        for s in cert.steps)
+    assert verify_certificate(broken(cert, steps=shifted))
+    assert not verify_certificate(broken(cert, steps=shifted), k4())
 
 
 def test_verifier_accepts_matching_kind_record():

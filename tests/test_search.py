@@ -10,8 +10,8 @@ from rturan.constructions import bipartite_f2k, maamoun_meyniel
 from rturan.corpus import random_instance
 from rturan.errors import GuardError, PathError, PreconditionError
 from rturan.graphs import ColoredGraph, one_factorized_complete
-from rturan.search import (RainbowPath, has_rainbow_path, is_rainbow,
-                           longest_rainbow_path, path_from_vertices,
+from rturan.search import (ExistsOutcome, RainbowPath, has_rainbow_path,
+                           is_rainbow, longest_rainbow_path, path_from_vertices,
                            spanning_rainbow_path_between,
                            spanning_rainbow_path_from)
 
@@ -109,7 +109,7 @@ def test_path_from_vertices_error_messages():
 
 def test_is_rainbow_checks_recorded_colors():
     g = rainbow_triangle()
-    assert is_rainbow(g, [0, 1, 2])
+    assert is_rainbow(g, path_from_vertices(g, [0, 1, 2]))
     with pytest.raises(PathError):
         is_rainbow(g, RainbowPath((0, 1), (2,)))
 
@@ -228,6 +228,8 @@ def test_has_rainbow_path_decides():
     assert has_rainbow_path(g, 2).found is True
     assert has_rainbow_path(g, 3).found is False
     assert has_rainbow_path(g, 3).witness is None
+    empty = ColoredGraph(0, (), 0)
+    assert has_rainbow_path(empty, 0) == ExistsOutcome(False, None, 0)
 
 
 def test_has_rainbow_path_budget_undecided():
@@ -258,6 +260,9 @@ def test_spanning_from_anchor():
     p = spanning_rainbow_path_from(g, {0, 1, 2}, 1)
     assert p is not None and p.vertices[0] == 1
     assert set(p.vertices) == {0, 1, 2}
+    assert spanning_rainbow_path_from(g, {2}, 2) == RainbowPath((2,), ())
+    with pytest.raises(PathError, match="start 0 not in vertex set"):
+        spanning_rainbow_path_from(g, {1, 2}, 0)
 
 
 def test_spanning_between_endpoints():
@@ -266,6 +271,8 @@ def test_spanning_between_endpoints():
     assert p is not None and p.endpoints == (0, 2)
     g2 = ColoredGraph.from_edges(3, [(0, 1, 0), (1, 2, 0)], num_colors=1)
     assert spanning_rainbow_path_between(g2, {0, 1, 2}, 0, 2) is None
+    with pytest.raises(PathError, match="distinct"):
+        spanning_rainbow_path_between(g, {0, 1, 2}, 1, 1)
 
 
 def test_deep_spanning_search_is_refused():
