@@ -88,13 +88,13 @@ def cmd_graph_validate(args) -> int:
     rep = validate_proper(g)
     if args.json:
         _emit_json({"n": g.n, "m": g.m, "colors": g.num_colors,
-                    "min_degree": g.min_degree() if g.n else 0,
+                    "min_degree": g.min_degree(),
                     "proper": rep.is_proper,
                     "violations": [list(v[:2]) + [list(v[2]), list(v[3])]
                                    for v in rep.violations]})
     else:
         _emit(f"n={g.n} m={g.m} colors={g.num_colors} "
-              f"min_degree={g.min_degree() if g.n else 0}")
+              f"min_degree={g.min_degree()}")
         if rep.is_proper:
             _emit("proper coloring: yes")
         else:
@@ -237,13 +237,12 @@ def cmd_engine_terminals(args) -> int:
     payload: dict = {"path": _path_obj(p)}
     rules = oracle = None
     if args.mode in ("rules", "both"):
-        rep = terminal_rules(g, p)
-        rules = rep
+        rules = terminal_rules(g, p)
         payload["rules"] = {
-            "terminals": sorted(rep.rule_terminals),
+            "terminals": sorted(rules.rule_terminals),
             "by_rule": {r: list(vs)
-                        for r, vs in rep.terminals_by_rule().items()},
-            "fires": len(rep.fires),
+                        for r, vs in rules.terminals_by_rule().items()},
+            "fires": len(rules.fires),
         }
     if args.mode in ("oracle", "both"):
         oracle = terminal_oracle(g, p)

@@ -163,28 +163,30 @@ def random_instance(rng: random.Random, n: int, edge_prob: float,
 
 
 def _profile_partitions(prof) -> Optional[str]:
+    """The labels of the profile's broken partitions, joined, or None. Each
+    check reads one end as the v_0 end of a view: prof for v_0, its reverse
+    for v_k."""
     path_colors = set(prof.path_colors)
+
+    def split(whole, a, b) -> bool:
+        return whole == a | b and not (a & b)
+
     checks = (
-        (prof.start_colors == prof.start_out | prof.start_in
-         and not (prof.start_out & prof.start_in), "start out/in split"),
-        (prof.end_colors == prof.end_out | prof.end_in
-         and not (prof.end_out & prof.end_in), "end out/in split"),
-        (prof.start_colors == prof.start_old | prof.start_new
-         and not (prof.start_old & prof.start_new), "start old/new split"),
-        (prof.end_colors == prof.end_old | prof.end_new
-         and not (prof.end_old & prof.end_new), "end old/new split"),
-        (prof.start_old <= path_colors, "old start chords reuse path colors"),
-        (prof.end_old <= path_colors, "old end chords reuse path colors"),
-        (not (prof.start_new & path_colors), "fresh start colors off the path"),
-        (not (prof.end_new & path_colors), "fresh end colors off the path"),
-        (prof.start_nice <= prof.start_colors, "nice start colors at the end"),
-        (prof.end_nice <= prof.end_colors, "nice end colors at the end"),
-        (prof.swap_from_start <= path_colors, "start swaps are path colors"),
-        (prof.swap_from_end <= path_colors, "end swaps are path colors"),
-        (prof.start_res <= prof.start_old, "start residual inside old"),
-        (prof.end_res <= prof.end_old, "end residual inside old"),
+        ("{} out/in split",
+         lambda p: split(p.start_colors, p.start_out, p.start_in)),
+        ("{} old/new split",
+         lambda p: split(p.start_colors, p.start_old, p.start_new)),
+        ("old {} chords reuse path colors",
+         lambda p: p.start_old <= path_colors),
+        ("fresh {} colors off the path",
+         lambda p: not (p.start_new & path_colors)),
+        ("nice {} colors at the end", lambda p: p.start_nice <= p.start_colors),
+        ("{} swaps are path colors", lambda p: p.swap_from_start <= path_colors),
+        ("{} residual inside old", lambda p: p.start_res <= p.start_old),
     )
-    bad = [label for ok, label in checks if not ok]
+    views = (("start", prof), ("end", prof.reversed()))
+    bad = [label.format(side) for label, ok in checks
+           for side, view in views if not ok(view)]
     return None if not bad else "; ".join(bad)
 
 

@@ -149,17 +149,6 @@ class ColoredGraph:
             self.__dict__["_bits_cache"] = bits
         return bits
 
-    @property
-    def _edge_bits(self) -> dict:
-        """(u, v) -> the color bit _bits holds for that edge, u < v. Built
-        on the first read and kept, like _bits."""
-        ebits = self.__dict__.get("_edge_bits_cache")
-        if ebits is None:
-            ebits = {(v, w): cb for v, row in enumerate(self._bits)
-                     for (w, _, cb) in row if v < w}
-            self.__dict__["_edge_bits_cache"] = ebits
-        return ebits
-
     # -- queries ------------------------------------------------------------
 
     @property

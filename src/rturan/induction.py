@@ -77,13 +77,16 @@ class InductionCertificate:
         }
 
 
-def verify_certificate(cert: InductionCertificate,
-                       g: Optional[ColoredGraph] = None) -> bool:
-    """Re-run the certificate arithmetic without re-running the search."""
+def verify_certificate(cert: InductionCertificate, g: ColoredGraph) -> bool:
+    """Re-run the certificate arithmetic, and check it against g, without
+    re-running the search."""
     if cert.bound != rotation_bound(cert.k):
         return False
-    removed = [v for s in cert.steps for v in s.removed_vertices]
-    if len(removed) != len(set(removed)) or len(removed) != cert.n:
+    if g.n != cert.n or g.m != cert.total_edges:
+        return False
+    # every vertex of g removed exactly once
+    removed = sorted(v for s in cert.steps for v in s.removed_vertices)
+    if removed != list(range(cert.n)):
         return False
     total = 0
     for s in cert.steps:
@@ -96,11 +99,6 @@ def verify_certificate(cert: InductionCertificate,
         total += s.removed_edges
     if total != cert.total_edges:
         return False
-    if g is not None:
-        if g.n != cert.n or g.m != cert.total_edges:
-            return False
-        if sorted(removed) != list(range(cert.n)):
-            return False
     expected = cert.n == 0 or cert.total_edges < cert.bound * cert.n
     return cert.holds == expected
 

@@ -183,20 +183,20 @@ def _too_deep() -> GuardError:
                       f"interpreter's limit ({sys.getrecursionlimit()} frames)")
 
 
-def _dfs(g: ColoredGraph, floor: int, first: bool,
+def _dfs(g: ColoredGraph, lim: int, floor: int, first: bool,
          budget: Optional[int]) -> tuple[int, list[int], int, bool]:
     """Rainbow paths longer than `floor` edges, from every root in ascending
     DFS order.
 
     Keeps the first path of the best length; with `first` set it stops at
-    the first path longer than `floor`. Every node is counted, and once the
-    count passes `budget` the search stops. Returns (best length, its
-    vertices, nodes expanded, budget exhausted); the vertices are [0] while
-    nothing beat `floor`.
+    the first path longer than `floor`. `lim` is min(n - 1, colors in use),
+    the constant that depth + min(free vertices, free colors) equals at
+    every node; the search stops once the best length reaches it. Every
+    node is counted, and once the count passes `budget` the search stops.
+    Returns (best length, its vertices, nodes expanded, budget exhausted);
+    the vertices are [0] while nothing beat `floor`.
     """
     nbrs = g._bits
-    # depth + min(free vertices, free colors) is this constant at every node
-    lim = min(g.n - 1, len(g.used_colors()))
     stop = sys.maxsize if budget is None else budget
     nodes = 0
     best_len = floor
@@ -243,7 +243,8 @@ def longest_rainbow_path(g: ColoredGraph, budget: Optional[int] = None) -> Searc
     """
     if g.n == 0:
         return SearchOutcome(None, True, 0)
-    _, seq, nodes, exhausted = _dfs(g, 0, False, budget)
+    lim = min(g.n - 1, len(g.used_colors()))
+    _, seq, nodes, exhausted = _dfs(g, lim, 0, False, budget)
     return SearchOutcome(path_from_vertices(g, seq), not exhausted, nodes)
 
 
@@ -260,9 +261,10 @@ def has_rainbow_path(g: ColoredGraph, length: int,
         if g.n == 0:
             return ExistsOutcome(False, None, 0)
         return ExistsOutcome(True, RainbowPath((0,), ()), 0)
-    if length > min(g.n - 1, len(g.used_colors())):
+    lim = min(g.n - 1, len(g.used_colors()))
+    if length > lim:
         return ExistsOutcome(False, None, 0)
-    got, seq, nodes, exhausted = _dfs(g, length - 1, True, budget)
+    got, seq, nodes, exhausted = _dfs(g, lim, length - 1, True, budget)
     if exhausted:
         return ExistsOutcome(None, None, nodes)
     if got == length:

@@ -45,19 +45,20 @@ adjacent when one rainbow path on V(P*) has both as its endpoints. The
 rule flavor connects witness endpoints and jump-rotations of witnesses.
 The oracle flavor decides every pair of V(P*) in one pass. V(P*) is
 prepared for the spanning kernel once, and one partner bitmask per vertex,
-shared by every root, holds the pairs known so far. Each spanning path the
-kernel finds is closed under end rotations: a chord from an end q_{s-1} to
-q_i whose color is off the path, or is the color of the cut edge
-q_i q_{i+1}, gives the spanning rainbow path q_0..q_i, q_{s-1}..q_{i+1},
-and every rotation that shows a pair not yet known is followed in turn.
-Root u, in ascending order, then searches only for the later vertices
-whose pair with u is still unknown, stops once none is left, and is
-skipped when there is none. The pair set stays exact. No pair is
-invented: each one recorded ends a real spanning rainbow path, by
-construction. None is missed: root u's search is exhaustive over its
-later partners not yet known, and drops one only once its pair is known.
-These rotations are written apart from the rules' (_jump_rotations,
-_start_rules), so the oracle stays independent of what it checks.
+shared by every root, is the only record of the pairs known so far; the
+auxiliary graph is read off it at the end. Each spanning path the kernel
+finds is closed under end rotations: a chord from an end q_{s-1} to q_i
+whose color is off the path, or is the color of the cut edge q_i q_{i+1},
+gives the spanning rainbow path q_0..q_i, q_{s-1}..q_{i+1}, and every
+rotation that shows a pair not yet known is followed in turn. Root u, in
+ascending order, then searches only for the later vertices whose pair with
+u is still unknown, stops once none is left, and is skipped when there is
+none. The pairs stay exact. No pair is invented: each one recorded ends a
+real spanning rainbow path, by construction. None is missed: root u's
+search is exhaustive over its later partners not yet known, and drops one
+only once its pair is known. These rotations are written apart from the
+rules' (_jump_rotations, _start_rules), so the oracle stays independent of
+what it checks.
 
 A terminal ends a spanning rainbow path whose other end is a different
 vertex, so when P* has two or more vertices the terminals are exactly the
@@ -275,12 +276,11 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
     return AuxGraph(vertices=tuple(sorted(vertices)), edges=edges), tuple(fires)
 
 
-def _rotation_pairs(g: ColoredGraph, adj, path, known: list,
-                    pairs: set) -> None:
+def _rotation_pairs(cbits: list, path, known: list) -> None:
     """Record the end pair of the spanning rainbow path `path`, and of every
     path its end rotations reach, in `known` (one partner bitmask per
-    vertex) and in `pairs` (sorted vertex pairs). `path` ends a pair not yet
-    known.
+    vertex). `cbits` maps each vertex of V(P*) to its neighbours there and
+    their color bits; `path` ends a pair not yet known.
 
     A chord from the end q_{s-1} to q_i, i <= s - 3, gives the path
     q_0..q_i, q_{s-1}..q_{i+1} on the same vertices; it is rainbow when the
@@ -291,7 +291,6 @@ def _rotation_pairs(g: ColoredGraph, adj, path, known: list,
     spanning rainbow path. This is the oracle's own rotation, written apart
     from the rules it checks (_jump_rotations, _start_rules).
     """
-    ebits = g._edge_bits
     s = len(path)
 
     def learn(a: int, b: int) -> bool:
@@ -299,19 +298,17 @@ def _rotation_pairs(g: ColoredGraph, adj, path, known: list,
             return False
         known[a] |= 1 << b
         known[b] |= 1 << a
-        pairs.add((a, b) if a < b else (b, a))
         return True
 
     learn(path[0], path[-1])
-    todo = [(path, [ebits[(a, b) if a < b else (b, a)]
-                    for a, b in zip(path, path[1:])])]
+    todo = [(path, [cbits[a][b] for a, b in zip(path, path[1:])])]
     while todo:
         q, cb = todo.pop()
         cmask = sum(cb)
         # rotate at the far end of q, then of q read backwards
         for p, pc in ((q, cb), (q[::-1], cb[::-1])):
             pos = {v: i for i, v in enumerate(p)}
-            for (x, _, cbit) in adj[p[-1]]:
+            for x, cbit in cbits[p[-1]].items():
                 i = pos[x]
                 if i > s - 3 or (cmask & cbit and cbit != pc[i]):
                     continue
@@ -324,25 +321,27 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
     """Auxiliary graph by exhaustive search.
 
     One partner mask per vertex, shared by every root, holds the pairs
-    known so far. Each spanning path the search finds is closed under end
-    rotations (_rotation_pairs), which may fill in pairs for any vertex.
-    Root u, in ascending order, then searches V(pstar) only for the later
-    vertices whose pair with u is still unknown, stops once none is left,
-    and is skipped when there is none. The pairs are exactly those of one
-    search per root over every later vertex. Every pair recorded ends a
-    real spanning rainbow path: the search found it, or a rotation built
-    it. And a pair (u, w), u < w, leaves root u's wanted ends only once it
-    is known, while the search is exhaustive over the ends still wanted.
-    The vertices are the ends of the pairs, which are exactly the terminals.
+    known so far; it is the only record of them. Each spanning path the
+    search finds is closed under end rotations (_rotation_pairs), which may
+    fill in pairs for any vertex. Root u, in ascending order, then searches
+    V(pstar) only for the later vertices whose pair with u is still
+    unknown, stops once none is left, and is skipped when there is none.
+    The pairs are exactly those of one search per root over every later
+    vertex. Every pair recorded ends a real spanning rainbow path: the
+    search found it, or a rotation built it. And a pair (u, w), u < w,
+    leaves root u's wanted ends only once it is known, while the search is
+    exhaustive over the ends still wanted. The edges are read off the
+    masks, and the vertices are those with a partner: the ends of the
+    pairs, which are exactly the terminals.
     """
     vs, full, adj, adj_mask = _span_prep(g, pstar.vertices)
     if len(vs) == 1:
         return AuxGraph(vertices=tuple(vs), edges=frozenset())
+    cbits = [{w: cbit for (w, _, cbit) in row} for row in adj]
     known = [0] * g.n
-    pairs: set = set()
 
     def hit(path) -> int:
-        _rotation_pairs(g, adj, path, known, pairs)
+        _rotation_pairs(cbits, path, known)
         return known[path[0]]
 
     later = full
@@ -351,8 +350,9 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
         wanted = later & ~known[u]
         if wanted:
             _span_ends(u, full, adj, adj_mask, wanted, hit)
-    ends = {v for e in pairs for v in e}
-    return AuxGraph(vertices=tuple(sorted(ends)), edges=frozenset(pairs))
+    return AuxGraph(vertices=tuple(v for v in vs if known[v]),
+                    edges=frozenset((a, b) for a in vs for b in vs
+                                    if a < b and known[a] >> b & 1))
 
 
 def maximum_matching(aux: AuxGraph) -> tuple:

@@ -99,11 +99,17 @@ def test_construction_edge_guard_boundary(monkeypatch, capsys, argv, edges):
 
 # === graph ===
 
-def test_validate_proper_file(f2k_file, capsys):
+def test_validate_proper_file(f2k_file, tmp_path, capsys):
     code, out = run(capsys, ["graph", "validate", f2k_file])
     assert code == 0
     assert "proper coloring: yes" in out
     assert "n=8 m=16" in out
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0 0\n")
+    code, out = run(capsys, ["graph", "validate", str(empty)])
+    assert code == 0 and "n=0 m=0 colors=0 min_degree=0" in out
+    code, out = run(capsys, ["graph", "validate", str(empty), "--json"])
+    assert code == 0 and json.loads(out)["min_degree"] == 0
 
 
 def test_validate_flags_clash(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Config plumbing and the seeded sweep driver."""
 
+import dataclasses
 import json
 import random
 
@@ -9,6 +10,7 @@ from rturan import corpus
 from rturan.corpus import (KINDS, RunConfig, check_instance, random_instance,
                            run_suite)
 from rturan.graphs import ColoredGraph, validate_proper
+from rturan.profile import compute_profile
 from rturan.search import longest_rainbow_path
 
 
@@ -67,6 +69,23 @@ def test_check_instance_clean():
     fails, report = check_instance(g, "unit", tamper=True)
     assert fails == [] and report is not None
     assert report.all_ok
+
+
+def test_profile_partitions_name_each_broken_end():
+    g = random_instance(random.Random(9), 8, 0.5, "bare_path")
+    prof = compute_profile(g, longest_rainbow_path(g).pinned())
+    assert corpus._profile_partitions(prof) is None
+    stray = g.num_colors  # a color on no edge
+    # The v_0 end is read off the profile's fields. The v_k end is read off
+    # prof.reversed(), which is rebuilt from the two end records, so it is
+    # broken there: a chord color the end does not have leaves its out and
+    # in colors short of a split of its colors.
+    head, tail = prof._ends
+    bad = dataclasses.replace(
+        prof, start_out=prof.start_out | {stray},
+        _ends=(head, tail._replace(chords={**tail.chords, 1: stray})))
+    assert corpus._profile_partitions(bad) == \
+        "start out/in split; end out/in split"
 
 
 def test_check_instance_flags_improper_input():

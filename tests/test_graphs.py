@@ -14,7 +14,7 @@ from rturan.graphs import (PARSE_VERTEX_GUARD, ColoredGraph, GraphSkeleton,
                            one_factorization, one_factorized_complete,
                            parse_graph, save_graph, serialize_graph,
                            serialize_graph_json, validate_proper)
-from rturan.search import longest_rainbow_path
+from rturan.search import has_rainbow_path, longest_rainbow_path
 
 
 def small():
@@ -92,7 +92,6 @@ def test_bit_table_is_derived_state():
         table = [tuple((w, 1 << w, 1 << rank[c]) for (w, c) in g.neighbors(v))
                  for v in range(g.n)]
         assert list(g._bits) == table
-        assert g._edge_bits == {(u, v): 1 << rank[c] for (u, v, c) in g.edges}
 
 
 def test_negative_palette_rejected():
@@ -253,7 +252,8 @@ def test_loading_a_long_path_builds_no_search_table(tmp_path):
     # The search table holds two ints of up to n bits per edge end, so on
     # a path it grows as n^2 / 4 bytes (2.5 GB at PARSE_VERTEX_GUARD).
     # Loading, validating and converting never search, so they never
-    # build it.
+    # build it; nor does an exists query longer than n - 1 edges, which
+    # the cap refuses before any search.
     n = 20_000
     path = tmp_path / "path.txt"
     path.write_text(f"{n} {n - 1} {n - 1}\n"
@@ -261,6 +261,7 @@ def test_loading_a_long_path_builds_no_search_table(tmp_path):
     g = load_graph(str(path))
     assert validate_proper(g).is_proper
     assert parse_graph(serialize_graph_json(g)) == g
+    assert has_rainbow_path(g, n).found is False
     assert "_bits_cache" not in vars(g)
 
 

@@ -116,43 +116,43 @@ def broken(cert, **changes):
 
 def test_verifier_accepts_then_rejects_mutations():
     cert = run_induction(k4(), 2)
-    assert verify_certificate(cert)
-    assert not verify_certificate(broken(cert, holds=False))
-    assert not verify_certificate(broken(cert, k=3))
-    assert not verify_certificate(broken(cert, total_edges=7))
+    assert verify_certificate(cert, k4())
+    assert not verify_certificate(broken(cert, holds=False), k4())
+    assert not verify_certificate(broken(cert, k=3), k4())
+    assert not verify_certificate(broken(cert, total_edges=7), k4())
     dup = (cert.steps[0],) + cert.steps[:-1]
-    assert not verify_certificate(broken(cert, steps=dup))
+    assert not verify_certificate(broken(cert, steps=dup), k4())
     weird = (dataclasses.replace(cert.steps[0], kind="teleport"),) \
         + cert.steps[1:]
-    assert not verify_certificate(broken(cert, steps=weird))
+    assert not verify_certificate(broken(cert, steps=weird), k4())
     slack = (dataclasses.replace(cert.steps[0],
                                  removed_edges=cert.steps[0].bound_used),) \
         + cert.steps[1:]
-    assert not verify_certificate(broken(cert, steps=slack))
+    assert not verify_certificate(broken(cert, steps=slack), k4())
 
 
 def test_verifier_cross_checks_graph():
     cert = run_induction(k4(), 2)
     assert verify_certificate(cert, k4())
     assert not verify_certificate(cert, one_factorized_complete(6))
-    assert not verify_certificate(broken(cert, n=5))
+    assert not verify_certificate(broken(cert, n=5), k4())
     # ids 1..4: the arithmetic holds, but they are not the graph's vertices
     shifted = tuple(dataclasses.replace(
         s, removed_vertices=tuple(v + 1 for v in s.removed_vertices))
         for s in cert.steps)
-    assert verify_certificate(broken(cert, steps=shifted))
     assert not verify_certificate(broken(cert, steps=shifted), k4())
 
 
 def test_verifier_accepts_matching_kind_record():
+    # one matching step deleting all of K4 at k = 7
     bound = Fraction(9 * 7, 7) + 2
-    step = StepRecord("matching", (0, 1, 2, 3), 20, bound * 4)
-    cert = InductionCertificate(n=4, k=7, bound=bound, total_edges=20,
+    step = StepRecord("matching", (0, 1, 2, 3), 6, bound * 4)
+    cert = InductionCertificate(n=4, k=7, bound=bound, total_edges=6,
                                 holds=True, steps=(step,))
-    assert verify_certificate(cert)
+    assert verify_certificate(cert, k4())
     assert not verify_certificate(
         dataclasses.replace(cert, steps=(dataclasses.replace(
-            step, bound_used=bound * 3),)))
+            step, bound_used=bound * 3),)), k4())
 
 
 # === preconditions and guards ===
