@@ -80,20 +80,21 @@ class ClaimContext:
 def build_claim_context(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
                         budget: Optional[int] = None) -> ClaimContext:
     """The context for `pstar`, or for a proven longest path when it is None;
-    a given path's maximality is decided by one exists search."""
-    if pstar is None:
+    a given path's maximality is decided by one exists search, run only
+    after the path has passed the cheap checks."""
+    maximal = pstar is None  # a searched P* is proven longest
+    if maximal:
         pstar = longest_rainbow_path(g, budget=budget).pinned()
-        maximal = True
-    else:
+    if pstar.length < 1:
+        raise PreconditionError("claim checking needs a rainbow path with "
+                                "at least one edge")
+    prof = compute_profile(g, pstar)
+    if not maximal:
         probe = has_rainbow_path(g, pstar.length + 1, budget=budget)
         if probe.found is None:
             raise GuardError("claims", "search budget too small to decide "
                              "maximality")
         maximal = not probe.found
-    if pstar.length < 1:
-        raise PreconditionError("claim checking needs a rainbow path with "
-                                "at least one edge")
-    prof = compute_profile(g, pstar)
     aux = build_aux_oracle(g, pstar)
     mstats = matching_stats(g, pstar, maximum_matching(aux))
     return ClaimContext(g=g, prof=prof, maximal=maximal, aux=aux,
@@ -101,7 +102,7 @@ def build_claim_context(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
 
 
 def check_claims(ctx: ClaimContext) -> ClaimReport:
-    """The whole battery on one context, each claim behind its gates."""
+    """Every claim on one context, each run only when its gates hold."""
     g, prof, mstats = ctx.g, ctx.prof, ctx.mstats
     k = prof.k
     pos = {v: i for i, v in enumerate(prof.path.vertices)}
@@ -131,44 +132,64 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
         "window_reversed": prof.pivots_present and lo > hi,
     }
 
+    outcomes = []
+
+    def claim(fn, *requires):
+        missing = tuple(h for h in requires if not hyp[h])
+        if missing:
+            status, detail = "skipped", "needs " + ", ".join(missing)
+        else:
+            ok, detail = fn()
+            status = "ok" if ok else "falsified"
+        outcomes.append(ClaimOutcome(name=fn.__name__, status=status,
+                                     requires=requires, detail=detail))
+
     def exit_colors_on_path():
         stray = (prof.start_out | prof.end_out) - set(prof.path_colors)
         return not stray, f"colors leaving the path ends: stray={sorted(stray)}"
+    claim(exit_colors_on_path, "maximal")
 
     def exit_swap_disjoint():
         bad = (prof.start_out & prof.swap_from_end) \
             | (prof.end_out & prof.swap_from_start)
         return not bad, f"exit/swap overlap={sorted(bad)}"
+    claim(exit_swap_disjoint, "maximal")
 
     def exit_color_budget():
         ok = l_out <= k - r_new and r_out <= k - l_new
         return ok, (f"l_out={l_out} r_out={r_out} vs "
                     f"{k - r_new} and {k - l_new}")
+    claim(exit_color_budget, "maximal")
 
     def swap_counts_match_fresh():
         ok = (len(prof.swap_from_start) == l_new
               and len(prof.swap_from_end) == r_new)
         return ok, (f"|swaps|=({len(prof.swap_from_start)},"
                     f"{len(prof.swap_from_end)}) fresh=({l_new},{r_new})")
+    claim(swap_counts_match_fresh, "maximal")
 
     def residual_forms_agree():
         ok = (prof.start_res == prof.start_in - (prof.start_new | prof.start_nice)
               and prof.end_res == prof.end_in - (prof.end_new | prof.end_nice))
         return ok, "old-side and in-side residual definitions"
+    claim(residual_forms_agree)
 
     def fresh_floor():
         return (l_new >= chord_q and r_new >= chord_q,
                 f"l_new={l_new} r_new={r_new} floor={chord_q}")
+    claim(fresh_floor, "maximal", "min_degree")
 
     def nice_floor():
         return (l_nice + r_nice >= 2 * chord_q,
                 f"l_nice+r_nice={l_nice + r_nice} floor={2 * chord_q}")
+    claim(nice_floor, "maximal", "min_degree")
 
     def far_jump_terminals():
         if not prof.far_edge_is_new:
             return True, "far edge absent or old, nothing to assert"
         return tpos == frozenset(range(k + 1)), \
             f"terminal positions {sorted(tpos)} should be all of 0..{k}"
+    claim(far_jump_terminals)
 
     def fresh_chord_terminals():
         # an end chord v_k v_j is listed as -j
@@ -177,6 +198,7 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
                for i, c in view.start_chords.items()
                if c in view.start_new and (i - 1) not in tp]
         return not bad, f"chords without the freed terminal: {sorted(bad)}"
+    claim(fresh_chord_terminals)
 
     def nice_chord_terminals():
         bad, corners = [], 0
@@ -195,6 +217,7 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
                 if not ok_here:
                     bad.append((side, at(i)))
         return not bad, f"missing terminals at {bad}, corners skipped={corners}"
+    claim(nice_chord_terminals)
 
     def window_chord_terminals():
         bad = []
@@ -204,20 +227,24 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
                     if (i - 1) not in tp or (i + 1) not in tp:
                         bad.append((side, at(i)))
         return not bad, f"window chords missing a side: {bad}"
+    claim(window_chord_terminals, "standing", "pivots", "window_order")
 
     def fresh_ranges_trim():
         ok = (prof.n_start_new(0, 1) == 0 and prof.n_end_new(k - 1, k) == 0)
         return ok, "fresh chords may not touch the first or last path edge"
+    claim(fresh_ranges_trim)
 
     def nice_ranges_trim():
         ok = (prof.n_start_nice(0, 1) == 0 and prof.n_end_nice(k - 1, k) == 0)
         return ok, "nice chords may not touch the first or last path edge"
+    claim(nice_ranges_trim, "standing")
 
     def pivot_split():
         ok = (l_new == prof.n_start_new(0, hi) + 1
               and r_new == prof.n_end_new(lo, k) + 1)
         return ok, (f"l_new={l_new} vs below-window {prof.n_start_new(0, hi)}+1; "
                     f"r_new={r_new} vs above-window {prof.n_end_new(lo, k)}+1")
+    claim(pivot_split, "maximal", "pivots")
 
     def outer_window_floor():
         need_lo = (prof.n_start_nice(0, lo) + prof.n_start_new(0, lo)
@@ -228,6 +255,7 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
         return (got_lo >= need_lo and got_hi >= need_hi,
                 f"2t[0,{lo - 1}]={got_lo} vs {need_lo}; "
                 f"2t[{hi + 1},{k}]={got_hi} vs {need_hi}")
+    claim(outer_window_floor, "standing", "pivots", "window_order")
 
     def inner_window_floor():
         need = (prof.n_start_nice(lo + 1, hi - 1) + prof.n_end_nice(lo + 1, hi - 1)
@@ -235,27 +263,33 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
                 - 2)
         got = 4 * t_range(lo, hi)
         return got >= need, f"4t[{lo},{hi}]={got} vs {need}"
+    claim(inner_window_floor, "standing", "pivots", "window_order")
 
     def disjoint_window_floor():
         return t >= l_new + r_new, f"t={t} vs l_new+r_new={l_new + r_new}"
+    claim(disjoint_window_floor, "maximal", "window_reversed")
 
     def terminal_count_floor():
         q = Fraction(3 * k, 7) + Fraction(3, 2)
         return t >= q, f"t={t} floor={q}"
+    claim(terminal_count_floor, "maximal", "min_degree")
 
     def aux_degree_floor():
         return ctx.aux.min_degree() >= chord_q, \
             f"aux min degree={ctx.aux.min_degree()} floor={chord_q}"
+    claim(aux_degree_floor, "maximal", "min_degree")
 
     def matching_exists_floor():
         q = min(ctx.aux.min_degree(), t // 2)
         return mstats.size >= q, f"matching={mstats.size} floor={q}"
+    claim(matching_exists_floor)
 
     def matched_pair_nonedges():
         m = mstats.size
         need = 2 * m * m - 2 * m - Fraction(sum(mstats.non_edge_counts), 2)
         return mstats.induced_edges >= need, \
             f"induced={mstats.induced_edges} floor={need}"
+    claim(matched_pair_nonedges)
 
     def matched_pair_degree_bound():
         bad = []
@@ -263,53 +297,12 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
             if g.degree(ai) + g.degree(bi) > 3 * k - Fraction(ni, 2):
                 bad.append((ai, bi))
         return not bad, f"pairs over the degree cap: {bad}"
+    claim(matched_pair_degree_bound, "maximal")
 
     def matching_step_bound():
         cap = matching_step_cap(k, mstats.size)
         return mstats.incident_edges <= cap, \
             f"incident={mstats.incident_edges} cap={cap}"
+    claim(matching_step_bound, "maximal")
 
-    battery = (
-        ("exit_colors_on_path", ("maximal",), exit_colors_on_path),
-        ("exit_swap_disjoint", ("maximal",), exit_swap_disjoint),
-        ("exit_color_budget", ("maximal",), exit_color_budget),
-        ("swap_counts_match_fresh", ("maximal",), swap_counts_match_fresh),
-        ("residual_forms_agree", (), residual_forms_agree),
-        ("fresh_floor", ("maximal", "min_degree"), fresh_floor),
-        ("nice_floor", ("maximal", "min_degree"), nice_floor),
-        ("far_jump_terminals", (), far_jump_terminals),
-        ("fresh_chord_terminals", (), fresh_chord_terminals),
-        ("nice_chord_terminals", (), nice_chord_terminals),
-        ("window_chord_terminals",
-         ("standing", "pivots", "window_order"), window_chord_terminals),
-        ("fresh_ranges_trim", (), fresh_ranges_trim),
-        ("nice_ranges_trim", ("standing",), nice_ranges_trim),
-        ("pivot_split", ("maximal", "pivots"), pivot_split),
-        ("outer_window_floor",
-         ("standing", "pivots", "window_order"), outer_window_floor),
-        ("inner_window_floor",
-         ("standing", "pivots", "window_order"), inner_window_floor),
-        ("disjoint_window_floor",
-         ("maximal", "window_reversed"), disjoint_window_floor),
-        ("terminal_count_floor", ("maximal", "min_degree"),
-         terminal_count_floor),
-        ("aux_degree_floor", ("maximal", "min_degree"), aux_degree_floor),
-        ("matching_exists_floor", (), matching_exists_floor),
-        ("matched_pair_nonedges", (), matched_pair_nonedges),
-        ("matched_pair_degree_bound", ("maximal",), matched_pair_degree_bound),
-        ("matching_step_bound", ("maximal",), matching_step_bound),
-    )
-
-    outcomes = []
-    for name, requires, fn in battery:
-        missing = tuple(h for h in requires if not hyp[h])
-        if missing:
-            outcomes.append(ClaimOutcome(
-                name=name, status="skipped", requires=requires,
-                detail="needs " + ", ".join(missing)))
-            continue
-        ok, detail = fn()
-        outcomes.append(ClaimOutcome(
-            name=name, status="ok" if ok else "falsified",
-            requires=requires, detail=detail))
     return ClaimReport(k=k, hypotheses=hyp, outcomes=tuple(outcomes))

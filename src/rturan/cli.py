@@ -502,9 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("-o", "--out")
 
     bounds = _command(sub, "bounds", cmd_bounds,
-                      "per-length coefficient table", "json")
+                      "per-length coefficient table")
     bounds.add_argument("--kmax", type=int, default=16)
-    bounds.add_argument("--csv", action="store_true", help="emit CSV")
+    fmt = bounds.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit JSON")
+    fmt.add_argument("--csv", action="store_true", help="emit CSV")
 
     engine = sub.add_parser("engine", help="rotation machinery")
     esub = engine.add_subparsers(dest="sub", required=True)
@@ -537,9 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
     co = _command(osub, "colorings", cmd_oracle_colorings,
                   "canonical proper colorings")
     co.add_argument("file", help="graph file; only the skeleton is used")
-    co.add_argument("--count", action="store_true")
-    co.add_argument("--len", type=int, default=None,
-                    help="print a coloring with no rainbow path this long")
+    what = co.add_mutually_exclusive_group()
+    what.add_argument("--count", action="store_true")
+    what.add_argument("--len", type=int, default=None,
+                      help="print a coloring with no rainbow path this long")
     co.add_argument("--limit", type=int, default=1,
                     help="how many colorings to print")
     co.add_argument("--guard", type=int, default=COLORING_EDGE_GUARD,

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .claims import ClaimContext, check_claims
 from .errors import GuardError, PreconditionError, WitnessError
-from .graphs import ColoredGraph, validate_proper
+from .graphs import ColoredGraph, check_size, validate_proper
 from .profile import compute_profile
 from .search import longest_rainbow_path
 from .terminals import (build_aux_oracle, build_aux_rules, checked_fire,
@@ -67,6 +67,8 @@ class RunConfig:
             raise PreconditionError("edge_prob must lie in [0, 1]")
         if self.instances < 0:
             raise PreconditionError("instances must be nonnegative")
+        # random_instance draws over every vertex pair of K_{n_max}
+        check_size("suite", self.n_max, self.n_max * (self.n_max - 1) // 2)
 
     def to_json_obj(self) -> dict:
         return asdict(self)

@@ -147,9 +147,6 @@ def exstar_small(n: int, path_edges: int,
     if n > guard:
         raise GuardError("exstar",
                          f"n={n} exceeds the exhaustive guard {guard}")
-    if path_edges == 1:
-        empty = ColoredGraph.from_edges(n, [], num_colors=0)
-        return ExstarResult(n, path_edges, 0, empty)
     if path_edges == 2:
         # one rainbow-free shape only: a matching (any two touching edges
         # get distinct colors under a proper coloring, which is a rainbow

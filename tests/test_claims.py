@@ -5,7 +5,7 @@ import pytest
 
 from rturan.claims import (ClaimContext, build_claim_context, check_claims)
 from rturan.constructions import bipartite_f2k, maamoun_meyniel
-from rturan.errors import GuardError, PreconditionError
+from rturan.errors import GuardError, PathError, PreconditionError
 from rturan.graphs import ColoredGraph, one_factorized_complete
 from rturan.profile import compute_profile
 from rturan.search import RainbowPath, path_from_vertices
@@ -52,6 +52,37 @@ def test_hand_instance_outcomes():
                  "aux_degree_floor"):
         assert status[name] == "skipped"
     assert status["disjoint_window_floor"] == "skipped"
+
+
+def test_battery_runs_every_claim_in_order_behind_its_gates():
+    g = hand_graph()
+    rep = check_claims(build_claim_context(g, path_from_vertices(g, range(6))))
+    window = ("standing", "pivots", "window_order")
+    assert [(o.name, o.requires) for o in rep.outcomes] == [
+        ("exit_colors_on_path", ("maximal",)),
+        ("exit_swap_disjoint", ("maximal",)),
+        ("exit_color_budget", ("maximal",)),
+        ("swap_counts_match_fresh", ("maximal",)),
+        ("residual_forms_agree", ()),
+        ("fresh_floor", ("maximal", "min_degree")),
+        ("nice_floor", ("maximal", "min_degree")),
+        ("far_jump_terminals", ()),
+        ("fresh_chord_terminals", ()),
+        ("nice_chord_terminals", ()),
+        ("window_chord_terminals", window),
+        ("fresh_ranges_trim", ()),
+        ("nice_ranges_trim", ("standing",)),
+        ("pivot_split", ("maximal", "pivots")),
+        ("outer_window_floor", window),
+        ("inner_window_floor", window),
+        ("disjoint_window_floor", ("maximal", "window_reversed")),
+        ("terminal_count_floor", ("maximal", "min_degree")),
+        ("aux_degree_floor", ("maximal", "min_degree")),
+        ("matching_exists_floor", ()),
+        ("matched_pair_nonedges", ()),
+        ("matched_pair_degree_bound", ("maximal",)),
+        ("matching_step_bound", ("maximal",)),
+    ]
 
 
 def test_skip_details_name_the_missing_hypothesis():
@@ -138,6 +169,20 @@ def test_budget_guard_maximality_probe():
 def test_single_vertex_path_refused():
     with pytest.raises(PreconditionError):
         check_claims(build_claim_context(hand_graph(), RainbowPath((0,), ())))
+
+
+def test_context_builder_refuses_a_bad_path_before_probing(monkeypatch):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("maximality probed before the path was checked")
+
+    monkeypatch.setattr("rturan.claims.has_rainbow_path", no_probe)
+    g = bipartite_f2k(3)
+    p = path_from_vertices(g, [0, 8, 1, 10, 4, 9, 3, 12])  # a longest one
+    recolored = RainbowPath(p.vertices, p.colors[::-1])
+    with pytest.raises(PathError):
+        build_claim_context(g, recolored)
+    with pytest.raises(PreconditionError):
+        build_claim_context(g, RainbowPath((0,), ()))
 
 
 def test_context_builder_probes_maximality():

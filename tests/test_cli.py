@@ -409,6 +409,16 @@ def test_suite_config_file_with_flag_override(tmp_path, capsys):
     assert obj["config"]["seed"] == 4
 
 
+def test_suite_refuses_sizes_it_cannot_build(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_max": 1000}))
+    for argv in (["--n-max", "1000", "--instances", "1"],
+                 ["--config", str(cfg)]):
+        assert main(["suite"] + argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("refused: suite: m=499500")
+
+
 def test_suite_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 4, "colour": 1}))
@@ -478,10 +488,14 @@ def test_negative_palette_is_input_error(tmp_path, capsys):
     assert "palette" in capsys.readouterr().err
 
 
-def test_unknown_command_exits_with_usage_error(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["frobnicate"])
-    assert e.value.code == 2
+def test_unknown_command_exits_with_usage_error(f2k_file, capsys):
+    # a flag pair where one flag would be dropped is a usage error too
+    for argv in (["frobnicate"], ["bounds", "--csv", "--json"],
+                 ["oracle", "colorings", f2k_file, "--count", "--len", "3"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_internal_error_exits_4_in_one_line(monkeypatch, capsys):

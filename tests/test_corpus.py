@@ -9,6 +9,7 @@ import pytest
 from rturan import corpus
 from rturan.corpus import (KINDS, RunConfig, check_instance, random_instance,
                            run_suite)
+from rturan.errors import GuardError
 from rturan.graphs import ColoredGraph, validate_proper
 from rturan.profile import compute_profile
 from rturan.search import longest_rainbow_path
@@ -32,6 +33,13 @@ def test_config_defaults_and_round_trip():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+def test_config_refuses_sizes_it_cannot_build():
+    assert RunConfig(n_min=2, n_max=707).n_max == 707
+    for n_max in (708, 100_000):
+        with pytest.raises(GuardError, match="edge guard"):
+            RunConfig(n_min=2, n_max=n_max)
 
 
 def test_config_rejects_unknown_keys():

@@ -14,7 +14,8 @@ from itertools import combinations, permutations, product
 import pytest
 
 from rturan.errors import GuardError, PreconditionError
-from rturan.graphs import GraphSkeleton, complete_graph, validate_proper
+from rturan.graphs import (ColoredGraph, GraphSkeleton, complete_graph,
+                           validate_proper)
 from rturan.oracle import (_colorings, clique_packing, coloring_avoiding,
                            count_proper_colorings, erdos_gallai_bound,
                            exstar_small, packing_edge_count,
@@ -276,7 +277,10 @@ def test_exstar_matching_shortcut():
 def test_exstar_degenerate_inputs():
     assert exstar_small(0, 3).value == 0
     assert exstar_small(1, 3).value == 0
-    assert exstar_small(5, 1).value == 0
+    for n in range(8):
+        res = exstar_small(n, 1)
+        assert res.value == 0
+        assert res.witness == ColoredGraph.from_edges(n, [], num_colors=0)
     with pytest.raises(PreconditionError):
         exstar_small(4, 0)
     with pytest.raises(GuardError):
