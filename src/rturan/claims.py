@@ -112,9 +112,10 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
     def t_range(x, y):
         return sum(1 for i in tpos if x <= i <= y)
 
-    l_new, r_new = len(prof.start_new), len(prof.end_new)
-    l_nice, r_nice = len(prof.start_nice), len(prof.end_nice)
-    l_out, r_out = len(prof.start_out), len(prof.end_out)
+    start, end = prof.start, prof.end
+    l_new, r_new = len(start.new), len(end.new)
+    l_nice, r_nice = len(start.nice), len(end.nice)
+    l_out, r_out = len(start.out), len(end.out)
     lo, hi = prof.win_lo, prof.win_hi
     chord_q = chord_floor(k)
     # the chord checks read each end as the v_0 end of a view: P* for v_0,
@@ -145,13 +146,12 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
                                      requires=requires, detail=detail))
 
     def exit_colors_on_path():
-        stray = (prof.start_out | prof.end_out) - set(prof.path_colors)
+        stray = (start.out | end.out) - set(prof.path_colors)
         return not stray, f"colors leaving the path ends: stray={sorted(stray)}"
     claim(exit_colors_on_path, "maximal")
 
     def exit_swap_disjoint():
-        bad = (prof.start_out & prof.swap_from_end) \
-            | (prof.end_out & prof.swap_from_start)
+        bad = (start.out & end.swaps) | (end.out & start.swaps)
         return not bad, f"exit/swap overlap={sorted(bad)}"
     claim(exit_swap_disjoint, "maximal")
 
@@ -162,15 +162,13 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
     claim(exit_color_budget, "maximal")
 
     def swap_counts_match_fresh():
-        ok = (len(prof.swap_from_start) == l_new
-              and len(prof.swap_from_end) == r_new)
-        return ok, (f"|swaps|=({len(prof.swap_from_start)},"
-                    f"{len(prof.swap_from_end)}) fresh=({l_new},{r_new})")
+        ok = len(start.swaps) == l_new and len(end.swaps) == r_new
+        return ok, (f"|swaps|=({len(start.swaps)},{len(end.swaps)}) "
+                    f"fresh=({l_new},{r_new})")
     claim(swap_counts_match_fresh, "maximal")
 
     def residual_forms_agree():
-        ok = (prof.start_res == prof.start_in - (prof.start_new | prof.start_nice)
-              and prof.end_res == prof.end_in - (prof.end_new | prof.end_nice))
+        ok = all(e.res == e.in_ - (e.new | e.nice) for e in (start, end))
         return ok, "old-side and in-side residual definitions"
     claim(residual_forms_agree)
 
@@ -195,16 +193,16 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
         # an end chord v_k v_j is listed as -j
         bad = [at(i) if side == "start" else -at(i)
                for side, view, tp, at in views
-               for i, c in view.start_chords.items()
-               if c in view.start_new and (i - 1) not in tp]
+               for i, c in view.start.chords.items()
+               if c in view.start.new and (i - 1) not in tp]
         return not bad, f"chords without the freed terminal: {sorted(bad)}"
     claim(fresh_chord_terminals)
 
     def nice_chord_terminals():
         bad, corners = [], 0
         for side, view, tp, at in views:
-            for i, c in view.start_chords.items():
-                if c not in view.start_nice:
+            for i, c in view.start.chords.items():
+                if c not in view.start.nice:
                     continue
                 j = view.path_colors.index(c)
                 if j >= i:
@@ -222,8 +220,8 @@ def check_claims(ctx: ClaimContext) -> ClaimReport:
     def window_chord_terminals():
         bad = []
         for side, view, tp, at in views:
-            for i, c in view.start_chords.items():
-                if c in view.start_new and view.win_lo <= i <= view.win_hi:
+            for i, c in view.start.chords.items():
+                if c in view.start.new and view.win_lo <= i <= view.win_hi:
                     if (i - 1) not in tp or (i + 1) not in tp:
                         bad.append((side, at(i)))
         return not bad, f"window chords missing a side: {bad}"

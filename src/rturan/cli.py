@@ -199,18 +199,15 @@ def cmd_engine_profile(args) -> int:
     g = load_graph(args.file)
     p = _pick_path(g, args)
     prof = compute_profile(g, p)
-    sets = {
-        "start_colors": prof.start_colors, "end_colors": prof.end_colors,
-        "start_out": prof.start_out, "end_out": prof.end_out,
-        "start_old": prof.start_old, "end_old": prof.end_old,
-        "start_new": prof.start_new, "end_new": prof.end_new,
-        "swap_from_start": prof.swap_from_start,
-        "swap_from_end": prof.swap_from_end,
-        "start_nice": prof.start_nice, "end_nice": prof.end_nice,
-        "start_res": prof.start_res, "end_res": prof.end_res,
-    }
-    pivots = {"win_lo_outer": prof.win_lo_outer, "win_lo": prof.win_lo,
-              "win_hi": prof.win_hi, "win_hi_outer": prof.win_hi_outer}
+    ends = {"start": prof.start, "end": prof.end}
+    sets = {(f"swap_from_{side}" if name == "swaps" else f"{side}_{name}"):
+            getattr(e, name)
+            for name in ("colors", "out", "old", "new", "swaps", "nice", "res")
+            for side, e in ends.items()}
+    lo_outer = prof.end.top[0]
+    pivots = {"win_lo_outer": None if lo_outer is None else prof.k - lo_outer,
+              "win_lo": prof.win_lo, "win_hi": prof.win_hi,
+              "win_hi_outer": prof.start.top[0]}
     if args.json:
         _emit_json({"path": _path_obj(p), "k": prof.k,
                     "far_edge_color": prof.far_edge_color,
@@ -383,9 +380,10 @@ def cmd_oracle_colorings(args) -> int:
             return 1
         _emit(serialize_graph(got))
         return 0
-    if args.limit < 1:
+    limit = 1 if args.limit is None else args.limit
+    if limit < 1:
         raise PreconditionError("--limit must be >= 1")
-    for colored in islice(proper_colorings(skel, guard=args.guard), args.limit):
+    for colored in islice(proper_colorings(skel, guard=args.guard), limit):
         _emit(serialize_graph(colored))
     return 0
 
@@ -543,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--count", action="store_true")
     what.add_argument("--len", type=int, default=None,
                       help="print a coloring with no rainbow path this long")
-    co.add_argument("--limit", type=int, default=1,
-                    help="how many colorings to print")
+    what.add_argument("--limit", type=int, default=None,
+                      help="how many colorings to print (default 1)")
     co.add_argument("--guard", type=int, default=COLORING_EDGE_GUARD,
                     help="most edges the enumeration will attempt")
     eg = _command(osub, "eg", cmd_oracle_eg,

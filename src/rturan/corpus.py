@@ -67,6 +67,8 @@ class RunConfig:
             raise PreconditionError("edge_prob must lie in [0, 1]")
         if self.instances < 0:
             raise PreconditionError("instances must be nonnegative")
+        if self.budget is not None and self.budget < 0:
+            raise PreconditionError("budget must be nonnegative")
         # random_instance draws over every vertex pair of K_{n_max}
         check_size("suite", self.n_max, self.n_max * (self.n_max - 1) // 2)
 
@@ -166,29 +168,24 @@ def random_instance(rng: random.Random, n: int, edge_prob: float,
 
 def _profile_partitions(prof) -> Optional[str]:
     """The labels of the profile's broken partitions, joined, or None. Each
-    check reads one end as the v_0 end of a view: prof for v_0, its reverse
-    for v_k."""
+    check reads one end's record, counted from that end."""
     path_colors = set(prof.path_colors)
 
     def split(whole, a, b) -> bool:
         return whole == a | b and not (a & b)
 
     checks = (
-        ("{} out/in split",
-         lambda p: split(p.start_colors, p.start_out, p.start_in)),
-        ("{} old/new split",
-         lambda p: split(p.start_colors, p.start_old, p.start_new)),
-        ("old {} chords reuse path colors",
-         lambda p: p.start_old <= path_colors),
-        ("fresh {} colors off the path",
-         lambda p: not (p.start_new & path_colors)),
-        ("nice {} colors at the end", lambda p: p.start_nice <= p.start_colors),
-        ("{} swaps are path colors", lambda p: p.swap_from_start <= path_colors),
-        ("{} residual inside old", lambda p: p.start_res <= p.start_old),
+        ("{} out/in split", lambda e: split(e.colors, e.out, e.in_)),
+        ("{} old/new split", lambda e: split(e.colors, e.old, e.new)),
+        ("old {} chords reuse path colors", lambda e: e.old <= path_colors),
+        ("fresh {} colors off the path", lambda e: not (e.new & path_colors)),
+        ("nice {} colors at the end", lambda e: e.nice <= e.colors),
+        ("{} swaps are path colors", lambda e: e.swaps <= path_colors),
+        ("{} residual inside old", lambda e: e.res <= e.old),
     )
-    views = (("start", prof), ("end", prof.reversed()))
+    ends = (("start", prof.start), ("end", prof.end))
     bad = [label.format(side) for label, ok in checks
-           for side, view in views if not ok(view)]
+           for side, e in ends if not ok(e)]
     return None if not bad else "; ".join(bad)
 
 

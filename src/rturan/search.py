@@ -235,12 +235,19 @@ def _dfs(g: ColoredGraph, lim: int, floor: int, first: bool,
     return best_len, best_seq, nodes, nodes > stop
 
 
+def _check_budget(budget: Optional[int]) -> None:
+    # budget 0 is a real budget: the search refuses its first node
+    if budget is not None and budget < 0:
+        raise PreconditionError("search budget must be >= 0")
+
+
 def longest_rainbow_path(g: ColoredGraph, budget: Optional[int] = None) -> SearchOutcome:
     """Exact longest rainbow path with deterministic tie-breaking.
 
     budget bounds the total number of DFS node expansions; when it runs out
     the best path found so far is returned with proven_optimal=False.
     """
+    _check_budget(budget)
     if g.n == 0:
         return SearchOutcome(None, True, 0)
     lim = min(g.n - 1, len(g.used_colors()))
@@ -257,6 +264,7 @@ def has_rainbow_path(g: ColoredGraph, length: int,
     """
     if length < 0:
         raise PreconditionError("path length must be >= 0")
+    _check_budget(budget)
     if length == 0:
         if g.n == 0:
             return ExistsOutcome(False, None, 0)

@@ -140,13 +140,14 @@ def _start_rules(prof: PathProfile) -> tuple:
     in ascending i."""
     k = prof.k
     colors = prof.path_colors
-    chords = sorted(prof.start_chords.items())
+    start, end = prof.start, prof.end
+    chords = sorted(start.chords.items())
     fresh, nice, window = [], [], []
     for i, c in chords:
-        if c in prof.start_new:
+        if c in start.new:
             fresh.append((i, [*range(i - 1, -1, -1), *range(i, k + 1)],
                           (i - 1, k)))
-        if c in prof.start_nice:
+        if c in start.nice:
             j = colors.index(c)  # the fresh end chord sits at position j
             if j >= i:
                 nice.append((i, [*range(i - 1, -1, -1), *range(i, j + 1),
@@ -155,11 +156,12 @@ def _start_rules(prof: PathProfile) -> tuple:
                 nice.append((i, [*range(j + 1, i + 1), *range(0, j + 1),
                                  *range(k, i, -1)], (j + 1, i + 1)))
     if prof.pivots_present:
-        lo_outer, lo, hi = prof.win_lo_outer, prof.win_lo, prof.win_hi
+        outer = end.top[0]  # the smallest fresh end chord, counted from v_k
+        lo_outer, lo, hi = k - outer, prof.win_lo, prof.win_hi
         for i, c in chords:
-            if c not in prof.start_new or not (lo < i <= hi):
+            if c not in start.new or not (lo < i <= hi):
                 continue
-            low = lo_outer if prof.end_chords[lo_outer] != c else lo
+            low = lo_outer if end.chords[outer] != c else lo
             window.append((i, [*range(low + 1, i + 1), *range(0, low + 1),
                                *range(k, i, -1)], (low + 1, i + 1)))
     return fresh, nice, window

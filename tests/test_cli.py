@@ -184,6 +184,13 @@ def test_longest_json(f2k_file, capsys):
 
 def test_longest_budget_refusal(f2k_file, capsys):
     assert main(["rainbow", "longest", f2k_file, "--budget", "1"]) == 3
+    capsys.readouterr()
+    # a negative budget is unusable input, not an exhausted search
+    for argv in (["rainbow", "longest", f2k_file, "--budget", "-1"],
+                 ["suite", "--instances", "2", "--budget", "-3"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "budget must be" in err, argv
 
 
 def test_exists_decided_both_ways(f2k_file, capsys):
@@ -367,6 +374,12 @@ def test_oracle_colorings_limit(k4_file, capsys):
         code, out = run(capsys, ["oracle", "colorings", k4_file,
                                  "--limit", bad])
         assert code == 2 and out == ""
+    # --count and --len print no list, so a --limit beside them is refused
+    for argv in (["--count", "--limit", "5"], ["--len", "3", "--limit", "0"]):
+        with pytest.raises(SystemExit) as e:
+            main(["oracle", "colorings", k4_file] + argv)
+        assert e.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_oracle_eg(capsys):

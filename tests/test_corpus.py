@@ -29,6 +29,7 @@ def test_config_defaults_and_round_trip():
     {"n_min": 8, "n_max": 5},
     {"edge_prob": 1.5},
     {"instances": -1},
+    {"budget": -3},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -84,14 +85,11 @@ def test_profile_partitions_name_each_broken_end():
     prof = compute_profile(g, longest_rainbow_path(g).pinned())
     assert corpus._profile_partitions(prof) is None
     stray = g.num_colors  # a color on no edge
-    # The v_0 end is read off the profile's fields. The v_k end is read off
-    # prof.reversed(), which is rebuilt from the two end records, so it is
-    # broken there: a chord color the end does not have leaves its out and
-    # in colors short of a split of its colors.
-    head, tail = prof._ends
+    # each end's record is broken on its own: a stray out color at v_0 and a
+    # stray in color at v_k, neither of them a color at that end
     bad = dataclasses.replace(
-        prof, start_out=prof.start_out | {stray},
-        _ends=(head, tail._replace(chords={**tail.chords, 1: stray})))
+        prof, start=prof.start._replace(out=prof.start.out | {stray}),
+        end=prof.end._replace(in_=prof.end.in_ | {stray}))
     assert corpus._profile_partitions(bad) == \
         "start out/in split; end out/in split"
 

@@ -6,14 +6,16 @@ edge (0,5) with the old color 2. Every set below was derived by hand from
 the definitions before being asserted.
 """
 
+import json
 import random
 from collections import Counter
 
 import pytest
 
+from rturan.cli import main
 from rturan.corpus import random_instance
 from rturan.errors import PathError
-from rturan.graphs import ColoredGraph, validate_proper
+from rturan.graphs import ColoredGraph, save_graph, validate_proper
 from rturan.profile import compute_profile
 from rturan.search import RainbowPath, longest_rainbow_path, path_from_vertices
 from rturan.terminals import terminal_rules
@@ -37,40 +39,44 @@ def test_hand_graph_is_proper():
 def test_chord_maps():
     _, prof = hand_profile()
     assert prof.k == 5
-    assert prof.start_chords == {1: 0, 3: 9, 4: 10, 5: 2}
-    assert prof.end_chords == {4: 4, 1: 8, 2: 7, 0: 2}
+    assert prof.start.chords == {1: 0, 3: 9, 4: 10, 5: 2}
+    # counted from v_5: the chord v_5 v_j sits at 5 - j
+    assert prof.end.chords == {1: 4, 4: 8, 3: 7, 5: 2}
 
 
 def test_endpoint_color_partitions():
     _, prof = hand_profile()
-    assert prof.start_colors == frozenset({0, 9, 10, 2})
-    assert prof.start_out == frozenset()
-    assert prof.start_in == prof.start_colors
-    assert prof.start_old == frozenset({0, 2})
-    assert prof.start_new == frozenset({9, 10})
-    assert prof.end_colors == frozenset({4, 8, 7, 2})
-    assert prof.end_old == frozenset({4, 2})
-    assert prof.end_new == frozenset({8, 7})
+    start, end = prof.start, prof.end
+    assert start.colors == frozenset({0, 9, 10, 2})
+    assert start.out == frozenset()
+    assert start.in_ == start.colors
+    assert start.old == frozenset({0, 2})
+    assert start.new == frozenset({9, 10})
+    assert end.colors == frozenset({4, 8, 7, 2})
+    assert end.old == frozenset({4, 2})
+    assert end.new == frozenset({8, 7})
 
 
 def test_swap_sets():
     _, prof = hand_profile()
-    assert prof.swap_from_start == frozenset({2, 3})
-    assert prof.swap_from_end == frozenset({1, 2})
+    assert prof.start.swaps == frozenset({2, 3})
+    assert prof.end.swaps == frozenset({1, 2})
 
 
 def test_nice_and_residue():
     _, prof = hand_profile()
-    assert prof.start_nice == frozenset({2})
-    assert prof.end_nice == frozenset({2})
-    assert prof.start_res == frozenset({0})
-    assert prof.end_res == frozenset({4})
+    assert prof.start.nice == frozenset({2})
+    assert prof.end.nice == frozenset({2})
+    assert prof.start.res == frozenset({0})
+    assert prof.end.res == frozenset({4})
 
 
 def test_pivots_and_window():
     _, prof = hand_profile()
-    assert (prof.win_lo_outer, prof.win_lo) == (1, 2)
-    assert (prof.win_hi, prof.win_hi_outer) == (3, 4)
+    # fresh chords v_0 v_3, v_0 v_4 and v_5 v_1, v_5 v_2 (1 and 2 are 4
+    # and 3 counted from v_5)
+    assert prof.start.top == (4, 3) and prof.end.top == (4, 3)
+    assert (prof.win_lo, prof.win_hi) == (2, 3)
     assert prof.pivots_present
 
 
@@ -95,17 +101,61 @@ def test_out_colors_leave_the_path():
     g = ColoredGraph.from_edges(
         4, [(0, 1, 0), (1, 2, 1), (0, 3, 5)], num_colors=6)
     prof = compute_profile(g, path_from_vertices(g, [0, 1, 2]))
-    assert prof.start_out == frozenset({5})
-    assert prof.start_in == frozenset({0})
-    assert prof.start_res == frozenset({0})
+    assert prof.start.out == frozenset({5})
+    assert prof.start.in_ == frozenset({0})
+    assert prof.start.res == frozenset({0})
 
 
 def test_missing_pivots_are_none():
     g = ColoredGraph.from_edges(3, [(0, 1, 0), (1, 2, 1)], num_colors=2)
     prof = compute_profile(g, path_from_vertices(g, [0, 1, 2]))
-    assert prof.win_lo is None and prof.win_hi_outer is None
+    assert prof.win_lo is None and prof.start.top == (None, None)
     assert not prof.pivots_present
     assert prof.far_edge_color is None and not prof.far_edge_is_new
+
+
+PROFILE_TEXT = """\
+path (5 edges): 0,1,2,3,4,5
+      start_colors ( 4): 0,2,9,10
+        end_colors ( 4): 2,4,7,8
+         start_out ( 0): -
+           end_out ( 0): -
+         start_old ( 2): 0,2
+           end_old ( 2): 2,4
+         start_new ( 2): 9,10
+           end_new ( 2): 7,8
+   swap_from_start ( 2): 2,3
+     swap_from_end ( 2): 1,2
+        start_nice ( 1): 2
+          end_nice ( 1): 2
+         start_res ( 1): 0
+           end_res ( 1): 4
+  pivots: win_lo_outer=1, win_lo=2, win_hi=3, win_hi_outer=4
+  far edge: color 2 (old)
+"""
+
+
+def test_cli_profile_of_the_hand_graph(tmp_path, capsys):
+    path = str(tmp_path / "hand.txt")
+    save_graph(hand_graph(), path)
+    argv = ["engine", "profile", path, "--path", "0,1,2,3,4,5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == PROFILE_TEXT
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "path": {"vertices": [0, 1, 2, 3, 4, 5], "colors": [0, 1, 2, 3, 4],
+                 "edges": 5},
+        "k": 5, "far_edge_color": 2, "far_edge_is_new": False,
+        "sets": {"start_colors": [0, 2, 9, 10], "end_colors": [2, 4, 7, 8],
+                 "start_out": [], "end_out": [],
+                 "start_old": [0, 2], "end_old": [2, 4],
+                 "start_new": [9, 10], "end_new": [7, 8],
+                 "swap_from_start": [2, 3], "swap_from_end": [1, 2],
+                 "start_nice": [2], "end_nice": [2],
+                 "start_res": [0], "end_res": [4]},
+        "pivots": {"win_lo_outer": 1, "win_lo": 2, "win_hi": 3,
+                   "win_hi_outer": 4},
+    }
 
 
 def test_profile_rejects_non_rainbow():
@@ -161,7 +211,7 @@ def test_reversed_profile_is_the_profile_of_the_reversed_path():
         back = p.reversed()
         assert back.vertices == p.vertices[::-1]
         rev = prof.reversed()
-        assert rev is prof.reversed()
+        assert (rev.start, rev.end) == (prof.end, prof.start)
         assert rev == compute_profile(g, back)
         assert rev.reversed() == prof
         report = terminal_rules(g, p, prof)

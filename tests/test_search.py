@@ -175,6 +175,8 @@ def test_longest_budget_counts_the_refused_node():
     # nothing beat a single vertex: the fallback path is vertex 0
     out = longest_rainbow_path(g, budget=0)
     assert out.nodes_expanded == 1 and out.best.vertices == (0,)
+    with pytest.raises(PreconditionError, match="budget"):
+        longest_rainbow_path(g, budget=-1)
 
 
 def suite_graphs(count):
@@ -244,6 +246,10 @@ def test_exists_budget_counts_the_refused_node():
     assert has_rainbow_path(g, 3, budget=4).found is True
     out = has_rainbow_path(g, 3, budget=3)
     assert out.found is None and out.nodes_expanded == 4
+    # refused before the length shortcuts answer without a search
+    for length in (0, 3, 99):
+        with pytest.raises(PreconditionError, match="budget"):
+            has_rainbow_path(g, length, budget=-1)
 
 
 def test_exists_witness_checks_out():

@@ -11,6 +11,7 @@ end rotations, must also equal the plain one-search-per-root loop
 
 import random
 import sys
+import types
 
 import pytest
 
@@ -110,12 +111,13 @@ def test_prune_keeps_the_spanning_walk_small(seed, kind, most):
     # walk this small: with it switched off below the root the same
     # instances take 69,076 and 7,971 walk calls
     rng = random.Random(seed)
+    walk = next(c for c in search._span_ends.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == "walk")
     walks = 0
 
     def count(frame, event, arg):
         nonlocal walks
-        if (event == "call"
-                and frame.f_code.co_qualname == "_span_ends.<locals>.walk"):
+        if event == "call" and frame.f_code is walk:
             walks += 1
 
     for _ in range(40):

@@ -112,7 +112,7 @@ def test_nice_rules_silent_on_far_corner():
 def compute_nice(g, p):
     from rturan.profile import compute_profile
     prof = compute_profile(g, p)
-    return prof.start_nice, prof.end_nice
+    return prof.start.nice, prof.end.nice
 
 
 # === whole-path jump ===
