@@ -42,20 +42,29 @@ Two prunes keep it sound and small. Each remaining vertex is scored by its
 live neighbours among the remaining vertices and the current one: with none
 it can never be entered (dead end), and with exactly one it must be the
 path's last vertex, so at most one such vertex may exist, it must be a
-wanted end, and if its only way in is the current vertex it must be the
-last vertex left. The search also steps only where a wanted end stays
+wanted end, the color of its one edge must still be unused, and if its only
+way in is the current vertex it must be the last vertex left. A vertex with
+exactly two live neighbours that is not a wanted end can only be passed
+through, so both its edges lie on every completion with a hit, and neither
+color may be used yet. A wanted end with two ways is not forced: the path may end there through
+either edge. The search also steps only where a wanted end stays
 unvisited. Every prune cuts only subtrees without a new hit, so each
 witness is the first spanning path to its end in ascending DFS order.
 
 The prune is incremental. Stepping from v to w removes exactly v from the
 scored set (the remaining vertices and the current one), and live counts
-only fall, so only v's remaining neighbours can drop to one way in or
-none; every other vertex the parent passed with two or more keeps them.
+only fall, so only v's remaining neighbours can drop to two ways, one or
+none; every other vertex the parent passed with three or more keeps them.
+The colors used grow at every step, though, and the wanted ends shrink, so
+a vertex whose colors are tested can fail later without losing a way in:
+those are the single-way-in vertex and every two-way vertex, wanted or not.
 The root scores every remaining vertex; each child rescans only v's
-remaining neighbours plus the parent's single-way-in vertex, re-tested
-against the wanted ends left and against the new current vertex. The
-prune makes the decision the full rescan would at every node, so the
-search tree is the same.
+remaining neighbours plus the parent's single-way-in and two-way vertices,
+re-tested against the wanted ends left, the colors used and the new
+current vertex. The prune makes the decision the full rescan would at
+every node, so the search tree is the same. The color tests read one
+{neighbour bit: color bit} row per vertex, which _span_prep builds beside
+the vertex set's bit table.
 
 Both kernels recurse once per path vertex. A path deeper than the
 interpreter's recursion limit (about a thousand vertices) ends the search
@@ -290,25 +299,30 @@ def _span_prep(g: ColoredGraph, vset):
     full = 0
     for v in vs:
         full |= 1 << v
-    # the graph's bit table filtered to the vertex set, indexed by vertex
+    # the graph's bit table filtered to the vertex set, indexed by vertex,
+    # and the same rows as {neighbour bit: color bit}
     bits = g._bits
     adj: list = [()] * g.n
     adj_mask = [0] * g.n
+    cols: list = [None] * g.n
     for v in vs:
         row = [t for t in bits[v] if t[1] & full]
         adj[v] = row
         adj_mask[v] = sum(t[1] for t in row)
-    return vs, full, adj, adj_mask
+        cols[v] = {wbit: cbit for (_, wbit, cbit) in row}
+    return vs, full, adj, adj_mask, cols
 
 
-def _span_ends(start: int, full: int, adj, adj_mask, wanted: int, hit) -> None:
+def _span_ends(start: int, full: int, adj, adj_mask, cols, wanted: int,
+               hit) -> None:
     """Spanning rainbow paths over the vertex mask `full` from `start`.
 
     Calls hit(path) at the first path, in ascending DFS order, to each end
     in the mask `wanted` that is still wanted when the search reaches it.
     `path` is the search's own vertex list, valid only during the call. hit
     returns the mask of ends no longer wanted, this one among them, and the
-    search stops once no wanted end is left.
+    search stops once no wanted end is left. `adj`, `adj_mask` and `cols`
+    are _span_prep's rows of the vertex set.
     """
     cur = [start]
     left = wanted
@@ -319,27 +333,44 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int, hit) -> None:
         # Prunes. A remaining vertex needs a live neighbour in remaining or
         # at v to be entered, and two to be left again. So one with none is
         # a dead end, and one with a single way in must be the path's last
-        # vertex: at most one may exist, it must be a wanted end, and if
-        # its way in is v itself it must also be the only vertex left.
+        # vertex: at most one may exist, it must be a wanted end, its edge's
+        # color must be unused, and if its way in is v itself it must also
+        # be the only vertex left. One with exactly two ways that is not a
+        # wanted end must be passed through, so both its edges are on the
+        # path and neither color may be used yet.
         # Only the vertices in `scan` can fail: the step into v dropped
         # just the previous vertex from the scope, so only its neighbours
-        # lost a way in, and the parent's single-way-in vertex is carried.
+        # lost a way in, and the parent's single-way-in and two-way
+        # vertices are carried, as the colors used grow and the wanted
+        # ends shrink.
         cur_bit = 1 << v
         scope = remaining | cur_bit
         last = 0
+        two = 0
         while scan:
             xbit = scan & -scan
             scan ^= xbit
-            live = adj_mask[xbit.bit_length() - 1] & scope
-            if live & (live - 1):
+            x = xbit.bit_length() - 1
+            live = adj_mask[x] & scope
+            more = live & (live - 1)
+            if more:
+                if more & (more - 1):
+                    continue
+                two |= xbit
+                if not (xbit & left):
+                    row = cols[x]
+                    if cmask & (row[more] | row[live ^ more]):
+                        return False
                 continue
             if live == 0 or last or not (xbit & left):
                 return False
             if live == cur_bit and remaining != xbit:
                 return False
+            if cmask & cols[x][live]:
+                return False
             last = xbit
         # what a child must rescan, less the child itself
-        rescan = (adj_mask[v] & remaining) | last
+        rescan = (adj_mask[v] & remaining) | last | two
         for (w, wbit, cbit) in adj[v]:
             if (vmask & wbit) or (cmask & cbit):
                 continue
@@ -365,7 +396,7 @@ def _span_ends(start: int, full: int, adj, adj_mask, wanted: int, hit) -> None:
         raise _too_deep() from None
 
 
-def _first_span(g: ColoredGraph, start: int, full: int, adj, adj_mask,
+def _first_span(g: ColoredGraph, start: int, full: int, adj, adj_mask, cols,
                 wanted: int) -> Optional[RainbowPath]:
     """The first spanning path from `start` to any end in `wanted`, in
     ascending DFS order; the search stops at it."""
@@ -375,7 +406,7 @@ def _first_span(g: ColoredGraph, start: int, full: int, adj, adj_mask,
         found.append(path.copy())
         return wanted
 
-    _span_ends(start, full, adj, adj_mask, wanted, hit)
+    _span_ends(start, full, adj, adj_mask, cols, wanted, hit)
     return path_from_vertices(g, found[0]) if found else None
 
 
@@ -383,19 +414,19 @@ def spanning_rainbow_path_from(g: ColoredGraph, vset, start: int) -> Optional[Ra
     """Some rainbow path whose vertex set is exactly `vset`, starting at
     `start`; None if there is none. Returns the first such path in ascending
     DFS order: the first end the search reaches, where it stops."""
-    vs, full, adj, adj_mask = _span_prep(g, vset)
+    vs, full, adj, adj_mask, cols = _span_prep(g, vset)
     if start not in vs:
         raise PathError(f"start {start} not in vertex set")
     if len(vs) == 1:
         return RainbowPath((start,), ())
-    return _first_span(g, start, full, adj, adj_mask, full & ~(1 << start))
+    return _first_span(g, start, full, adj, adj_mask, cols, full & ~(1 << start))
 
 
 def spanning_rainbow_path_between(g: ColoredGraph, vset, u: int, w: int) -> Optional[RainbowPath]:
     """Some rainbow path with vertex set exactly `vset` and endpoints u and w:
     the first one from u in ascending DFS order."""
-    vs, full, adj, adj_mask = _span_prep(g, vset)
+    vs, full, adj, adj_mask, cols = _span_prep(g, vset)
     if u not in vs or w not in vs or u == w:
         raise PathError("endpoints must be distinct members of the vertex set")
-    return _first_span(g, u, full, adj, adj_mask, 1 << w)
+    return _first_span(g, u, full, adj, adj_mask, cols, 1 << w)
 

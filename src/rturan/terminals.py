@@ -278,11 +278,12 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
     return AuxGraph(vertices=tuple(sorted(vertices)), edges=edges), tuple(fires)
 
 
-def _rotation_pairs(cbits: list, path, known: list) -> None:
+def _rotation_pairs(cols: list, path, known: list) -> None:
     """Record the end pair of the spanning rainbow path `path`, and of every
     path its end rotations reach, in `known` (one partner bitmask per
-    vertex). `cbits` maps each vertex of V(P*) to its neighbours there and
-    their color bits; `path` ends a pair not yet known.
+    vertex). `cols` maps each vertex of V(P*) to its neighbours' bits there
+    and their color bits (_span_prep's rows); `path` ends a pair not yet
+    known.
 
     A chord from the end q_{s-1} to q_i, i <= s - 3, gives the path
     q_0..q_i, q_{s-1}..q_{i+1} on the same vertices; it is rainbow when the
@@ -303,15 +304,15 @@ def _rotation_pairs(cbits: list, path, known: list) -> None:
         return True
 
     learn(path[0], path[-1])
-    todo = [(path, [cbits[a][b] for a, b in zip(path, path[1:])])]
+    todo = [(path, [cols[a][1 << b] for a, b in zip(path, path[1:])])]
     while todo:
         q, cb = todo.pop()
         cmask = sum(cb)
         # rotate at the far end of q, then of q read backwards
         for p, pc in ((q, cb), (q[::-1], cb[::-1])):
-            pos = {v: i for i, v in enumerate(p)}
-            for x, cbit in cbits[p[-1]].items():
-                i = pos[x]
+            pos = {1 << v: i for i, v in enumerate(p)}
+            for xbit, cbit in cols[p[-1]].items():
+                i = pos[xbit]
                 if i > s - 3 or (cmask & cbit and cbit != pc[i]):
                     continue
                 if learn(p[0], p[i + 1]):
@@ -336,14 +337,13 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
     masks, and the vertices are those with a partner: the ends of the
     pairs, which are exactly the terminals.
     """
-    vs, full, adj, adj_mask = _span_prep(g, pstar.vertices)
+    vs, full, adj, adj_mask, cols = _span_prep(g, pstar.vertices)
     if len(vs) == 1:
         return AuxGraph(vertices=tuple(vs), edges=frozenset())
-    cbits = [{w: cbit for (w, _, cbit) in row} for row in adj]
     known = [0] * g.n
 
     def hit(path) -> int:
-        _rotation_pairs(cbits, path, known)
+        _rotation_pairs(cols, path, known)
         return known[path[0]]
 
     later = full
@@ -351,7 +351,7 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
         later &= ~(1 << u)
         wanted = later & ~known[u]
         if wanted:
-            _span_ends(u, full, adj, adj_mask, wanted, hit)
+            _span_ends(u, full, adj, adj_mask, cols, wanted, hit)
     return AuxGraph(vertices=tuple(v for v in vs if known[v]),
                     edges=frozenset((a, b) for a in vs for b in vs
                                     if a < b and known[a] >> b & 1))

@@ -1,6 +1,8 @@
 """References for the spanning searches. rainbow_orders is brute force:
-every vertex order of the set is tried, so keep sets small. reference_aux is
-the auxiliary-graph oracle without end rotations, one full search per root.
+every vertex order of the set is tried, so keep sets small. spanning_pairs
+is a plain DFS with no prune, shared with nothing in the library.
+reference_aux is the auxiliary-graph oracle without end rotations, one full
+search per root.
 """
 
 from itertools import permutations
@@ -37,11 +39,33 @@ def enumerate_rainbow_paths_on(g, vset, guard=16):
             yield path_from_vertices(g, order)
 
 
+def spanning_pairs(g, vset):
+    """Every end pair (a, b), a < b, of a rainbow path whose vertex set is
+    exactly `vset`: a DFS from each vertex over bitmasks of the vertices and
+    colors used so far, with no prune."""
+    vs = set(vset)
+    full = sum(1 << v for v in vs)
+    pairs = set()
+
+    def walk(start, v, seen, used):
+        if seen == full:
+            if start < v:
+                pairs.add((start, v))
+            return
+        for w, c in g.neighbors(v):
+            if w in vs and not (seen >> w & 1 or used >> c & 1):
+                walk(start, w, seen | 1 << w, used | 1 << c)
+
+    for s in vs:
+        walk(s, s, 1 << s, 0)
+    return frozenset(pairs)
+
+
 def reference_aux(g, pstar):
     """The auxiliary graph of V(pstar) from one spanning search per vertex
     u, in ascending order, over every later vertex: no end rotations and no
     pairs shared between roots."""
-    vs, full, adj, adj_mask = _span_prep(g, pstar.vertices)
+    vs, full, adj, adj_mask, cols = _span_prep(g, pstar.vertices)
     if len(vs) == 1:
         return AuxGraph(vertices=tuple(vs), edges=frozenset())
     edges = set()
@@ -53,6 +77,6 @@ def reference_aux(g, pstar):
             edges.add((u, path[-1]))
             return 1 << path[-1]
 
-        _span_ends(u, full, adj, adj_mask, later, hit)
+        _span_ends(u, full, adj, adj_mask, cols, later, hit)
     ends = {v for e in edges for v in e}
     return AuxGraph(vertices=tuple(sorted(ends)), edges=frozenset(edges))

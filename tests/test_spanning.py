@@ -6,7 +6,9 @@ orders (spanning_brute). The witnesses must be the first such path in
 ascending DFS order, which is lexicographic order of the vertex sequence.
 The auxiliary oracle, which shares pairs across roots and learns them from
 end rotations, must also equal the plain one-search-per-root loop
-(spanning_brute.reference_aux).
+(spanning_brute.reference_aux), and, since that loop runs the same kernel
+and so shares its prunes, a plain DFS with no prune at all
+(spanning_brute.spanning_pairs).
 """
 
 import random
@@ -23,7 +25,7 @@ from rturan.search import (longest_rainbow_path, path_from_vertices,
                            spanning_rainbow_path_from)
 from rturan.terminals import build_aux_oracle, terminal_oracle
 
-from spanning_brute import rainbow_orders, reference_aux
+from spanning_brute import rainbow_orders, reference_aux, spanning_pairs
 
 
 def check_spanning_searches(g, vset):
@@ -104,13 +106,22 @@ def test_aux_oracle_equals_reference_on_suite_instances(seed, kind):
         assert build_aux_oracle(g, pstar) == reference_aux(g, pstar)
 
 
-@pytest.mark.parametrize("seed,kind,most", [(808, "random", 51_538),
-                                            (909, "bare_path", 3_540)])
-def test_prune_keeps_the_spanning_walk_small(seed, kind, most):
-    # the dead-end and single-way-in prune is the only thing that keeps the
-    # walk this small: with it switched off below the root the same
-    # instances take 69,076 and 7,971 walk calls
+@pytest.mark.parametrize("seed,kind,nmax", [(808, "random", 12),
+                                            (909, "bare_path", 9)])
+def test_aux_oracle_equals_prune_free_dfs(seed, kind, nmax):
+    # the same 200 instances; bare_path above n = 9 is too slow for a DFS
+    # without a prune
     rng = random.Random(seed)
+    for _ in range(200):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+        if g.n <= nmax:
+            pstar = longest_rainbow_path(g).best
+            assert (build_aux_oracle(g, pstar).edges
+                    == spanning_pairs(g, pstar.vertices))
+
+
+def walk_calls(fn, *args):
+    """fn(*args) and the number of walk calls the spanning kernel made."""
     walk = next(c for c in search._span_ends.__code__.co_consts
                 if isinstance(c, types.CodeType) and c.co_name == "walk")
     walks = 0
@@ -120,15 +131,40 @@ def test_prune_keeps_the_spanning_walk_small(seed, kind, most):
         if event == "call" and frame.f_code is walk:
             walks += 1
 
+    sys.setprofile(count)
+    try:
+        got = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return got, walks
+
+
+def suite_walks(seed, kind):
+    """Walk calls the aux oracle makes on 40 suite instances."""
+    rng = random.Random(seed)
+    walks = 0
     for _ in range(40):
         g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
-        pstar = longest_rainbow_path(g).pinned()
-        sys.setprofile(count)
-        try:
-            build_aux_oracle(g, pstar)
-        finally:
-            sys.setprofile(None)
-    assert walks <= most
+        walks += walk_calls(build_aux_oracle, g,
+                            longest_rainbow_path(g).pinned())[1]
+    return walks
+
+
+@pytest.mark.parametrize("seed,kind,most", [(808, "random", 51_538),
+                                            (909, "bare_path", 3_540)])
+def test_prune_keeps_the_spanning_walk_small(seed, kind, most):
+    # the dead-end and single-way-in prune alone keeps the walk this small:
+    # with every prune switched off below the root the same instances take
+    # 69,076 and 7,971 walk calls
+    assert suite_walks(seed, kind) <= most
+
+
+@pytest.mark.parametrize("seed,kind,most", [(808, "random", 30_711),
+                                            (909, "bare_path", 2_380)])
+def test_color_tests_keep_the_spanning_walk_smaller(seed, kind, most):
+    # the color tests on two-way and single-way-in vertices cut the walk
+    # above further, to this
+    assert suite_walks(seed, kind) <= most
 
 
 # === hand cases for the single-way-in prune ===
@@ -183,6 +219,49 @@ def test_repeated_color_blocks_the_only_route():
 
 
 
+# === hand cases for the color tests on two-way and single-way-in vertices ===
+
+def test_two_way_vertex_with_a_used_color_cuts():
+    # 3 has two ways, to 2 and 4, and is not the wanted end 4, so both its
+    # edges lie on any path to 4; 3-4 has the color of 0-1, which every
+    # path from 0 starts with, so the search cuts right after 0-1. 3 is not
+    # a neighbour of 0: it is checked there only because two-way vertices
+    # are carried to the child.
+    g = graph(5, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 0), (1, 4, 3),
+                  (2, 4, 4)])
+    vs = range(5)
+    assert walk_calls(spanning_rainbow_path_between, g, vs, 0, 4) == (None, 2)
+    assert spanning_rainbow_path_from(g, vs, 0).vertices == (0, 1, 4, 2, 3)
+    check_spanning_searches(g, vs)
+    check_oracles(g, path_from_vertices(g, (0, 1, 4, 2, 3)))
+
+
+def test_single_way_in_end_with_a_used_color_cuts():
+    # 4 is reached only from 3, by the color of 0-1, so the step 0-1 is cut
+    # at once and the path from 0 goes through 2 instead
+    g = graph(5, [(0, 1, 0), (0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 4),
+                  (2, 3, 5), (3, 4, 0)])
+    vs = range(5)
+    p, walks = walk_calls(spanning_rainbow_path_from, g, vs, 0)
+    assert p.vertices == (0, 2, 1, 3, 4)
+    assert walks == 5
+    check_spanning_searches(g, vs)
+    check_oracles(g, p)
+
+
+def test_wanted_end_with_two_ways_is_not_forced():
+    # after 0-1, the end 4 has two ways, to 2 and 3, and 4-2 has the color
+    # of 0-1; as a wanted end 4 may be entered from 3 and end the path
+    # there, so it is not cut, and the path 0-1-2-3-4 is found
+    g = graph(5, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3), (2, 4, 0)])
+    vs = range(5)
+    pstar = path_from_vertices(g, (0, 1, 2, 3, 4))
+    assert spanning_rainbow_path_between(g, vs, 0, 4) == pstar
+    assert spanning_rainbow_path_from(g, vs, 0) == pstar
+    check_spanning_searches(g, vs)
+    check_oracles(g, pstar)
+
+
 # === hand cases for the aux oracle's end rotations ===
 
 def spied_searches(monkeypatch, module):
@@ -190,7 +269,7 @@ def spied_searches(monkeypatch, module):
     log = []
     inner = module._span_ends
 
-    def spy(start, full, adj, adj_mask, wanted, hit):
+    def spy(start, full, adj, adj_mask, cols, wanted, hit):
         rec = [start, 0]
         log.append(rec)
 
@@ -198,7 +277,7 @@ def spied_searches(monkeypatch, module):
             rec[1] += 1
             return hit(path)
 
-        inner(start, full, adj, adj_mask, wanted, counted)
+        inner(start, full, adj, adj_mask, cols, wanted, counted)
 
     monkeypatch.setattr(module, "_span_ends", spy)
     return log
