@@ -25,10 +25,9 @@ from .constructions import (BoundTableRow, bipartite_f2k, blowup, bound_table,
                             bound_table_row, lower_bound_edges,
                             maamoun_meyniel)
 from .profile import PathProfile, compute_profile
-from .terminals import (AuxEdgeFire, AuxGraph, MatchingReport, RuleFire,
-                        TerminalReport, build_aux_oracle, build_aux_rules,
-                        matching_stats, maximum_matching, terminal_oracle,
-                        terminal_rules)
+from .terminals import (AuxGraph, MatchingReport, RuleFire, TerminalReport,
+                        build_aux_oracle, build_aux_rules, matching_stats,
+                        maximum_matching, terminal_oracle, terminal_rules)
 from .claims import (ClaimContext, ClaimOutcome, ClaimReport,
                      build_claim_context, check_claims)
 from .induction import (InductionCertificate, StepRecord, frac_str,

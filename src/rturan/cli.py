@@ -272,33 +272,27 @@ def cmd_engine_aux(args) -> int:
     g = load_graph(args.file)
     p = _pick_path(g, args)
     payload: dict = {"path": _path_obj(p)}
-    rules_aux = oracle_aux = None
-    if args.mode in ("rules", "both"):
-        rules_aux, fires = build_aux_rules(g, p)
-        payload["rules"] = {"vertices": list(rules_aux.vertices),
-                            "edges": sorted(map(list, rules_aux.edges)),
-                            "fires": len(fires)}
-    if args.mode in ("oracle", "both"):
-        oracle_aux = build_aux_oracle(g, p)
-        payload["oracle"] = {"vertices": list(oracle_aux.vertices),
-                             "edges": sorted(map(list, oracle_aux.edges)),
-                             "min_degree": oracle_aux.min_degree()}
+    auxes: dict = {}
+    for tag, build in (("rules", build_aux_rules),
+                       ("oracle", build_aux_oracle)):
+        if args.mode in (tag, "both"):
+            aux = auxes[tag] = build(g, p)
+            payload[tag] = {"vertices": list(aux.vertices),
+                            "edges": sorted(map(list, aux.edges)),
+                            "min_degree": aux.min_degree()}
     sound = True
-    if rules_aux is not None and oracle_aux is not None:
-        loose = rules_aux.edges - oracle_aux.edges
-        sound = not loose
+    if len(auxes) == 2:
+        sound = auxes["rules"].edges <= auxes["oracle"].edges
         payload["sound"] = sound
     if args.json:
         _emit_json(payload)
     else:
-        for tag, aux in (("rules", rules_aux), ("oracle", oracle_aux)):
-            if aux is None:
-                continue
+        for tag, aux in auxes.items():
             _emit(f"{tag} aux graph: {len(aux.vertices)} terminals, "
                   f"{len(aux.edges)} pairs, min degree {aux.min_degree()}")
             for (a, b) in sorted(aux.edges):
                 _emit(f"  {a} -- {b}")
-        if rules_aux is not None and oracle_aux is not None:
+        if len(auxes) == 2:
             _emit("rules within oracle: " + ("yes" if sound else "NO"))
     return 0 if sound else 1
 

@@ -252,7 +252,7 @@ def check_instance(g: ColoredGraph, label: str,
         fail("terminal_rules", f"rules name non-terminals {sorted(loose)}")
 
     try:
-        aux_rules, _ = build_aux_rules(g, pstar, trep)
+        aux_rules = build_aux_rules(g, pstar, trep)
     except WitnessError as e:
         fail("witness", f"{e.rule}: {e.detail}")
         return fails, None

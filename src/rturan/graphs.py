@@ -53,6 +53,17 @@ def _check_edges(n: int, pairs: Iterable[Edge]) -> None:
         seen.add((u, v))
 
 
+def _checked_sides(n: int, sides) -> Optional[tuple[int, ...]]:
+    """The bipartition tag as a tuple, refused unless n entries of 0/1."""
+    if sides is None:
+        return None
+    if len(sides) != n:
+        raise GraphError("sides tag length != n")
+    if any(s not in (0, 1) for s in sides):
+        raise GraphError("sides entries must be 0 or 1")
+    return tuple(sides)
+
+
 @dataclass(frozen=True)
 class GraphSkeleton:
     """An uncolored graph: vertex count plus sorted edge tuple."""
@@ -64,8 +75,7 @@ class GraphSkeleton:
     def __post_init__(self):
         _check_edges(self.n, self.edges)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        if self.sides is not None and len(self.sides) != self.n:
-            raise GraphError("sides tag length != n")
+        object.__setattr__(self, "sides", _checked_sides(self.n, self.sides))
 
     @property
     def m(self) -> int:
@@ -112,12 +122,7 @@ class ColoredGraph:
         object.__setattr__(self, "_nbrs",
                            {v: tuple(sorted(ws)) for v, ws in nbrs.items()})
         object.__setattr__(self, "_col", col)
-        if self.sides is not None:
-            if len(self.sides) != self.n:
-                raise GraphError("sides tag length != n")
-            if any(s not in (0, 1) for s in self.sides):
-                raise GraphError("sides entries must be 0 or 1")
-            object.__setattr__(self, "sides", tuple(self.sides))
+        object.__setattr__(self, "sides", _checked_sides(self.n, self.sides))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]],
@@ -126,7 +131,7 @@ class ColoredGraph:
         es = tuple(sorted((_norm(u, v) + (c,)) for (u, v, c) in edges))
         if num_colors is None:
             num_colors = (max((c for (_, _, c) in es), default=-1)) + 1
-        return cls(n, es, num_colors, tuple(sides) if sides is not None else None)
+        return cls(n, es, num_colors, sides)
 
     @property
     def _bits(self) -> tuple:

@@ -8,12 +8,12 @@ alone by replaying rotation arguments; every firing carries an explicit
 witness path, so an unsound rule cannot slip through silently (it raises
 WitnessError).
 
-Every witness, a rule fire's, P* and the report's handed to the auxiliary
-graph, and each jump rotation, is checked once, by _witness: it reads the
-vertex sequence off g (a simple path, every edge present), compares the
-recorded colors with g's when there are any, and refuses a repeated color
-or a vertex set other than V(P*). checked_fire adds that the claimed
-terminals are the witness's endpoints.
+Every witness is checked by _witness: it reads the vertex sequence off g
+(a simple path, every edge present) and refuses a repeated color or a
+vertex set other than V(P*). checked_fire adds that the claimed terminals
+are the witness's endpoints. build_aux_rules reads each distinct witness
+path (P*, the report's, their jump rotations) off g once per call, and
+compares recorded colors with it every time they are handed in.
 
 Rule families, in profile.py vocabulary:
 
@@ -105,17 +105,13 @@ class TerminalReport:
         return {rule: tuple(sorted(vs)) for rule, vs in sorted(out.items())}
 
 
-def _witness(g: ColoredGraph, span: set, source: str, vertices,
-             colors: Optional[tuple] = None) -> RainbowPath:
+def _witness(g: ColoredGraph, span: set, source: str, vertices) -> RainbowPath:
     """The witness `vertices` read off g; refuse it unless it is a rainbow
-    path of g whose vertex set is `span` and, when `colors` are recorded,
-    whose colors are those."""
+    path of g whose vertex set is `span`."""
     try:
         w = path_from_vertices(g, vertices)
     except PathError as e:
         raise WitnessError(source, f"witness is not a path: {e}")
-    if colors is not None and w.colors != colors:
-        raise WitnessError(source, "recorded colors disagree with the graph")
     if not w.is_rainbow():
         raise WitnessError(source, "witness repeats a color")
     if set(w.vertices) != span:
@@ -206,13 +202,6 @@ def terminal_oracle(g: ColoredGraph, pstar: RainbowPath) -> frozenset:
 
 
 @dataclass(frozen=True)
-class AuxEdgeFire:
-    source: str            # "base", "witness", "jump_start", "jump_end"
-    pair: tuple            # sorted vertex ids
-    witness: RainbowPath
-
-
-@dataclass(frozen=True)
 class AuxGraph:
     vertices: tuple
     edges: frozenset       # of sorted vertex-id pairs
@@ -245,37 +234,44 @@ def _jump_rotations(g: ColoredGraph, w: RainbowPath):
 
 
 def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
-                    report: Optional[TerminalReport] = None):
+                    report: Optional[TerminalReport] = None) -> AuxGraph:
     """Auxiliary graph from rule witnesses alone.
 
-    Returns (AuxGraph, fires). Edges come from each witness's endpoint pair
-    and its jump rotations. The first fire, "base", is P* itself with the
-    colors pstar records. Its pair repeats the "endpoints" rule's, but the
-    report is handed in apart from pstar, so this fire is the one check
-    that pstar itself, colors included, is a rainbow path of g. Vertices are the rule terminals and every edge
-    endpoint: a rotation can end at a terminal no rule names, and each
-    endpoint ends a checked spanning witness, so it is terminal too.
+    Edges come from each witness's endpoint pair and its jump rotations.
+    The first check, "base", is P* itself with the colors pstar records:
+    the report is handed in apart from pstar, so this is the one check of
+    pstar itself. Each distinct sequence is read off g once, and each
+    distinct report witness rotated once; recorded colors are compared
+    every time. Vertices are the rule terminals and every edge endpoint: a
+    rotation can end at a terminal no rule names, and each endpoint ends a
+    checked spanning witness, so it is terminal too.
     """
     if report is None:
         report = terminal_rules(g, pstar)
     span = set(pstar.vertices)
-    fires = []
+    read: dict = {}        # vertex sequence -> the path read off g
 
-    def fire(source, vertices, colors=None) -> RainbowPath:
-        w = _witness(g, span, source, vertices, colors)
-        u, v = w.endpoints
-        fires.append(AuxEdgeFire(source=source, pair=(min(u, v), max(u, v)),
-                                 witness=w))
+    def check(source, vertices, colors=None) -> RainbowPath:
+        key = tuple(vertices)
+        w = read.get(key)
+        if w is None:
+            w = read[key] = _witness(g, span, source, key)
+        if colors is not None and w.colors != colors:
+            raise WitnessError(source,
+                               "recorded colors disagree with the graph")
         return w
 
-    fire("base", pstar.vertices, pstar.colors)
+    check("base", pstar.vertices, pstar.colors)
+    rotated = set()
     for f in report.fires:
-        w = fire("witness", f.witness.vertices, f.witness.colors)
-        for source, seq in _jump_rotations(g, w):
-            fire(source, seq)
-    edges = frozenset(f.pair for f in fires)
+        w = check("witness", f.witness.vertices, f.witness.colors)
+        if w.vertices not in rotated:
+            rotated.add(w.vertices)
+            for source, seq in _jump_rotations(g, w):
+                check(source, seq)
+    edges = frozenset(tuple(sorted(w.endpoints)) for w in read.values())
     vertices = report.rule_terminals.union(*edges)
-    return AuxGraph(vertices=tuple(sorted(vertices)), edges=edges), tuple(fires)
+    return AuxGraph(vertices=tuple(sorted(vertices)), edges=edges)
 
 
 def _rotation_pairs(cols: list, path, known: list) -> None:

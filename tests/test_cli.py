@@ -275,6 +275,15 @@ def test_aux_modes(k4_file, capsys):
         assert code == 0
 
 
+def test_aux_json_renders_both_flavours_alike(k4_file, capsys):
+    code, out = run(capsys, ["engine", "aux", k4_file, "--path", "1,0,2",
+                             "--mode", "both", "--json"])
+    obj = json.loads(out)
+    assert code == 0 and obj["sound"] is True
+    for tag in ("rules", "oracle"):
+        assert set(obj[tag]) == {"vertices", "edges", "min_degree"}
+
+
 def test_single_vertex_path_oracles(tmp_path, capsys):
     # on a one-vertex path that vertex is the only terminal, with no pairs
     path = tmp_path / "g.txt"

@@ -69,6 +69,20 @@ def test_colored_edges_checked_like_skeleton_edges():
             ColoredGraph(3, tuple(e + (0,) for e in bad), 1)
 
 
+def test_skeleton_sides_checked_like_colored_graph_sides():
+    for bad, msg in [((5, 7), "sides entries must be 0 or 1"),
+                     ((0,), "sides tag length != n")]:
+        with pytest.raises(GraphError, match=re.escape(msg)):
+            GraphSkeleton(2, ((0, 1),), sides=bad)
+        with pytest.raises(GraphError, match=re.escape(msg)):
+            ColoredGraph(2, ((0, 1, 0),), 1, sides=bad)
+    s = GraphSkeleton(2, ((0, 1),), sides=[0, 1])
+    assert s.sides == (0, 1)
+    hash(s)  # a list kept as sides would make the skeleton unhashable
+    assert s.with_colors([0]).sides == (0, 1)
+    assert ColoredGraph(2, ((0, 1, 0),), 1, sides=[1, 0]).sides == (1, 0)
+
+
 def test_adjacency_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         ColoredGraph(2, (), 0, None, {"junk": 1})

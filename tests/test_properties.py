@@ -64,7 +64,7 @@ def test_rules_stay_inside_the_oracles(g):
     report = terminal_rules(g, pstar)
     terminals = terminal_oracle(g, pstar)
     assert report.rule_terminals <= terminals
-    aux_rules, _ = build_aux_rules(g, pstar, report)
+    aux_rules = build_aux_rules(g, pstar, report)
     aux_oracle = build_aux_oracle(g, pstar)
     assert aux_rules.edges <= aux_oracle.edges
     ends = {v for e in aux_rules.edges for v in e}

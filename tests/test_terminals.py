@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from rturan import terminals
 from rturan.constructions import maamoun_meyniel
 from rturan.corpus import random_instance
 from rturan.errors import WitnessError
@@ -160,13 +161,74 @@ def test_checked_fire_rejects_interior_terminal():
 
 def test_aux_rules_subset_of_oracle():
     g, p = hand_pair()
-    aux_r, fires = build_aux_rules(g, p)
+    aux_r = build_aux_rules(g, p)
     aux_o = build_aux_oracle(g, p)
     assert set(aux_r.vertices) <= set(aux_o.vertices)
     assert aux_r.edges <= aux_o.edges
     assert (0, 5) in aux_r.edges
-    assert all(f.source in
-               {"base", "witness", "jump_start", "jump_end"} for f in fires)
+
+
+def reference_aux_rules(g, p, rep, seen=None):
+    """build_aux_rules without its memo: every fire is read off g again,
+    every report witness rotated again. `seen` collects each sequence read."""
+    span, pairs = set(p.vertices), set()
+
+    def fire(source, vertices, colors=None):
+        w = terminals._witness(g, span, source, vertices)
+        if colors is not None and w.colors != colors:
+            raise WitnessError(source, "recorded colors disagree")
+        pairs.add(tuple(sorted(w.endpoints)))
+        if seen is not None:
+            seen.append(tuple(vertices))
+        return w
+
+    fire("base", p.vertices, p.colors)
+    for f in rep.fires:
+        w = fire("witness", f.witness.vertices, f.witness.colors)
+        for source, seq in terminals._jump_rotations(g, w):
+            fire(source, seq)
+    return AuxGraph(vertices=tuple(sorted(rep.rule_terminals.union(*pairs))),
+                    edges=frozenset(pairs))
+
+
+def suite_instances(seed, kind, count):
+    """The first `count` instances of the criterion-08 sweep (n 5..12,
+    edge probability 0.45), each with its proven longest path and rule
+    report."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+        p = longest_rainbow_path(g).best
+        yield g, p, terminal_rules(g, p)
+
+
+@pytest.mark.parametrize("seed,kind", [(808, "random"), (909, "bare_path")])
+def test_aux_rules_equal_the_unmemoized_reference(seed, kind):
+    for g, p, rep in suite_instances(seed, kind, 60):
+        # the endpoints fire alone: P*'s own rotations, which the fresh
+        # fires repeat in a full report
+        head = TerminalReport(rep.fires[:1], rep.rule_terminals)
+        for r in (rep, head):
+            assert build_aux_rules(g, p, r) == reference_aux_rules(g, p, r)
+
+
+def test_aux_rules_read_each_distinct_sequence_once(monkeypatch):
+    # suite instance 909:2: 21 fires, two of them repeated witnesses, and
+    # 150 checks in the reference over 91 distinct sequences
+    *_, (g, p, rep) = suite_instances(909, "bare_path", 3)
+    seen = []
+    expected = reference_aux_rules(g, p, rep, seen)
+    assert (len(seen), len(set(seen))) == (150, 91)
+    reads = []
+    witness = terminals._witness
+
+    def counting(g, span, source, vertices):
+        reads.append(tuple(vertices))
+        return witness(g, span, source, vertices)
+
+    monkeypatch.setattr(terminals, "_witness", counting)
+    assert build_aux_rules(g, p, rep) == expected
+    assert sorted(reads) == sorted(set(seen))
 
 
 def test_aux_rules_reread_witnesses_from_the_graph():
@@ -196,7 +258,7 @@ def test_aux_rules_vertices_hold_every_edge_end():
         g = random_instance(rng, rng.randint(5, 12), 0.45, "random")
     p = longest_rainbow_path(g).best
     rep = terminal_rules(g, p)
-    aux, _ = build_aux_rules(g, p, rep)
+    aux = build_aux_rules(g, p, rep)
     assert 5 not in rep.rule_terminals and 5 in aux.vertices
     ends = {v for e in aux.edges for v in e}
     assert ends <= set(aux.vertices) <= terminal_oracle(g, p)
