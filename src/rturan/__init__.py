@@ -28,15 +28,15 @@ from .profile import PathProfile, compute_profile
 from .terminals import (AuxGraph, MatchingReport, RuleFire, TerminalReport,
                         build_aux_oracle, build_aux_rules, matching_stats,
                         maximum_matching, terminal_oracle, terminal_rules)
-from .claims import (ClaimContext, ClaimOutcome, ClaimReport,
-                     build_claim_context, check_claims)
+from .claims import ClaimContext, ClaimOutcome, ClaimReport, check_claims
 from .induction import (InductionCertificate, StepRecord, frac_str,
                         induction_step, run_induction, verify_certificate)
 from .oracle import (ExstarResult, clique_packing, coloring_avoiding,
                      count_proper_colorings, erdos_gallai_bound, exstar_small,
                      packing_edge_count, proper_colorings)
-from .corpus import (FailureRecord, RunConfig, SuiteSummary, check_instance,
-                     random_instance, run_suite)
+from .corpus import (FailureRecord, RunConfig, SuiteSummary,
+                     build_claim_context, check_instance, random_instance,
+                     run_suite)
 
 __version__ = "0.1.0"
 

@@ -2,8 +2,10 @@
 
 Every check runs against a concrete colored graph and a fixed rainbow path,
 with terminal sets computed by exhaustive search (never by the rule engine,
-so an engine bug cannot vouch for itself). Checks are gated on the
-hypotheses they actually need:
+so an engine bug cannot vouch for itself). The battery is a pure function of
+one `ClaimContext`; `corpus.build_claim_context` is what builds it, so this
+module calls no search, profile or terminal function. Checks are gated on
+the hypotheses they actually need:
 
   maximal         no rainbow path in the graph is longer than the fixed one
   min_degree      every vertex has degree at least 9k/7 + 2
@@ -27,15 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .constructions import chord_floor, matching_step_cap, rotation_bound
-from .errors import GuardError, PreconditionError
 from .graphs import ColoredGraph
-from .profile import PathProfile, compute_profile
-from .search import RainbowPath, has_rainbow_path, longest_rainbow_path
-from .terminals import (AuxGraph, MatchingReport, build_aux_oracle,
-                        matching_stats, maximum_matching)
+from .profile import PathProfile
+from .terminals import AuxGraph, MatchingReport
 
 
 @dataclass(frozen=True)
@@ -75,30 +73,6 @@ class ClaimContext:
     maximal: bool
     aux: AuxGraph
     mstats: MatchingReport
-
-
-def build_claim_context(g: ColoredGraph, pstar: Optional[RainbowPath] = None,
-                        budget: Optional[int] = None) -> ClaimContext:
-    """The context for `pstar`, or for a proven longest path when it is None;
-    a given path's maximality is decided by one exists search, run only
-    after the path has passed the cheap checks."""
-    maximal = pstar is None  # a searched P* is proven longest
-    if maximal:
-        pstar = longest_rainbow_path(g, budget=budget).pinned()
-    if pstar.length < 1:
-        raise PreconditionError("claim checking needs a rainbow path with "
-                                "at least one edge")
-    prof = compute_profile(g, pstar)
-    if not maximal:
-        probe = has_rainbow_path(g, pstar.length + 1, budget=budget)
-        if probe.found is None:
-            raise GuardError("claims", "search budget too small to decide "
-                             "maximality")
-        maximal = not probe.found
-    aux = build_aux_oracle(g, pstar)
-    mstats = matching_stats(g, pstar, maximum_matching(aux))
-    return ClaimContext(g=g, prof=prof, maximal=maximal, aux=aux,
-                        mstats=mstats)
 
 
 def check_claims(ctx: ClaimContext) -> ClaimReport:

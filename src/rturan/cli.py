@@ -24,9 +24,9 @@ import sys
 from dataclasses import fields
 from itertools import islice
 
-from .claims import build_claim_context, check_claims
+from .claims import check_claims
 from .constructions import bipartite_f2k, blowup, bound_table, maamoun_meyniel
-from .corpus import RunConfig, run_suite
+from .corpus import RunConfig, build_claim_context, run_suite
 from .errors import (FalsificationError, GuardError, GraphError, PathError,
                      PreconditionError, WitnessError)
 from .graphs import (ColoredGraph, load_graph, save_graph, serialize_graph,

@@ -136,7 +136,8 @@ def induction_step(g: ColoredGraph, k: int, budget: Optional[int] = None):
         raise FalsificationError(
             f"matching step removes {stats.incident_edges} edges, "
             f"telescoping needs strictly fewer than {frac_str(budget_here)}")
-    keep = [u for u in range(g.n) if u not in set(stats.matched)]
+    matched = set(stats.matched)
+    keep = [u for u in range(g.n) if u not in matched]
     sub, remap = induced_subgraph(g, keep)
     return (StepRecord("matching", stats.matched, stats.incident_edges,
                        budget_here), sub, remap)

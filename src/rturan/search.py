@@ -91,6 +91,8 @@ class RainbowPath:
     colors: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "colors", tuple(self.colors))
         if len(self.vertices) == 0:
             raise PathError("a path has at least one vertex")
         if len(self.colors) != len(self.vertices) - 1:

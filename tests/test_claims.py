@@ -1,10 +1,16 @@
 """Claim battery behavior: what runs, what skips, and that a planted lie
 gets falsified instead of sliding through."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
-from rturan.claims import (ClaimContext, build_claim_context, check_claims)
+import rturan.claims
+from rturan.claims import ClaimContext, check_claims
 from rturan.constructions import bipartite_f2k, maamoun_meyniel
+from rturan.corpus import build_claim_context
 from rturan.errors import GuardError, PathError, PreconditionError
 from rturan.graphs import ColoredGraph, one_factorized_complete
 from rturan.profile import compute_profile
@@ -175,7 +181,7 @@ def test_context_builder_refuses_a_bad_path_before_probing(monkeypatch):
     def no_probe(*args, **kwargs):
         raise AssertionError("maximality probed before the path was checked")
 
-    monkeypatch.setattr("rturan.claims.has_rainbow_path", no_probe)
+    monkeypatch.setattr("rturan.corpus.has_rainbow_path", no_probe)
     g = bipartite_f2k(3)
     p = path_from_vertices(g, [0, 8, 1, 10, 4, 9, 3, 12])  # a longest one
     recolored = RainbowPath(p.vertices, p.colors[::-1])
@@ -191,3 +197,19 @@ def test_context_builder_probes_maximality():
     assert ctx.maximal is False
     ctx2 = build_claim_context(g)
     assert ctx2.maximal is True and ctx2.prof.path.length == 5
+
+
+def test_battery_imports_no_search_or_layer_function():
+    # the battery is a pure function of its context: it may name the record
+    # types of the layers below it, never call into them
+    tree = ast.parse(Path(rturan.claims.__file__).read_text())
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = (node.module or "").removeprefix("rturan.")
+        assert module != "search", "claims imports from rturan.search"
+        if module in ("profile", "terminals"):
+            owner = importlib.import_module(f"rturan.{module}")
+            for alias in node.names:
+                assert isinstance(getattr(owner, alias.name), type), \
+                    f"claims imports {module}.{alias.name}"

@@ -7,9 +7,10 @@ import random
 import pytest
 
 from rturan import corpus
-from rturan.corpus import (KINDS, RunConfig, check_instance, random_instance,
-                           run_suite)
-from rturan.errors import GuardError
+from rturan.claims import check_claims
+from rturan.corpus import (KINDS, RunConfig, build_claim_context,
+                           check_instance, random_instance, run_suite)
+from rturan.errors import GuardError, WitnessError
 from rturan.graphs import ColoredGraph, validate_proper
 from rturan.profile import compute_profile
 from rturan.search import longest_rainbow_path
@@ -109,6 +110,41 @@ def test_check_instance_reports_exhausted_budget():
     assert [f.check for f in fails] == ["search"]
 
 
+@pytest.mark.parametrize("g,budget,detail", [
+    (ColoredGraph.from_edges(3, []), None,
+     "claim checking needs a rainbow path with at least one edge"),
+    (ColoredGraph.from_edges(0, []), None,
+     "the graph has no vertices, so no path"),
+    (ColoredGraph.from_edges(2, [(0, 1, 0)]), -1,
+     "search budget must be >= 0"),
+])
+def test_check_instance_records_refused_context(g, budget, detail):
+    fails, report = check_instance(g, "unit", budget=budget)
+    assert report is None
+    assert [(f.check, f.detail) for f in fails] == [("search", detail)]
+
+
+def test_check_instance_stops_at_a_bad_aux_witness(monkeypatch):
+    def forged(*args):
+        raise WitnessError("witness", "forged")
+
+    monkeypatch.setattr(corpus, "build_aux_rules", forged)
+    g = random_instance(random.Random(9), 8, 0.5, "bare_path")
+    fails, report = check_instance(g, "unit")
+    assert report is None
+    assert [(f.check, f.detail) for f in fails] == [
+        ("witness", "witness: forged")]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_check_instance_runs_the_claim_pipeline(kind):
+    rng = random.Random(808)
+    for idx in range(40):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+        _, report = check_instance(g, f"808:{idx}")
+        assert report == check_claims(build_claim_context(g)), idx
+
+
 # === whole sweeps ===
 
 def test_random_sweep_is_clean_and_deterministic():
@@ -159,6 +195,14 @@ def test_summary_serializes():
     assert obj["instances"] == 3
     assert obj["config"]["seed"] == 2
     assert set(obj["claim_counts"]) == {"ok", "falsified", "skipped"}
+    failed = dataclasses.replace(
+        s, failures=(corpus.FailureRecord("2:1", "crash", "KeyError: 'x'"),))
+    obj = json.loads(json.dumps(failed.to_json_obj()))
+    assert list(obj) == ["config", "instances", "failures",
+                         "hypothesis_counts", "claim_counts", "elapsed", "ok"]
+    assert obj["ok"] is False
+    assert obj["failures"] == [
+        {"instance": "2:1", "check": "crash", "detail": "KeyError: 'x'"}]
 
 
 def test_empty_sweep():

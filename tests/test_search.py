@@ -7,13 +7,14 @@ from itertools import permutations
 import pytest
 
 from rturan.constructions import bipartite_f2k, maamoun_meyniel
-from rturan.corpus import random_instance
+from rturan.corpus import build_claim_context, random_instance
 from rturan.errors import GuardError, PathError, PreconditionError
 from rturan.graphs import ColoredGraph, one_factorized_complete
 from rturan.search import (ExistsOutcome, RainbowPath, has_rainbow_path,
                            is_rainbow, longest_rainbow_path, path_from_vertices,
                            spanning_rainbow_path_between,
                            spanning_rainbow_path_from)
+from rturan.terminals import build_aux_rules
 
 from spanning_brute import enumerate_rainbow_paths_on
 
@@ -70,6 +71,15 @@ def test_path_invariants():
     assert p.length == 2 and p.endpoints == (2, 1)
     assert p.is_rainbow()
     assert not RainbowPath((0, 1, 2), (5, 5)).is_rainbow()
+
+
+def test_path_from_lists_is_the_tuple_path():
+    p = RainbowPath([0, 1, 2], [0, 1])
+    assert p == RainbowPath((0, 1, 2), (0, 1))
+    assert hash(p) == hash(RainbowPath((0, 1, 2), (0, 1)))
+    g = ColoredGraph.from_edges(3, [(0, 1, 0), (1, 2, 1)])
+    assert build_aux_rules(g, p).edges == {(0, 2)}
+    assert build_claim_context(g, p).maximal
 
 
 @pytest.mark.parametrize("vs,cs", [

@@ -42,6 +42,9 @@ def test_perfbench_trace_installs_on_the_library_and_restores(monkeypatch):
                   "terminals.rules", "terminals.aux_rules",
                   "terminals.aux_oracle", "claims"):
         assert counts[layer + ".calls"] == 3, layer
+    # maximum_matching and matching_stats once each per instance, reached
+    # only while the claim context is built where the tracer wraps it
+    assert counts["terminals.matching.calls"] == 6
     assert counts["search.exists.calls"] >= 1
     assert counts["induction.calls"] == 1
     assert set(t.self_times()) >= {"corpus.run_suite", "terminals.aux_oracle"}
