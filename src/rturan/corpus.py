@@ -76,9 +76,6 @@ class RunConfig:
         # random_instance draws over every vertex pair of K_{n_max}
         check_size("suite", self.n_max, self.n_max * (self.n_max - 1) // 2)
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunConfig":
         known = {f for f in cls.__dataclass_fields__}

@@ -12,6 +12,8 @@ catch that.
 
 from __future__ import annotations
 
+import sys
+
 
 class GraphError(ValueError):
     """Malformed graph data or graph file."""
@@ -32,6 +34,12 @@ class GuardError(RuntimeError):
         super().__init__(topic if detail is None else f"{topic}: {detail}")
         self.topic = topic
         self.detail = detail
+
+
+def too_deep(topic: str, walk: str) -> GuardError:
+    """What a recursive walk raises in place of its RecursionError."""
+    return GuardError(topic, f"{walk} recursed past the interpreter's "
+                             f"limit ({sys.getrecursionlimit()} frames)")
 
 
 class WitnessError(RuntimeError):

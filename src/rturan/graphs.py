@@ -262,12 +262,9 @@ def disjoint_union(gs: Sequence[ColoredGraph], share_colors: bool) -> ColoredGra
                                    sides=sides if sides else None)
 
 
-def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> tuple[ColoredGraph, dict[int, int]]:
-    """Subgraph induced on `keep`, relabeled densely.
-
-    Returns (subgraph, old_id -> new_id). The palette is preserved even if
-    some colors no longer occur.
-    """
+def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> ColoredGraph:
+    """Subgraph induced on `keep`: its vertex i is the i-th smallest kept
+    id. The palette is preserved even if some colors no longer occur."""
     kept = sorted(set(keep))
     if any(not (0 <= v < g.n) for v in kept):
         raise GraphError("keep contains an unknown vertex")
@@ -276,7 +273,7 @@ def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> tuple[ColoredGraph
              if u in remap and v in remap]
     sides = tuple(g.sides[v] for v in kept) if g.sides is not None else None
     return ColoredGraph.from_edges(len(kept), edges, num_colors=g.num_colors,
-                                   sides=sides), remap
+                                   sides=sides)
 
 
 # -- file I/O ----------------------------------------------------------------

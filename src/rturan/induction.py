@@ -21,7 +21,7 @@ run stops with FalsificationError rather than producing a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -103,18 +103,14 @@ def verify_certificate(cert: InductionCertificate, g: ColoredGraph) -> bool:
     return cert.holds == expected
 
 
-def induction_step(g: ColoredGraph, k: int, budget: Optional[int] = None):
-    """One deletion step. Returns (record, reduced graph, old-to-new map).
-
-    The record's vertex ids live in g's numbering; callers stitching steps
-    together must translate through the returned map.
-    """
+def induction_step(g: ColoredGraph, k: int,
+                   budget: Optional[int] = None) -> StepRecord:
+    """One deletion step on g, recorded in g's vertex ids."""
     bound = rotation_bound(k)
     dmin = g.min_degree()
     if dmin < bound:
         v = min(u for u in range(g.n) if g.degree(u) == dmin)
-        sub, remap = induced_subgraph(g, [u for u in range(g.n) if u != v])
-        return (StepRecord("low_degree", (v,), dmin, bound), sub, remap)
+        return StepRecord("low_degree", (v,), dmin, bound)
 
     pstar = longest_rainbow_path(g, budget=budget).pinned()
     k_cur = pstar.length
@@ -136,11 +132,8 @@ def induction_step(g: ColoredGraph, k: int, budget: Optional[int] = None):
         raise FalsificationError(
             f"matching step removes {stats.incident_edges} edges, "
             f"telescoping needs strictly fewer than {frac_str(budget_here)}")
-    matched = set(stats.matched)
-    keep = [u for u in range(g.n) if u not in matched]
-    sub, remap = induced_subgraph(g, keep)
-    return (StepRecord("matching", stats.matched, stats.incident_edges,
-                       budget_here), sub, remap)
+    return StepRecord("matching", stats.matched, stats.incident_edges,
+                      budget_here)
 
 
 def run_induction(g: ColoredGraph, k: int,
@@ -164,17 +157,15 @@ def run_induction(g: ColoredGraph, k: int,
     bound = rotation_bound(k)
     steps = []
     cur = g
-    to_orig = {v: v for v in range(g.n)}
+    live = list(range(g.n))  # input ids of cur's vertices, ascending
     total = 0
     while cur.n:
-        rec, cur_next, remap = induction_step(cur, k, budget=budget)
-        original_ids = tuple(sorted(to_orig[v] for v in rec.removed_vertices))
-        rec = StepRecord(rec.kind, original_ids, rec.removed_edges,
-                         rec.bound_used)
-        steps.append(rec)
+        rec = induction_step(cur, k, budget=budget)
+        gone = {live[v] for v in rec.removed_vertices}
+        steps.append(replace(rec, removed_vertices=tuple(sorted(gone))))
         total += rec.removed_edges
-        to_orig = {new: to_orig[old] for old, new in remap.items()}
-        cur = cur_next
+        live = [v for v in live if v not in gone]
+        cur = induced_subgraph(g, live)
     assert total == g.m, "telescoped edge count drifted from the graph"
     holds = g.n == 0 or total < bound * g.n
     return InductionCertificate(n=g.n, k=k, bound=bound, total_edges=total,

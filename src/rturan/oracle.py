@@ -15,7 +15,8 @@ while the coloured edges can still reach `least`. One call therefore searches
 every canonical avoiding coloring of every edge subset of at least `least`
 edges, and the scan lowers `least` from all pairs to the first hit, whose
 coloured edges are the exact maximum and its witness. Vertex counts above the
-guard are refused rather than attempted.
+guard, or a K_n or witness past graphs.check_size, are refused before they
+are built, and so is a walk deeper than the interpreter allows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import GuardError, PreconditionError
+from .errors import GuardError, PreconditionError, too_deep
 from .graphs import ColoredGraph, GraphSkeleton, check_size, complete_graph
 
 COLORING_EDGE_GUARD = 15
@@ -93,7 +94,10 @@ def _colorings(n: int, edges: tuple, avoid: Optional[int],
             chosen[i] = None
             yield from rec(i + 1, fresh, spare - 1)
 
-    yield from rec(0, 0, 0 if least is None else m - least)
+    try:
+        yield from rec(0, 0, 0 if least is None else m - least)
+    except RecursionError:
+        raise too_deep("colorings", "the coloring walk") from None
 
 
 def proper_colorings(skel: GraphSkeleton, avoid: Optional[int] = None,
@@ -148,6 +152,7 @@ def exstar_small(n: int, path_edges: int,
         raise GuardError("exstar",
                          f"n={n} exceeds the exhaustive guard {guard}")
     if path_edges == 2:
+        check_size("exstar", n, n // 2)
         # one rainbow-free shape only: a matching (any two touching edges
         # get distinct colors under a proper coloring, which is a rainbow
         # two-edge path already)
@@ -155,6 +160,7 @@ def exstar_small(n: int, path_edges: int,
         witness = ColoredGraph.from_edges(n, pairs, num_colors=max(1, n // 2))
         return ExstarResult(n, path_edges, n // 2, witness)
 
+    check_size("exstar", n, n * (n - 1) // 2)
     all_edges = complete_graph(n).edges
     for least in range(len(all_edges), -1, -1):
         cs = next(_colorings(n, all_edges, path_edges, least), None)

@@ -78,7 +78,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import GuardError, PathError, PreconditionError
+from .errors import GuardError, PathError, PreconditionError, too_deep
 from .graphs import ColoredGraph
 
 
@@ -189,11 +189,6 @@ class ExistsOutcome:
     nodes_expanded: int
 
 
-def _too_deep() -> GuardError:
-    return GuardError("search", "the path search recursed past the "
-                      f"interpreter's limit ({sys.getrecursionlimit()} frames)")
-
-
 def _dfs(g: ColoredGraph, lim: int, floor: int, first: bool,
          budget: Optional[int]) -> tuple[int, list[int], int, bool]:
     """Rainbow paths longer than `floor` edges, from every root in ascending
@@ -242,7 +237,7 @@ def _dfs(g: ColoredGraph, lim: int, floor: int, first: bool,
             if not walk(s, 1 << s, 0, 0):
                 break
     except RecursionError:
-        raise _too_deep() from None
+        raise too_deep("search", "the path search") from None
     return best_len, best_seq, nodes, nodes > stop
 
 
@@ -395,7 +390,7 @@ def _span_ends(start: int, full: int, adj, adj_mask, cols, wanted: int,
     try:
         walk(start, 1 << start, 0, full & ~(1 << start))
     except RecursionError:
-        raise _too_deep() from None
+        raise too_deep("search", "the path search") from None
 
 
 def _first_span(g: ColoredGraph, start: int, full: int, adj, adj_mask, cols,

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import PathError, WitnessError
+from .errors import PathError, WitnessError, too_deep
 from .graphs import ColoredGraph
 from .profile import PathProfile, compute_profile
 from .search import RainbowPath, _span_ends, _span_prep, path_from_vertices
@@ -356,8 +356,9 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
 def maximum_matching(aux: AuxGraph) -> tuple:
     """A maximum matching of the auxiliary graph, as sorted vertex pairs.
 
-    Plain bitmask recursion; auxiliary graphs here have at most a path's
-    worth of vertices, so this is never large. best(mask) is a maximum
+    Plain bitmask recursion, one level per vertex; an auxiliary graph has
+    at most a path's worth of vertices, and one deeper than the
+    interpreter allows is refused (GuardError). best(mask) is a maximum
     matching of mask, as index pairs: it starts from the lowest vertex
     left unmatched and takes that vertex's first partner, in ascending
     order, that gives a strictly larger matching. It stops trying partners
@@ -388,7 +389,10 @@ def maximum_matching(aux: AuxGraph) -> tuple:
                 top = sub + ((i, j),)
         return top
 
-    pairs = best((1 << len(vs)) - 1)
+    try:
+        pairs = best((1 << len(vs)) - 1)
+    except RecursionError:
+        raise too_deep("matching", "the matching search") from None
     best.cache_clear()
     return tuple(sorted((vs[i], vs[j]) if vs[i] < vs[j] else (vs[j], vs[i])
                         for i, j in pairs))

@@ -219,6 +219,29 @@ def test_deep_path_file_is_refused_not_crashed(tmp_path, capsys):
     assert code == 0 and "0,1,2,3,4,5" in out
 
 
+def test_deep_walks_are_refused_not_crashed(tmp_path, capsys):
+    # a rainbow 600-cycle: every vertex is a terminal, and the matching
+    # recursion goes one level per terminal
+    n = 600
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text(f"{n} {n} {n}\n" + "".join(
+        f"{min(i, (i + 1) % n)} {max(i, (i + 1) % n)} {i}\n"
+        for i in range(n)))
+    assert main(["engine", "claims", str(cycle)]) == 3
+    assert "refused: matching" in capsys.readouterr().err
+    # the coloring walk recurses once per edge
+    path = tmp_path / "path.txt"
+    path.write_text("1101 1100 2\n"
+                    + "".join(f"{i} {i + 1} {i % 2}\n" for i in range(1100)))
+    assert main(["oracle", "colorings", str(path), "--count",
+                 "--guard", "5000"]) == 3
+    assert "refused: colorings" in capsys.readouterr().err
+    # K_1200 is refused before it is built
+    assert main(["oracle", "exstar", "--n", "1200", "--len", "3",
+                 "--guard", "5000"]) == 3
+    assert "refused: exstar: m=719400" in capsys.readouterr().err
+
+
 # === bounds ===
 
 def test_bounds_csv(capsys):

@@ -20,7 +20,8 @@ from rturan.search import longest_rainbow_path
 
 def test_config_defaults_and_round_trip():
     cfg = RunConfig(seed=3, instances=7, kind="bare_path")
-    again = RunConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
+    again = RunConfig.from_json_obj(
+        json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert again == cfg
 
 

@@ -51,10 +51,14 @@ def test_step_removes_smallest_min_degree_vertex():
     edges = [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4),
              (0, 3, 9), (0, 4, 10), (5, 1, 8), (5, 2, 7), (0, 5, 2)]
     g = ColoredGraph.from_edges(6, edges, num_colors=11)
-    rec, sub, remap = induction_step(g, 5)
+    rec = induction_step(g, 5)
     assert rec.kind == "low_degree"
     assert rec.removed_vertices == (1,) and rec.removed_edges == 3
-    assert sub.n == 5 and 1 not in remap
+    cert = run_induction(g, 5)
+    assert cert.steps[0] == rec
+    # the later steps delete the other five vertices, in input ids
+    assert sorted(v for s in cert.steps[1:] for v in s.removed_vertices) \
+        == [0, 2, 3, 4, 5]
 
 
 def test_matching_branch_step(monkeypatch):
@@ -63,10 +67,14 @@ def test_matching_branch_step(monkeypatch):
     # K_{4,4} xor has min degree 4 and longest rainbow paths of 3 edges.
     g = bipartite_f2k(2)
     monkeypatch.setattr(induction, "rotation_bound", lambda k: Fraction(4))
-    rec, sub, remap = induction_step(g, 3)
+    rec = induction_step(g, 3)
     assert rec == StepRecord("matching", (0, 1, 4, 6), 12, 16)
-    assert sub.n == 4 and sub.m == g.m - 12
-    assert sorted(remap) == [2, 3, 5, 7]
+    cert = run_induction(g, 3)
+    assert cert.steps[0] == rec
+    # what is left: the four unmatched vertices and g.m - 12 edges
+    assert sorted(v for s in cert.steps[1:] for v in s.removed_vertices) \
+        == [2, 3, 5, 7]
+    assert sum(s.removed_edges for s in cert.steps[1:]) == g.m - 12 == 4
     # the telescoping budget is strict: 12 edges against 3 * 4 fails
     monkeypatch.setattr(induction, "rotation_bound", lambda k: Fraction(3))
     with pytest.raises(FalsificationError, match="telescoping"):
@@ -81,7 +89,7 @@ def test_matching_branch_cap_exit(monkeypatch):
         monkeypatch.setattr(induction, "matching_step_cap",
                             lambda k, m, cap=cap: cap)
         if ok:
-            assert induction_step(g, 3)[0].removed_edges == 12
+            assert induction_step(g, 3).removed_edges == 12
         else:
             with pytest.raises(FalsificationError, match="allow 11"):
                 induction_step(g, 3)

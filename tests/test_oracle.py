@@ -13,9 +13,10 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from rturan import oracle
 from rturan.errors import GuardError, PreconditionError
-from rturan.graphs import (ColoredGraph, GraphSkeleton, complete_graph,
-                           validate_proper)
+from rturan.graphs import (PARSE_VERTEX_GUARD, ColoredGraph, GraphSkeleton,
+                           complete_graph, validate_proper)
 from rturan.oracle import (_colorings, clique_packing, coloring_avoiding,
                            count_proper_colorings, erdos_gallai_bound,
                            exstar_small, packing_edge_count,
@@ -220,6 +221,18 @@ def test_coloring_guards():
         next(proper_colorings(path_skeleton(2), avoid=0))
 
 
+def test_deep_coloring_walk_is_refused():
+    # the walk recurses once per edge: 1100 edges are too deep for it
+    skel = path_skeleton(1100)
+    with pytest.raises(GuardError, match="coloring walk recursed"):
+        count_proper_colorings(skel, guard=5000)
+    with pytest.raises(GuardError, match="coloring walk recursed"):
+        next(proper_colorings(skel, guard=5000))
+    # two alternating colors leave no rainbow 3-edge path, so it goes deep
+    with pytest.raises(GuardError, match="coloring walk recursed"):
+        coloring_avoiding(skel, 3, guard=5000)
+
+
 # === exact extremal values ===
 
 FROZEN = {
@@ -315,6 +328,24 @@ def test_packing_leftover_block():
     assert g.m == packing_edge_count(7, 3) == 6
     assert g.degree(6) == 0
     assert has_rainbow_path(g, 3).found is False
+
+
+def test_exstar_refuses_oversized_inputs_before_building(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(n):
+        raise Built(n)
+
+    monkeypatch.setattr(oracle, "complete_graph", build)
+    # K_708 has 250,278 edges, over the edge guard; K_707 has 249,571
+    with pytest.raises(GuardError, match="edge guard"):
+        exstar_small(708, 3, guard=5000)
+    with pytest.raises(Built):
+        exstar_small(707, 3, guard=5000)
+    # the matching witness of the two-edge shortcut is checked too
+    with pytest.raises(GuardError, match="vertex guard"):
+        exstar_small(PARSE_VERTEX_GUARD + 1, 2, guard=10 * PARSE_VERTEX_GUARD)
 
 
 def test_exstar_dominates_packing():

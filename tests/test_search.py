@@ -1,11 +1,14 @@
 """Search behavior on graphs small enough to check by hand or by a second,
 dumber search written here in the test."""
 
+import ast
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import rturan
 from rturan.constructions import bipartite_f2k, maamoun_meyniel
 from rturan.corpus import build_claim_context, random_instance
 from rturan.errors import GuardError, PathError, PreconditionError
@@ -231,6 +234,53 @@ def test_deep_search_is_refused():
         longest_rainbow_path(g)
     # a short query stops long before the recursion limit
     assert has_rainbow_path(g, 5).witness.vertices == (0, 1, 2, 3, 4, 5)
+
+
+def _recursive_walks(tree):
+    """(enclosing function, nested function) for each nested function that
+    calls itself by name."""
+    found = []
+
+    def visit(node, outer):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                if outer is not None and any(
+                        isinstance(c, ast.Call)
+                        and isinstance(c.func, ast.Name)
+                        and c.func.id == child.name
+                        for c in ast.walk(child)):
+                    found.append((outer, child))
+                visit(child, child)
+            else:
+                visit(child, outer)
+
+    visit(tree, None)
+    return found
+
+
+def _catches_recursion_error(fn) -> bool:
+    for node in ast.walk(fn):
+        for handler in getattr(node, "handlers", ()):
+            kind = handler.type
+            names = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+            if any(isinstance(x, ast.Name) and x.id == "RecursionError"
+                   for x in names):
+                return True
+    return False
+
+
+def test_every_recursive_walk_refuses_deep_inputs():
+    # a walk that recurses once per level of its input ends in a traceback
+    # on a deep enough input, unless the function around it turns the
+    # RecursionError into a GuardError
+    guarded = set()
+    for path in sorted(Path(rturan.__file__).parent.glob("*.py")):
+        for outer, inner in _recursive_walks(ast.parse(path.read_text())):
+            assert _catches_recursion_error(outer), \
+                f"{path.name}: {outer.name} lets {inner.name} overflow"
+            guarded.add(outer.name)
+    assert {"_dfs", "_span_ends", "_colorings",
+            "maximum_matching"} <= guarded
 
 
 # === existence queries ===

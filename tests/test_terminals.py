@@ -14,7 +14,7 @@ import pytest
 from rturan import terminals
 from rturan.constructions import maamoun_meyniel
 from rturan.corpus import random_instance
-from rturan.errors import WitnessError
+from rturan.errors import GuardError, WitnessError
 from rturan.graphs import ColoredGraph
 from rturan.search import (RainbowPath, is_rainbow, longest_rainbow_path,
                            path_from_vertices)
@@ -283,6 +283,15 @@ def test_matching_on_small_cases():
     star = AuxGraph(vertices=(0, 1, 2, 3),
                     edges=frozenset({(0, 1), (0, 2), (0, 3)}))
     assert len(maximum_matching(star)) == 1
+
+
+def test_deep_matching_is_refused():
+    # the recursion goes one level per vertex: a 600-cycle is too deep
+    n = 600
+    cycle = AuxGraph(vertices=tuple(range(n)), edges=frozenset(
+        (min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)))
+    with pytest.raises(GuardError, match="matching search recursed"):
+        maximum_matching(cycle)
 
 
 def test_matching_matches_brute_force():
