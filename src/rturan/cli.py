@@ -234,7 +234,7 @@ def cmd_engine_terminals(args) -> int:
     payload: dict = {"path": _path_obj(p)}
     rules = oracle = None
     if args.mode in ("rules", "both"):
-        rules = terminal_rules(g, p)
+        rules = terminal_rules(g, compute_profile(g, p))
         payload["rules"] = {
             "terminals": sorted(rules.rule_terminals),
             "by_rule": {r: list(vs)
@@ -273,10 +273,12 @@ def cmd_engine_aux(args) -> int:
     p = _pick_path(g, args)
     payload: dict = {"path": _path_obj(p)}
     auxes: dict = {}
-    for tag, build in (("rules", build_aux_rules),
-                       ("oracle", build_aux_oracle)):
+    builders = {"rules": lambda: build_aux_rules(
+                    g, p, terminal_rules(g, compute_profile(g, p))),
+                "oracle": lambda: build_aux_oracle(g, p)}
+    for tag, build in builders.items():
         if args.mode in (tag, "both"):
-            aux = auxes[tag] = build(g, p)
+            aux = auxes[tag] = build()
             payload[tag] = {"vertices": list(aux.vertices),
                             "edges": sorted(map(list, aux.edges)),
                             "min_degree": aux.min_degree()}

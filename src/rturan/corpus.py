@@ -244,7 +244,7 @@ def check_instance(g: ColoredGraph, label: str,
     try:
         ctx = build_claim_context(g, budget=budget)
     except GuardError as e:
-        fail("search", e.detail)
+        fail(e.topic, e.detail)
         return fails, None
     except PreconditionError as e:
         fail("search", str(e))
@@ -256,7 +256,7 @@ def check_instance(g: ColoredGraph, label: str,
         fail("profile", broken)
 
     try:
-        trep = terminal_rules(g, pstar, ctx.prof)
+        trep = terminal_rules(g, ctx.prof)
         aux_rules = build_aux_rules(g, pstar, trep)
     except WitnessError as e:
         fail("witness", f"{e.rule}: {e.detail}")

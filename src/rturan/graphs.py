@@ -36,6 +36,9 @@ Edge = tuple[int, int]
 PARSE_VERTEX_GUARD = 100_000
 # a ColoredGraph costs about 470 bytes per edge: 1,000,000 edges took 472 MB
 EDGE_GUARD = 250_000
+# the search table (ColoredGraph._bits) holds at most 2*m*(n + colors in use)
+# bits of big ints; 2^32 bits is 512 MB
+SEARCH_TABLE_GUARD = 2 ** 32
 
 
 def _norm(u: int, v: int) -> Edge:
@@ -141,14 +144,21 @@ class ColoredGraph:
         ints stay below 2 ** m however large the color ids are; a color
         mask tests the same as one over the ids, as ranks are a bijection.
         Built on the first search of this graph and kept, so loading,
-        validating and converting a graph never pay for its big ints.
+        validating and converting a graph never pay for its big ints. A
+        graph whose table could pass SEARCH_TABLE_GUARD bits is refused
+        (GuardError) before any of it is built.
         (Cached by hand: functools.cached_property takes a lock on every
         first read, a few microseconds, several percent of a search on K5.)"""
         bits = self.__dict__.get("_bits_cache")
         if bits is None:
             nbrs = self._nbrs
-            cbit = {c: 1 << r for r, c in
-                    enumerate(sorted({c for (_, _, c) in self.edges}))}
+            used = sorted({c for (_, _, c) in self.edges})
+            size = 2 * self.m * (self.n + len(used))
+            if size > SEARCH_TABLE_GUARD:
+                raise GuardError("search", f"the search table needs up to "
+                                           f"{size} bits, over the guard "
+                                           f"{SEARCH_TABLE_GUARD}")
+            cbit = {c: 1 << r for r, c in enumerate(used)}
             bits = tuple([tuple([(w, 1 << w, cbit[c]) for (w, c) in nbrs[v]])
                           for v in range(self.n)])
             self.__dict__["_bits_cache"] = bits

@@ -69,7 +69,8 @@ the vertex set's bit table.
 Both kernels recurse once per path vertex. A path deeper than the
 interpreter's recursion limit (about a thousand vertices) ends the search
 with GuardError("search", ...), which the command line reports as a
-refusal (exit 3), not as a crash.
+refusal (exit 3), not as a crash. So does a graph whose table could pass
+graphs.SEARCH_TABLE_GUARD bits, before any of the table is built.
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ alone by replaying rotation arguments; every firing carries an explicit
 witness path, so an unsound rule cannot slip through silently (it raises
 WitnessError).
 
+The rule layer takes each input once and computes none of them:
+terminal_rules(g, prof) reads P* off its profile, and build_aux_rules(g,
+pstar, report) takes the rule report. The builders compose the layers:
+corpus.check_instance hands in the profile of its claim context, and the
+command line builds the profile with profile.compute_profile.
+
 Every witness is checked by _witness: it reads the vertex sequence off g
 (a simple path, every edge present) and refuses a repeated color or a
 vertex set other than V(P*). checked_fire adds that the claimed terminals
@@ -73,11 +79,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .errors import PathError, WitnessError, too_deep
 from .graphs import ColoredGraph
-from .profile import PathProfile, compute_profile
+from .profile import PathProfile
 from .search import RainbowPath, _span_ends, _span_prep, path_from_vertices
 # unused here, but bound for perfbench's --trace 1, which wraps it here
 from .search import spanning_rainbow_path_between  # noqa: F401
@@ -163,12 +168,9 @@ def _start_rules(prof: PathProfile) -> tuple:
     return fresh, nice, window
 
 
-def terminal_rules(g: ColoredGraph, pstar: RainbowPath,
-                   prof: Optional[PathProfile] = None) -> TerminalReport:
-    """Replay the rotation rules on pstar and report every firing."""
-    if prof is None:
-        prof = compute_profile(g, pstar)
-    k = prof.k
+def terminal_rules(g: ColoredGraph, prof: PathProfile) -> TerminalReport:
+    """Replay the rotation rules on prof's path P* and report every firing."""
+    pstar, k = prof.path, prof.k
     fires = [RuleFire("endpoints", ("path", 0),
                       (pstar.vertices[0], pstar.vertices[-1]), pstar)]
 
@@ -234,7 +236,7 @@ def _jump_rotations(g: ColoredGraph, w: RainbowPath):
 
 
 def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
-                    report: Optional[TerminalReport] = None) -> AuxGraph:
+                    report: TerminalReport) -> AuxGraph:
     """Auxiliary graph from rule witnesses alone.
 
     Edges come from each witness's endpoint pair and its jump rotations.
@@ -246,8 +248,6 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
     rotation can end at a terminal no rule names, and each endpoint ends a
     checked spanning witness, so it is terminal too.
     """
-    if report is None:
-        report = terminal_rules(g, pstar)
     span = set(pstar.vertices)
     read: dict = {}        # vertex sequence -> the path read off g
 

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import rturan.claims
 from rturan.claims import ClaimContext, check_claims
 from rturan.constructions import bipartite_f2k, maamoun_meyniel
 from rturan.corpus import build_claim_context
@@ -199,17 +198,24 @@ def test_context_builder_probes_maximality():
     assert ctx2.maximal is True and ctx2.prof.path.length == 5
 
 
-def test_battery_imports_no_search_or_layer_function():
-    # the battery is a pure function of its context: it may name the record
-    # types of the layers below it, never call into them
-    tree = ast.parse(Path(rturan.claims.__file__).read_text())
+@pytest.mark.parametrize("layer,banned,types_only", [
+    ("claims", ("search",), ("profile", "terminals")),
+    ("terminals", (), ("profile",)),
+], ids=["claims", "terminals"])
+def test_battery_imports_no_search_or_layer_function(layer, banned,
+                                                     types_only):
+    # the battery is a pure function of its context, and the rule layer of
+    # its profile and report: each may name the record types of the layers
+    # below it, never call into them
+    tree = ast.parse(Path(importlib.import_module(f"rturan.{layer}")
+                          .__file__).read_text())
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
         module = (node.module or "").removeprefix("rturan.")
-        assert module != "search", "claims imports from rturan.search"
-        if module in ("profile", "terminals"):
+        assert module not in banned, f"{layer} imports from rturan.{module}"
+        if module in types_only:
             owner = importlib.import_module(f"rturan.{module}")
             for alias in node.names:
                 assert isinstance(getattr(owner, alias.name), type), \
-                    f"claims imports {module}.{alias.name}"
+                    f"{layer} imports {module}.{alias.name}"

@@ -219,6 +219,18 @@ def test_deep_path_file_is_refused_not_crashed(tmp_path, capsys):
     assert code == 0 and "0,1,2,3,4,5" in out
 
 
+def test_search_past_the_table_guard_is_refused(tmp_path, capsys):
+    # 25,000 edges (i, i + 50,000) on 100,000 vertices pass every parse
+    # guard, but their search table could need 5.0e9 bits
+    n, m = PARSE_VERTEX_GUARD, 25_000
+    path = tmp_path / "wide.txt"
+    path.write_text(f"{n} {m} 1\n"
+                    + "".join(f"{i} {i + n // 2} 0\n" for i in range(m)))
+    assert main(["rainbow", "longest", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("refused: search: the search table")
+
+
 def test_deep_walks_are_refused_not_crashed(tmp_path, capsys):
     # a rainbow 600-cycle: every vertex is a terminal, and the matching
     # recursion goes one level per terminal
@@ -305,6 +317,95 @@ def test_aux_json_renders_both_flavours_alike(k4_file, capsys):
     assert code == 0 and obj["sound"] is True
     for tag in ("rules", "oracle"):
         assert set(obj[tag]) == {"vertices", "edges", "min_degree"}
+
+
+K4_RULES = """\
+rule terminals: 0,1,2
+      endpoints: 1,2
+       far_jump: 0,1,2
+      fresh_end: 0,1
+    fresh_start: 0,2
+       nice_end: 0,1
+     nice_start: 0,2
+"""
+F2K_RULES = """\
+rule terminals: 0,1,4,6
+      endpoints: 0,6
+       far_jump: 0,1,4,6
+      fresh_end: 0,4
+    fresh_start: 1,6
+       nice_end: 1,4
+     nice_start: 1,4
+"""
+K4_AUX = "3 terminals, 3 pairs, min degree 2\n  0 -- 1\n  0 -- 2\n  1 -- 2\n"
+F2K_AUX = ("4 terminals, 4 pairs, min degree 2\n"
+           "  0 -- 4\n  0 -- 6\n  1 -- 4\n  1 -- 6\n")
+K4_PATH = {"vertices": [1, 0, 2], "colors": [0, 1], "edges": 2}
+F2K_PATH = {"vertices": [0, 4, 1, 6], "colors": [0, 1, 3], "edges": 3}
+K4_AUX_OBJ = {"vertices": [0, 1, 2], "edges": [[0, 1], [0, 2], [1, 2]],
+              "min_degree": 2}
+F2K_AUX_OBJ = {"vertices": [0, 1, 4, 6],
+               "edges": [[0, 4], [0, 6], [1, 4], [1, 6]], "min_degree": 2}
+# (command, graph) -> (--mode rules text, --mode both text,
+#                      --mode both JSON); the rules JSON is the both JSON
+#                      without "oracle" and "sound"
+ENGINE_OUTPUTS = {
+    ("terminals", "k4"): (
+        K4_RULES,
+        K4_RULES + "oracle terminals: 0,1,2\nrules within oracle: yes\n",
+        {"path": K4_PATH, "oracle": {"terminals": [0, 1, 2]}, "sound": True,
+         "rules": {"terminals": [0, 1, 2], "fires": 7, "by_rule": {
+             "endpoints": [1, 2], "far_jump": [0, 1, 2],
+             "fresh_end": [0, 1], "fresh_start": [0, 2],
+             "nice_end": [0, 1], "nice_start": [0, 2]}}}),
+    ("terminals", "f2k"): (
+        F2K_RULES,
+        F2K_RULES + "oracle terminals: 0,1,4,6\nrules within oracle: yes\n",
+        {"path": F2K_PATH, "oracle": {"terminals": [0, 1, 4, 6]},
+         "sound": True,
+         "rules": {"terminals": [0, 1, 4, 6], "fires": 8, "by_rule": {
+             "endpoints": [0, 6], "far_jump": [0, 1, 4, 6],
+             "fresh_end": [0, 4], "fresh_start": [1, 6],
+             "nice_end": [1, 4], "nice_start": [1, 4]}}}),
+    ("aux", "k4"): (
+        "rules aux graph: " + K4_AUX,
+        "rules aux graph: " + K4_AUX + "oracle aux graph: " + K4_AUX
+        + "rules within oracle: yes\n",
+        {"path": K4_PATH, "rules": K4_AUX_OBJ, "oracle": K4_AUX_OBJ,
+         "sound": True}),
+    ("aux", "f2k"): (
+        "rules aux graph: " + F2K_AUX,
+        "rules aux graph: " + F2K_AUX + "oracle aux graph: " + F2K_AUX
+        + "rules within oracle: yes\n",
+        {"path": F2K_PATH, "rules": F2K_AUX_OBJ, "oracle": F2K_AUX_OBJ,
+         "sound": True}),
+}
+
+
+@pytest.mark.parametrize("cmd,graph", sorted(ENGINE_OUTPUTS))
+def test_engine_rule_outputs_are_pinned(cmd, graph, request, capsys):
+    # k4 on the fixed path 1,0,2; f2k on its proven longest path
+    argv = ["engine", cmd, request.getfixturevalue(graph + "_file")]
+    if graph == "k4":
+        argv += ["--path", "1,0,2"]
+    rules_text, both_text, both = ENGINE_OUTPUTS[cmd, graph]
+    rules = {k: v for k, v in both.items() if k not in ("oracle", "sound")}
+    for mode, text, obj in (("rules", rules_text, rules),
+                            ("both", both_text, both)):
+        assert run(capsys, argv + ["--mode", mode]) == (0, text)
+        assert run(capsys, argv + ["--mode", mode, "--json"]) == (
+            0, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("cmd", ["terminals", "aux"])
+def test_rule_mode_on_a_one_vertex_path_is_input_error(tmp_path, capsys,
+                                                       cmd):
+    path = tmp_path / "g.txt"
+    path.write_text("4 2 2\n0 1 0\n2 3 1\n")
+    assert main(["engine", cmd, str(path), "--path", "3",
+                 "--mode", "rules"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: profile needs a path with at least one edge\n")
 
 
 def test_single_vertex_path_oracles(tmp_path, capsys):

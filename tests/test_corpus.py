@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 
@@ -123,6 +124,19 @@ def test_check_instance_records_refused_context(g, budget, detail):
     fails, report = check_instance(g, "unit", budget=budget)
     assert report is None
     assert [(f.check, f.detail) for f in fails] == [("search", detail)]
+
+
+def test_check_instance_labels_a_refusal_with_its_layer():
+    # a rainbow 600-cycle: the search finishes, and the matching refuses
+    # (one recursion level per terminal), so the record names the matching
+    n = 600
+    cycle = ColoredGraph.from_edges(
+        n, [(i, (i + 1) % n, i) for i in range(n)])
+    fails, report = check_instance(cycle, "unit")
+    assert report is None
+    assert [(f.check, f.detail) for f in fails] == [(
+        "matching", "the matching search recursed past the interpreter's "
+                    f"limit ({sys.getrecursionlimit()} frames)")]
 
 
 def test_check_instance_stops_at_a_bad_aux_witness(monkeypatch):

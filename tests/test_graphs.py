@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from rturan import graphs
 from rturan.constructions import bipartite_f2k, blowup, maamoun_meyniel
 from rturan.corpus import random_instance
 from rturan.errors import GraphError, GuardError
@@ -278,6 +279,26 @@ def test_loading_a_long_path_builds_no_search_table(tmp_path):
     assert parse_graph(serialize_graph_json(g)) == g
     assert has_rainbow_path(g, n).found is False
     assert "_bits_cache" not in vars(g)
+
+
+def test_search_table_past_its_guard_is_refused_before_it_is_built(
+        monkeypatch):
+    # 50,000 edges (i, i + 50,000) on 100,000 vertices, all of color 0: a
+    # file under 1 MB whose table could need 2 * m * (n + 1) = 1.0e10 bits
+    n = PARSE_VERTEX_GUARD
+    g = ColoredGraph.from_edges(n, [(i, i + n // 2, 0)
+                                    for i in range(n // 2)])
+    assert 2 * g.m * (g.n + 1) > graphs.SEARCH_TABLE_GUARD
+    with pytest.raises(GuardError) as e:
+        longest_rainbow_path(g)
+    assert e.value.topic == "search"
+    assert "_bits_cache" not in vars(g)
+    # the bound is 2 * m * (n + colors in use): 2 * 4 * (4 + 2) on small()
+    monkeypatch.setattr(graphs, "SEARCH_TABLE_GUARD", 47)
+    with pytest.raises(GuardError):
+        small()._bits
+    monkeypatch.setattr(graphs, "SEARCH_TABLE_GUARD", 48)
+    assert small()._bits
 
 
 def test_search_table_does_not_grow_with_color_ids(tmp_path):

@@ -214,8 +214,8 @@ def test_reversed_profile_is_the_profile_of_the_reversed_path():
         assert (rev.start, rev.end) == (prof.end, prof.start)
         assert rev == compute_profile(g, back)
         assert rev.reversed() == prof
-        report = terminal_rules(g, p, prof)
-        assert chord_fires(terminal_rules(g, back), p.length, mirror=True) \
+        report = terminal_rules(g, prof)
+        assert chord_fires(terminal_rules(g, rev), p.length, mirror=True) \
             == chord_fires(report, p.length)
         rules.update(f.rule for f in report.fires)
     # every family fires on both sides somewhere

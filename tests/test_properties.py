@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from rturan.graphs import (ColoredGraph, parse_graph, serialize_graph,  # noqa: E402
                            serialize_graph_json, validate_proper)
+from rturan.profile import compute_profile  # noqa: E402
 from rturan.search import (longest_rainbow_path,  # noqa: E402
                            path_from_vertices)
 from rturan.terminals import (build_aux_oracle, build_aux_rules,  # noqa: E402
@@ -61,7 +62,7 @@ def test_parse_serialize_round_trip(g):
 def test_rules_stay_inside_the_oracles(g):
     pstar = longest_rainbow_path(g).best
     assume(pstar is not None and pstar.length >= 1)
-    report = terminal_rules(g, pstar)
+    report = terminal_rules(g, compute_profile(g, pstar))
     terminals = terminal_oracle(g, pstar)
     assert report.rule_terminals <= terminals
     aux_rules = build_aux_rules(g, pstar, report)

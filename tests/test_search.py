@@ -17,7 +17,8 @@ from rturan.search import (ExistsOutcome, RainbowPath, has_rainbow_path,
                            is_rainbow, longest_rainbow_path, path_from_vertices,
                            spanning_rainbow_path_between,
                            spanning_rainbow_path_from)
-from rturan.terminals import build_aux_rules
+from rturan.profile import compute_profile
+from rturan.terminals import build_aux_rules, terminal_rules
 
 from spanning_brute import enumerate_rainbow_paths_on
 
@@ -81,7 +82,8 @@ def test_path_from_lists_is_the_tuple_path():
     assert p == RainbowPath((0, 1, 2), (0, 1))
     assert hash(p) == hash(RainbowPath((0, 1, 2), (0, 1)))
     g = ColoredGraph.from_edges(3, [(0, 1, 0), (1, 2, 1)])
-    assert build_aux_rules(g, p).edges == {(0, 2)}
+    rep = terminal_rules(g, compute_profile(g, p))
+    assert build_aux_rules(g, p, rep).edges == {(0, 2)}
     assert build_claim_context(g, p).maximal
 
 

@@ -16,6 +16,7 @@ from rturan.constructions import maamoun_meyniel
 from rturan.corpus import random_instance
 from rturan.errors import GuardError, WitnessError
 from rturan.graphs import ColoredGraph
+from rturan.profile import compute_profile
 from rturan.search import (RainbowPath, is_rainbow, longest_rainbow_path,
                            path_from_vertices)
 from rturan.terminals import (AuxGraph, RuleFire, TerminalReport,
@@ -42,7 +43,7 @@ def hand_pair():
 
 def test_hand_instance_fires():
     g, p = hand_pair()
-    rep = terminal_rules(g, p)
+    rep = terminal_rules(g, compute_profile(g, p))
     assert rep.terminals_by_rule() == {
         "endpoints": (0, 5),
         "fresh_start": (2, 3, 5),
@@ -55,7 +56,7 @@ def test_hand_instance_fires():
 
 def test_hand_instance_witnesses_are_sound():
     g, p = hand_pair()
-    for f in terminal_rules(g, p).fires:
+    for f in terminal_rules(g, compute_profile(g, p)).fires:
         assert is_rainbow(g, f.witness)
         assert set(f.witness.vertices) == set(range(6))
         assert set(f.terminals) <= set(f.witness.endpoints)
@@ -63,7 +64,8 @@ def test_hand_instance_witnesses_are_sound():
 
 def test_window_witnesses_exactly():
     g, p = hand_pair()
-    by_rule = {f.rule: f for f in terminal_rules(g, p).fires
+    by_rule = {f.rule: f
+               for f in terminal_rules(g, compute_profile(g, p)).fires
                if f.rule.startswith("window")}
     assert by_rule["window_start"].witness.vertices == (2, 3, 0, 1, 5, 4)
     assert by_rule["window_end"].witness.vertices == (3, 2, 5, 4, 0, 1)
@@ -71,7 +73,7 @@ def test_window_witnesses_exactly():
 
 def test_rules_within_oracle():
     g, p = hand_pair()
-    rep = terminal_rules(g, p)
+    rep = terminal_rules(g, compute_profile(g, p))
     assert rep.rule_terminals <= terminal_oracle(g, p)
     assert terminal_oracle(g, p) == frozenset(range(6))
 
@@ -84,7 +86,7 @@ def test_nice_start_chord_below_freed_edge():
         6, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4),
             (0, 2, 3), (3, 5, 20)], num_colors=21)
     p = path_from_vertices(g, range(6))
-    fires = {f.rule: f for f in terminal_rules(g, p).fires}
+    fires = {f.rule: f for f in terminal_rules(g, compute_profile(g, p)).fires}
     nice = fires["nice_start"]
     assert nice.witness.vertices == (1, 0, 2, 3, 5, 4)
     assert set(nice.terminals) == {1, 4}
@@ -96,7 +98,7 @@ def test_nice_start_chord_above_freed_edge():
         6, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4),
             (0, 3, 1), (5, 1, 20)], num_colors=21)
     p = path_from_vertices(g, range(6))
-    fires = {f.rule: f for f in terminal_rules(g, p).fires}
+    fires = {f.rule: f for f in terminal_rules(g, compute_profile(g, p)).fires}
     nice = fires["nice_start"]
     assert nice.witness.vertices == (2, 3, 0, 1, 5, 4)
     assert set(nice.terminals) == {2, 4}
@@ -104,14 +106,13 @@ def test_nice_start_chord_above_freed_edge():
 
 def test_nice_rules_silent_on_far_corner():
     g, p = hand_pair()
-    rules = {f.rule for f in terminal_rules(g, p).fires}
+    rules = {f.rule for f in terminal_rules(g, compute_profile(g, p)).fires}
     prof_nice = compute_nice(g, p)
     assert prof_nice == (frozenset({2}), frozenset({2}))
     assert "nice_start" not in rules and "nice_end" not in rules
 
 
 def compute_nice(g, p):
-    from rturan.profile import compute_profile
     prof = compute_profile(g, p)
     return prof.start.nice, prof.end.nice
 
@@ -121,7 +122,7 @@ def compute_nice(g, p):
 def test_far_jump_makes_everything_terminal():
     g = maamoun_meyniel(2)
     p = path_from_vertices(g, [1, 0, 2])
-    rep = terminal_rules(g, p)
+    rep = terminal_rules(g, compute_profile(g, p))
     jumps = [f for f in rep.fires if f.rule == "far_jump"]
     assert len(jumps) == 2
     assert rep.rule_terminals == frozenset({0, 1, 2})
@@ -161,7 +162,7 @@ def test_checked_fire_rejects_interior_terminal():
 
 def test_aux_rules_subset_of_oracle():
     g, p = hand_pair()
-    aux_r = build_aux_rules(g, p)
+    aux_r = build_aux_rules(g, p, terminal_rules(g, compute_profile(g, p)))
     aux_o = build_aux_oracle(g, p)
     assert set(aux_r.vertices) <= set(aux_o.vertices)
     assert aux_r.edges <= aux_o.edges
@@ -199,7 +200,7 @@ def suite_instances(seed, kind, count):
     for _ in range(count):
         g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
         p = longest_rainbow_path(g).best
-        yield g, p, terminal_rules(g, p)
+        yield g, p, terminal_rules(g, compute_profile(g, p))
 
 
 @pytest.mark.parametrize("seed,kind", [(808, "random"), (909, "bare_path")])
@@ -233,7 +234,7 @@ def test_aux_rules_read_each_distinct_sequence_once(monkeypatch):
 
 def test_aux_rules_reread_witnesses_from_the_graph():
     g, p = hand_pair()
-    rep = terminal_rules(g, p)
+    rep = terminal_rules(g, compute_profile(g, p))
     for f in rep.fires:
         w = f.witness
         # the recorded colors, reversed: still distinct, but not g's colors
@@ -257,7 +258,7 @@ def test_aux_rules_vertices_hold_every_edge_end():
     for _ in range(116):
         g = random_instance(rng, rng.randint(5, 12), 0.45, "random")
     p = longest_rainbow_path(g).best
-    rep = terminal_rules(g, p)
+    rep = terminal_rules(g, compute_profile(g, p))
     aux = build_aux_rules(g, p, rep)
     assert 5 not in rep.rule_terminals and 5 in aux.vertices
     ends = {v for e in aux.edges for v in e}
