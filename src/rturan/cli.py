@@ -29,8 +29,9 @@ from .constructions import bipartite_f2k, blowup, bound_table, maamoun_meyniel
 from .corpus import RunConfig, build_claim_context, run_suite
 from .errors import (FalsificationError, GuardError, GraphError, PathError,
                      PreconditionError, WitnessError)
-from .graphs import (ColoredGraph, load_graph, save_graph, serialize_graph,
-                     serialize_graph_json, graph_to_json_obj, validate_proper)
+from .graphs import (ColoredGraph, file_format, load_graph, save_graph,
+                     serialize_graph, serialize_graph_json, graph_to_json_obj,
+                     validate_proper)
 from .induction import frac_str, run_induction, verify_certificate
 from .oracle import (COLORING_EDGE_GUARD, EXSTAR_VERTEX_GUARD, clique_packing,
                      coloring_avoiding, count_proper_colorings,
@@ -71,7 +72,7 @@ def _fixed_path(g: ColoredGraph, raw: str):
 
 def _pick_path(g: ColoredGraph, args):
     """The path the engine works on: either --path, or a proven longest."""
-    if args.path:
+    if args.path is not None:
         return _fixed_path(g, args.path)
     return longest_rainbow_path(g, budget=args.budget).pinned()
 
@@ -105,6 +106,9 @@ def cmd_graph_validate(args) -> int:
 
 
 def cmd_graph_convert(args) -> int:
+    if args.out is not None and args.to not in (None, file_format(args.out)):
+        raise PreconditionError(f"--to {args.to} contradicts -o {args.out}, "
+                                f"which writes {file_format(args.out)}")
     g = load_graph(args.file)
     if args.out is None:
         _emit(serialize_graph_json(g) if args.to == "json"
@@ -301,7 +305,7 @@ def cmd_engine_aux(args) -> int:
 
 def cmd_engine_claims(args) -> int:
     g = load_graph(args.file)
-    p = _fixed_path(g, args.path) if args.path else None
+    p = _fixed_path(g, args.path) if args.path is not None else None
     rep = check_claims(build_claim_context(g, p, budget=args.budget))
     if args.json:
         _emit_json({"k": rep.k, "hypotheses": rep.hypotheses,
@@ -387,12 +391,15 @@ def cmd_oracle_colorings(args) -> int:
 def cmd_oracle_eg(args) -> int:
     bound = erdos_gallai_bound(args.n, args.k)
     packed = packing_edge_count(args.n, args.k)
-    if args.json:
-        _emit_json({"n": args.n, "path_edges": args.k,
-                    "bound": frac_str(bound), "packing_edges": packed})
-        return 0
     # built before any output, so a refused size prints nothing
     witness = clique_packing(args.n, args.k) if args.witness else None
+    if args.json:
+        obj = {"n": args.n, "path_edges": args.k, "bound": frac_str(bound),
+               "packing_edges": packed}
+        if witness is not None:
+            obj["witness"] = graph_to_json_obj(witness)
+        _emit_json(obj)
+        return 0
     _emit(f"no path with {args.k} edges on {args.n} vertices: "
           f"at most {frac_str(bound)} edges, clique packing gives {packed}")
     if witness is not None:
@@ -472,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     cnv = _command(gsub, "convert", cmd_graph_convert,
                    "rewrite between text and json", "file")
     cnv.add_argument("-o", "--out", help="output path (format by extension)")
-    cnv.add_argument("--to", choices=("text", "json"), default="text",
-                     help="stdout format when no -o is given")
+    cnv.add_argument("--to", choices=("text", "json"), default=None,
+                     help="output format (default text; with -o, the one "
+                          "its extension picks)")
 
     rainbow = sub.add_parser("rainbow", help="exact rainbow path search")
     rsub = rainbow.add_subparsers(dest="sub", required=True)

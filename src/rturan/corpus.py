@@ -214,7 +214,7 @@ def _tamper_once(g: ColoredGraph, pstar, fires) -> Optional[str]:
             continue
         broken = [pos[v] for v in (vs[:1] + vs[2:])]
         try:
-            checked_fire(g, pstar, f.rule, f.anchor, broken, ())
+            checked_fire(g, pstar, f.rule, f.anchor, broken)
         except WitnessError:
             return None
         return (f"checker accepted a witness with a vertex removed "

@@ -421,7 +421,13 @@ def load_graph(path: str) -> ColoredGraph:
     return parse_graph(text)
 
 
+def file_format(path: str) -> str:
+    """The format save_graph writes to `path`: json by its .json name."""
+    return "json" if path.endswith(".json") else "text"
+
+
 def save_graph(g: ColoredGraph, path: str) -> None:
-    text = serialize_graph_json(g) if path.endswith(".json") else serialize_graph(g)
+    text = (serialize_graph_json(g) if file_format(path) == "json"
+            else serialize_graph(g))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

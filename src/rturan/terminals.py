@@ -14,12 +14,12 @@ pstar, report) takes the rule report. The builders compose the layers:
 corpus.check_instance hands in the profile of its claim context, and the
 command line builds the profile with profile.compute_profile.
 
-Every witness is checked by _witness: it reads the vertex sequence off g
-(a simple path, every edge present) and refuses a repeated color or a
-vertex set other than V(P*). checked_fire adds that the claimed terminals
-are the witness's endpoints. build_aux_rules reads each distinct witness
-path (P*, the report's, their jump rotations) off g once per call, and
-compares recorded colors with it every time they are handed in.
+Every witness is checked by _witness: it reads the vertex sequence off g (a
+simple path, every edge present) and refuses a repeated color or a vertex
+set other than V(P*). A fire certifies the two ends of its witness, and the
+report's terminals are read off them. build_aux_rules reads each distinct
+witness path (P*, the report's, their jump rotations) off g once per call,
+and compares recorded colors with it every time they are handed in.
 
 Rule families, in profile.py vocabulary:
 
@@ -94,19 +94,21 @@ from .search import spanning_rainbow_path_from  # noqa: F401
 class RuleFire:
     rule: str
     anchor: tuple          # ("start"|"end"|"far", chord position) or ("path", 0)
-    terminals: tuple       # vertex ids this firing certifies
-    witness: RainbowPath
+    witness: RainbowPath   # its two ends are the terminals this firing certifies
 
 
 @dataclass(frozen=True)
 class TerminalReport:
     fires: tuple
-    rule_terminals: frozenset
+
+    @property
+    def rule_terminals(self) -> frozenset:
+        return frozenset(v for f in self.fires for v in f.witness.endpoints)
 
     def terminals_by_rule(self) -> dict:
         out: dict = {}
         for f in self.fires:
-            out.setdefault(f.rule, set()).update(f.terminals)
+            out.setdefault(f.rule, set()).update(f.witness.endpoints)
         return {rule: tuple(sorted(vs)) for rule, vs in sorted(out.items())}
 
 
@@ -125,20 +127,17 @@ def _witness(g: ColoredGraph, span: set, source: str, vertices) -> RainbowPath:
 
 
 def checked_fire(g: ColoredGraph, pstar: RainbowPath, rule: str,
-                 anchor: tuple, idx_seq, terminal_positions) -> RuleFire:
-    """Build a witness from path positions and refuse anything unsound."""
+                 anchor: tuple, idx_seq) -> RuleFire:
+    """The fire whose witness is pstar read at the positions idx_seq; refuse
+    it unless that is a rainbow path of g on V(pstar)."""
     verts = pstar.vertices
     w = _witness(g, set(verts), rule, [verts[i] for i in idx_seq])
-    claimed = tuple(verts[i] for i in terminal_positions)
-    if not set(claimed) <= set(w.endpoints):
-        raise WitnessError(rule, "claimed terminal is not a witness endpoint")
-    return RuleFire(rule=rule, anchor=anchor, terminals=claimed, witness=w)
+    return RuleFire(rule=rule, anchor=anchor, witness=w)
 
 
 def _start_rules(prof: PathProfile) -> tuple:
     """The fresh, nice and window fires for chords v_0 v_i of prof's path:
-    one list per family, each of (i, witness positions, terminal positions)
-    in ascending i."""
+    one list per family, each of (i, witness positions) in ascending i."""
     k = prof.k
     colors = prof.path_colors
     start, end = prof.start, prof.end
@@ -146,16 +145,15 @@ def _start_rules(prof: PathProfile) -> tuple:
     fresh, nice, window = [], [], []
     for i, c in chords:
         if c in start.new:
-            fresh.append((i, [*range(i - 1, -1, -1), *range(i, k + 1)],
-                          (i - 1, k)))
+            fresh.append((i, [*range(i - 1, -1, -1), *range(i, k + 1)]))
         if c in start.nice:
             j = colors.index(c)  # the fresh end chord sits at position j
             if j >= i:
                 nice.append((i, [*range(i - 1, -1, -1), *range(i, j + 1),
-                                 *range(k, j, -1)], (i - 1, j + 1)))
+                                 *range(k, j, -1)]))
             elif i < k:
                 nice.append((i, [*range(j + 1, i + 1), *range(0, j + 1),
-                                 *range(k, i, -1)], (j + 1, i + 1)))
+                                 *range(k, i, -1)]))
     if prof.pivots_present:
         outer = end.top[0]  # the smallest fresh end chord, counted from v_k
         lo_outer, lo, hi = k - outer, prof.win_lo, prof.win_hi
@@ -164,21 +162,19 @@ def _start_rules(prof: PathProfile) -> tuple:
                 continue
             low = lo_outer if end.chords[outer] != c else lo
             window.append((i, [*range(low + 1, i + 1), *range(0, low + 1),
-                               *range(k, i, -1)], (low + 1, i + 1)))
+                               *range(k, i, -1)]))
     return fresh, nice, window
 
 
 def terminal_rules(g: ColoredGraph, prof: PathProfile) -> TerminalReport:
     """Replay the rotation rules on prof's path P* and report every firing."""
     pstar, k = prof.path, prof.k
-    fires = [RuleFire("endpoints", ("path", 0),
-                      (pstar.vertices[0], pstar.vertices[-1]), pstar)]
+    fires = [RuleFire("endpoints", ("path", 0), pstar)]
 
     if prof.far_edge_is_new:
         for i in range(k):
-            fires.append(checked_fire(
-                g, pstar, "far_jump", ("far", k),
-                [*range(i, -1, -1), *range(k, i, -1)], (i, i + 1)))
+            fires.append(checked_fire(g, pstar, "far_jump", ("far", k),
+                                      [*range(i, -1, -1), *range(k, i, -1)]))
 
     # the *_end fires are the *_start fires of the reversed path, whose
     # position i is k - i here; reading them backwards puts them in
@@ -186,15 +182,13 @@ def terminal_rules(g: ColoredGraph, prof: PathProfile) -> TerminalReport:
     rev = prof.reversed()
     for family, heads, tails in zip(("fresh", "nice", "window"),
                                     _start_rules(prof), _start_rules(rev)):
-        for i, seq, ends in heads:
+        for i, seq in heads:
             fires.append(checked_fire(g, pstar, family + "_start",
-                                      ("start", i), seq, ends))
-        for i, seq, ends in reversed(tails):
+                                      ("start", i), seq))
+        for i, seq in reversed(tails):
             fires.append(checked_fire(g, rev.path, family + "_end",
-                                      ("end", k - i), seq, ends))
-
-    found = frozenset(v for f in fires for v in f.terminals)
-    return TerminalReport(fires=tuple(fires), rule_terminals=found)
+                                      ("end", k - i), seq))
+    return TerminalReport(fires=tuple(fires))
 
 
 def terminal_oracle(g: ColoredGraph, pstar: RainbowPath) -> frozenset:
@@ -244,9 +238,9 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
     the report is handed in apart from pstar, so this is the one check of
     pstar itself. Each distinct sequence is read off g once, and each
     distinct report witness rotated once; recorded colors are compared
-    every time. Vertices are the rule terminals and every edge endpoint: a
-    rotation can end at a terminal no rule names, and each endpoint ends a
-    checked spanning witness, so it is terminal too.
+    every time. Vertices are the edge ends, each the end of a checked
+    spanning witness: the rule terminals, and any terminal no rule names
+    that a rotation ends at.
     """
     span = set(pstar.vertices)
     read: dict = {}        # vertex sequence -> the path read off g
@@ -270,7 +264,7 @@ def build_aux_rules(g: ColoredGraph, pstar: RainbowPath,
             for source, seq in _jump_rotations(g, w):
                 check(source, seq)
     edges = frozenset(tuple(sorted(w.endpoints)) for w in read.values())
-    vertices = report.rule_terminals.union(*edges)
+    vertices = {v for e in edges for v in e}
     return AuxGraph(vertices=tuple(sorted(vertices)), edges=edges)
 
 

@@ -13,8 +13,10 @@ import pytest
 
 from rturan import cli, constructions, graphs
 from rturan.cli import main
-from rturan.graphs import PARSE_VERTEX_GUARD, load_graph, parse_graph
-from rturan.oracle import COLORING_EDGE_GUARD, EXSTAR_VERTEX_GUARD
+from rturan.graphs import (PARSE_VERTEX_GUARD, graph_to_json_obj, load_graph,
+                           parse_graph)
+from rturan.oracle import (COLORING_EDGE_GUARD, EXSTAR_VERTEX_GUARD,
+                           clique_packing)
 from rturan.induction import run_induction, verify_certificate
 
 
@@ -170,6 +172,16 @@ def test_convert_round_trip(f2k_file, tmp_path, capsys):
     code, out = run(capsys, ["graph", "convert", out_json, "--to", "text"])
     assert code == 0
     assert parse_graph(out) == load_graph(f2k_file)
+
+
+@pytest.mark.parametrize("to,out", [("json", "g.txt"), ("text", "g.json")])
+def test_convert_refuses_a_format_its_output_name_contradicts(
+        f2k_file, tmp_path, capsys, to, out):
+    path = tmp_path / out
+    assert main(["graph", "convert", f2k_file, "--to", to,
+                 "-o", str(path)]) == 2
+    assert not path.exists()
+    assert capsys.readouterr().err.startswith("error: --to ")
 
 
 # === rainbow ===
@@ -431,6 +443,13 @@ def test_engine_on_a_graph_with_no_vertices_is_input_error(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("cmd", ["profile", "terminals", "aux", "claims"])
+def test_engine_empty_path_is_input_error(k4_file, capsys, cmd):
+    # an empty --path is a path with no vertices, not a request to search
+    assert main(["engine", cmd, k4_file, "--path", ""]) == 2
+    assert capsys.readouterr() == ("", "error: empty vertex sequence\n")
+
+
 def test_claims_clean(f2k_file, capsys):
     code, out = run(capsys, ["engine", "claims", f2k_file])
     assert code == 0
@@ -526,10 +545,23 @@ def test_oracle_eg_refuses_bad_sizes(capsys):
         code, out = run(capsys, ["oracle", "eg"] + argv)
         assert code == 2 and out == "", argv
     # the packing's size is checked before it is built or anything printed
-    code, out = run(capsys, ["oracle", "eg", "--n",
-                             str(PARSE_VERTEX_GUARD + 1), "--k", "3",
-                             "--witness"])
-    assert code == 3 and out == ""
+    for fmt in ([], ["--json"]):
+        code, out = run(capsys, ["oracle", "eg", "--n",
+                                 str(PARSE_VERTEX_GUARD + 1), "--k", "3",
+                                 "--witness"] + fmt)
+        assert code == 3 and out == "", fmt
+
+
+def test_oracle_eg_json_carries_the_witness(capsys):
+    code, out = run(capsys, ["oracle", "eg", "--n", "6", "--k", "3",
+                             "--witness", "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["witness"] == graph_to_json_obj(clique_packing(6, 3))
+    assert obj["witness"]["m"] == obj["packing_edges"] == 6
+    code, out = run(capsys, ["oracle", "eg", "--n", "6", "--k", "3",
+                             "--json"])
+    assert code == 0 and "witness" not in json.loads(out)
 
 
 # === suite ===

@@ -200,7 +200,7 @@ def chord_fires(report, k, mirror=False):
         i = f.anchor[1]
         if mirror:
             side, i = swap[side], k - i
-        out[(family, side, i, f.terminals, f.witness.vertices)] += 1
+        out[(family, side, i, f.witness.vertices)] += 1
     return out
 
 

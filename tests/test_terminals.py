@@ -59,7 +59,7 @@ def test_hand_instance_witnesses_are_sound():
     for f in terminal_rules(g, compute_profile(g, p)).fires:
         assert is_rainbow(g, f.witness)
         assert set(f.witness.vertices) == set(range(6))
-        assert set(f.terminals) <= set(f.witness.endpoints)
+        assert f.witness.length == p.length
 
 
 def test_window_witnesses_exactly():
@@ -89,7 +89,7 @@ def test_nice_start_chord_below_freed_edge():
     fires = {f.rule: f for f in terminal_rules(g, compute_profile(g, p)).fires}
     nice = fires["nice_start"]
     assert nice.witness.vertices == (1, 0, 2, 3, 5, 4)
-    assert set(nice.terminals) == {1, 4}
+    assert set(nice.witness.endpoints) == {1, 4}
 
 
 def test_nice_start_chord_above_freed_edge():
@@ -101,7 +101,7 @@ def test_nice_start_chord_above_freed_edge():
     fires = {f.rule: f for f in terminal_rules(g, compute_profile(g, p)).fires}
     nice = fires["nice_start"]
     assert nice.witness.vertices == (2, 3, 0, 1, 5, 4)
-    assert set(nice.terminals) == {2, 4}
+    assert set(nice.witness.endpoints) == {2, 4}
 
 
 def test_nice_rules_silent_on_far_corner():
@@ -134,28 +134,21 @@ def test_far_jump_makes_everything_terminal():
 def test_checked_fire_rejects_non_path():
     g, p = hand_pair()
     with pytest.raises(WitnessError):
-        checked_fire(g, p, "bogus", ("start", 0), [2, 0, 1, 3, 4, 5], (0,))
+        checked_fire(g, p, "bogus", ("start", 0), [2, 0, 1, 3, 4, 5])
 
 
 def test_checked_fire_rejects_repeated_color():
     g, p = hand_pair()
     with pytest.raises(WitnessError) as e:
-        checked_fire(g, p, "bogus", ("start", 0), [4, 0, 5, 2, 3], (0,))
+        checked_fire(g, p, "bogus", ("start", 0), [4, 0, 5, 2, 3])
     assert "color" in str(e.value)
 
 
 def test_checked_fire_rejects_non_spanning():
     g, p = hand_pair()
     with pytest.raises(WitnessError) as e:
-        checked_fire(g, p, "bogus", ("start", 0), [0, 1, 2, 3, 4], (0,))
+        checked_fire(g, p, "bogus", ("start", 0), [0, 1, 2, 3, 4])
     assert "span" in str(e.value)
-
-
-def test_checked_fire_rejects_interior_terminal():
-    g, p = hand_pair()
-    with pytest.raises(WitnessError) as e:
-        checked_fire(g, p, "bogus", ("start", 0), list(range(6)), (2,))
-    assert "endpoint" in str(e.value)
 
 
 # === auxiliary graph ===
@@ -208,9 +201,20 @@ def test_aux_rules_equal_the_unmemoized_reference(seed, kind):
     for g, p, rep in suite_instances(seed, kind, 60):
         # the endpoints fire alone: P*'s own rotations, which the fresh
         # fires repeat in a full report
-        head = TerminalReport(rep.fires[:1], rep.rule_terminals)
+        head = TerminalReport(rep.fires[:1])
         for r in (rep, head):
             assert build_aux_rules(g, p, r) == reference_aux_rules(g, p, r)
+
+
+@pytest.mark.parametrize("seed,kind", [(808, "random"), (909, "bare_path")])
+def test_rule_terminals_are_the_ends_of_the_witnesses(seed, kind):
+    # a report is its fires: what they certify is read off their witnesses
+    for g, p, rep in suite_instances(seed, kind, 60):
+        ends = {v for f in rep.fires for v in f.witness.endpoints}
+        assert TerminalReport(rep.fires) == rep
+        assert rep.rule_terminals == ends
+        aux = build_aux_rules(g, p, rep)
+        assert set(aux.vertices) == {v for e in aux.edges for v in e} >= ends
 
 
 def test_aux_rules_read_each_distinct_sequence_once(monkeypatch):
@@ -239,9 +243,7 @@ def test_aux_rules_reread_witnesses_from_the_graph():
         w = f.witness
         # the recorded colors, reversed: still distinct, but not g's colors
         forged = RainbowPath(w.vertices, w.colors[::-1])
-        bad = TerminalReport(fires=(RuleFire(f.rule, f.anchor, f.terminals,
-                                             forged),),
-                             rule_terminals=rep.rule_terminals)
+        bad = TerminalReport(fires=(RuleFire(f.rule, f.anchor, forged),))
         with pytest.raises(WitnessError) as e:
             build_aux_rules(g, p, bad)
         assert e.value.rule == "witness"
