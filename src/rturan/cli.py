@@ -60,8 +60,11 @@ def _write_graph(g: ColoredGraph, out) -> None:
 
 
 def _fixed_path(g: ColoredGraph, raw: str):
+    # a blank argument is a path with no vertices; an empty item elsewhere
+    # is malformed
+    items = raw.split(",") if raw.strip() else []
     try:
-        ids = [int(x) for x in raw.split(",") if x.strip() != ""]
+        ids = [int(x) for x in items]
     except ValueError:
         raise PathError(f"path argument {raw!r} is not a comma list of ids")
     p = path_from_vertices(g, ids)

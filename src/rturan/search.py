@@ -13,19 +13,30 @@ its vertex set.
 longest_rainbow_path and has_rainbow_path share one recursive kernel, _dfs.
 It searches for rainbow paths longer than a floor from every root in
 ascending DFS order and keeps the first path of the best length, or, with
-`first` set, stops at the first path longer than the floor. Its only prune
-is the free-vertex/free-color cap: both free counts drop by one per step,
-so depth + min(free vertices, free colors) is the constant
+`first` set, stops at the first path longer than the floor. It has two
+cuts. The free-vertex/free-color cap: both free counts drop by one per
+step, so depth + min(free vertices, free colors) is the constant
 min(n - 1, colors in use), and the search stops once the best length
-reaches it. longest_rainbow_path is one run from floor 0 under the
-caller's budget, and has_rainbow_path(L) one run from floor L - 1 with
-`first` set. Each returns the path the kernel recorded: the first of its
-length in ascending DFS order, so the lexicographically least (the cap cuts
-nothing until the best length reaches the constant, so the single longest
-pass meets every path before it records the first of the best length). The
-path needs no orientation fix: had its reverse begun at a smaller root,
-that root's search, finished before this one began, would have recorded a
-path of this length first.
+reaches it. The color-supply cut: a path that goes on from v spends one
+new color per edge, each on an edge inside the scope (the unvisited
+vertices and v), so a node whose depth plus the number of unused colors
+with an edge inside the scope is at most the best length is cut. Its gate
+is the color slack, colors in use - (n - 1): above 1 the cut rarely cuts
+and still costs, so it is off. It is also off where every color class has
+at least n / 2 edges, as in the xor colorings: a class loses at most one
+edge per dead vertex (see _starved), so there the count would start only
+halfway down the path, and it was measured slower. longest_rainbow_path
+is one run from floor 0 under the caller's budget, and has_rainbow_path(L)
+one run from floor L - 1 with `first` set. Each returns the path the
+kernel recorded: the first of its length in ascending DFS order, so the
+lexicographically least. Both cuts drop only subtrees without a path
+longer than the best length so far: the cap cuts nothing until the best
+length reaches the constant, and the supply cut drops a subtree only where
+no path in it beats the best. So the single longest pass meets every path
+of the final length before it records the first of them. The path needs
+no orientation fix: had its reverse begun at a smaller root, that root's
+search, finished before this one began, would have recorded a path of this
+length first.
 
 The spanning searches (paths whose vertex set is a given set, the terminal
 and auxiliary oracles' question) share one recursive kernel, _span_ends. It
@@ -38,26 +49,33 @@ in its hook, from the path and its end rotations, and drops every end
 whose pair with the root it knows by then, so one search per root answers
 all of that root's endpoint pairs it does not know yet. The wanted set
 only shrinks, so a prune decided against it stays sound after it shrinks.
-Two prunes keep it sound and small. Each remaining vertex is scored by its
-live neighbours among the remaining vertices and the current one: with none
-it can never be entered (dead end), and with exactly one it must be the
-path's last vertex, so at most one such vertex may exist, it must be a
-wanted end, the color of its one edge must still be unused, and if its only
-way in is the current vertex it must be the last vertex left. A vertex with
-exactly two live neighbours that is not a wanted end can only be passed
-through, so both its edges lie on every completion with a hit, and neither
-color may be used yet. A wanted end with two ways is not forced: the path may end there through
-either edge. The search also steps only where a wanted end stays
+Three prunes keep it sound and small. The first is the color-supply cut:
+each remaining vertex needs one more edge, of a new color, inside the
+scope, so a node is cut once the unused colors with an edge there are
+fewer than the vertices left. Its gate is the color slack of the vertex
+set, the colors inside it minus the edges a spanning path needs: it is on
+at 1 or less, and _span_prep builds the set's color classes only then.
+The other two score each remaining vertex by its live neighbours among the
+remaining vertices and the current one: with none it can never be entered
+(dead end), and with exactly one it must be the path's last vertex, so at
+most one such vertex may exist, it must be a wanted end, the color of its
+one edge must still be unused, and if its only way in is the current
+vertex it must be the last vertex left. A vertex with exactly two live
+neighbours that is not a wanted end can only be passed through, so both
+its edges lie on every completion with a hit, and neither color may be
+used yet. A wanted end with two ways is not forced: the path may end there
+through either edge. The search also steps only where a wanted end stays
 unvisited. Every prune cuts only subtrees without a new hit, so each
 witness is the first spanning path to its end in ascending DFS order.
 
-The prune is incremental. Stepping from v to w removes exactly v from the
-scored set (the remaining vertices and the current one), and live counts
-only fall, so only v's remaining neighbours can drop to two ways, one or
-none; every other vertex the parent passed with three or more keeps them.
-The colors used grow at every step, though, and the wanted ends shrink, so
-a vertex whose colors are tested can fail later without losing a way in:
-those are the single-way-in vertex and every two-way vertex, wanted or not.
+The degree prune is incremental. Stepping from v to w removes exactly v
+from the scored set (the remaining vertices and the current one), and live
+counts only fall, so only v's remaining neighbours can drop to two ways,
+one or none; every other vertex the parent passed with three or more keeps
+them. The colors used grow at every step, though, and the wanted ends
+shrink, so a vertex whose colors are tested can fail later without losing
+a way in: those are the single-way-in vertex and every two-way vertex,
+wanted or not.
 The root scores every remaining vertex; each child rescans only v's
 remaining neighbours plus the parent's single-way-in and two-way vertices,
 re-tested against the wanted ends left, the colors used and the new
@@ -190,28 +208,49 @@ class ExistsOutcome:
     nodes_expanded: int
 
 
-def _dfs(g: ColoredGraph, lim: int, floor: int, first: bool,
+def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
          budget: Optional[int]) -> tuple[int, list[int], int, bool]:
     """Rainbow paths longer than `floor` edges, from every root in ascending
     DFS order.
 
     Keeps the first path of the best length; with `first` set it stops at
-    the first path longer than `floor`. `lim` is min(n - 1, colors in use),
-    the constant that depth + min(free vertices, free colors) equals at
-    every node; the search stops once the best length reaches it. Every
-    node is counted, and once the count passes `budget` the search stops.
-    Returns (best length, its vertices, nodes expanded, budget exhausted);
-    the vertices are [0] while nothing beat `floor`.
+    the first path longer than `floor`. `colors` is the number of colors in
+    use. lim = min(n - 1, colors) is the constant that depth + min(free
+    vertices, free colors) equals at every node; the search stops once the
+    best length reaches it. With the color-supply gate open, a node is cut
+    once colors - best length unused color classes have no edge left in
+    its scope: of the colors - depth unused colors, at most best length -
+    depth then have an edge there, so no path below beats the best. Every
+    node is counted,
+    and once the count passes `budget` the search stops. Returns (best
+    length, its vertices, nodes expanded, budget exhausted); the vertices
+    are [0] while nothing beat `floor`.
     """
+    n = g.n
+    lim = min(n - 1, colors)
     nbrs = g._bits
     stop = sys.maxsize if budget is None else budget
+    # The cap and the color-supply cut share one depth test per node,
+    # depth >= cut_from, so with the gate shut a node costs what it did
+    # without the cut. No depth reaches n. The gate opens at color slack
+    # colors - (n - 1) <= 1, where some class has fewer than n / 2 edges,
+    # at the depth that can first empty a class: its fewest edges. The
+    # cap sets cut_from to 0 once the best length reaches lim.
+    cut_from = n
+    classes: list = []
+    if colors <= n:
+        classes = _color_classes(nbrs)
+        if classes and 2 * classes[0][0] < n:
+            cut_from = classes[0][0]
+    if lim <= floor:
+        cut_from = 0
     nodes = 0
     best_len = floor
     best_seq = [0]
     cur: list[int] = []
 
     def walk(v: int, vmask: int, cmask: int, depth: int) -> bool:
-        nonlocal nodes, best_len, best_seq
+        nonlocal nodes, best_len, best_seq, cut_from
         nodes += 1
         if nodes > stop:
             return False
@@ -220,7 +259,12 @@ def _dfs(g: ColoredGraph, lim: int, floor: int, first: bool,
             best_seq = cur.copy()
             if first:
                 return False
-        if lim <= best_len:
+            if lim <= depth:
+                cut_from = 0
+        if depth >= cut_from and (
+                lim <= best_len
+                or _starved(classes, depth, vmask ^ (1 << v), cmask,
+                            colors - best_len)):
             return True
         for (w, wbit, cbit) in nbrs[v]:
             if (vmask & wbit) or (cmask & cbit):
@@ -233,13 +277,54 @@ def _dfs(g: ColoredGraph, lim: int, floor: int, first: bool,
         return True
 
     try:
-        for s in range(g.n):
+        for s in range(n):
             cur = [s]
             if not walk(s, 1 << s, 0, 0):
                 break
     except RecursionError:
         raise too_deep("search", "the path search") from None
     return best_len, best_seq, nodes, nodes > stop
+
+
+def _color_classes(rows) -> list:
+    """The color classes of a bit table (the graph's _bits, or _span_prep's
+    rows of a vertex set), fewest edges first: (edges, color bit, edge
+    masks), an edge mask holding the bits of its two ends."""
+    by: dict = {}
+    for v, row in enumerate(rows):
+        vbit = 1 << v
+        for (w, wbit, cbit) in row:
+            if w > v:
+                if cbit in by:
+                    by[cbit].append(vbit | wbit)
+                else:
+                    by[cbit] = [vbit | wbit]
+    return sorted([(len(es), c, es) for c, es in by.items()])
+
+
+def _starved(classes, dead_count: int, dead: int, cmask: int,
+             need: int) -> bool:
+    """True if at least `need` classes of `classes` (_color_classes) whose
+    color is not in `cmask` have no edge clear of `dead`, the mask of
+    `dead_count` vertices.
+
+    A class of a proper coloring is a matching, so each dead vertex ends
+    at most one of its edges, and only classes with at most `dead_count`
+    edges are read. A class that is not a matching is read the same way;
+    it may be counted as alive when it is not, which only cuts less.
+    """
+    for (size, cbit, edges) in classes:
+        if size > dead_count:
+            return False
+        if not cmask & cbit:
+            for e in edges:
+                if not e & dead:
+                    break
+            else:
+                need -= 1
+                if need <= 0:
+                    return True
+    return False
 
 
 def _check_budget(budget: Optional[int]) -> None:
@@ -257,8 +342,7 @@ def longest_rainbow_path(g: ColoredGraph, budget: Optional[int] = None) -> Searc
     _check_budget(budget)
     if g.n == 0:
         return SearchOutcome(None, True, 0)
-    lim = min(g.n - 1, len(g.used_colors()))
-    _, seq, nodes, exhausted = _dfs(g, lim, 0, False, budget)
+    _, seq, nodes, exhausted = _dfs(g, len(g.used_colors()), 0, False, budget)
     return SearchOutcome(path_from_vertices(g, seq), not exhausted, nodes)
 
 
@@ -276,10 +360,10 @@ def has_rainbow_path(g: ColoredGraph, length: int,
         if g.n == 0:
             return ExistsOutcome(False, None, 0)
         return ExistsOutcome(True, RainbowPath((0,), ()), 0)
-    lim = min(g.n - 1, len(g.used_colors()))
-    if length > lim:
+    colors = len(g.used_colors())
+    if length > min(g.n - 1, colors):
         return ExistsOutcome(False, None, 0)
-    got, seq, nodes, exhausted = _dfs(g, lim, length - 1, True, budget)
+    got, seq, nodes, exhausted = _dfs(g, colors, length - 1, True, budget)
     if exhausted:
         return ExistsOutcome(None, None, nodes)
     if got == length:
@@ -303,31 +387,46 @@ def _span_prep(g: ColoredGraph, vset):
     adj: list = [()] * g.n
     adj_mask = [0] * g.n
     cols: list = [None] * g.n
+    colors: set = set()
     for v in vs:
         row = [t for t in bits[v] if t[1] & full]
         adj[v] = row
         adj_mask[v] = sum(t[1] for t in row)
         cols[v] = {wbit: cbit for (_, wbit, cbit) in row}
-    return vs, full, adj, adj_mask, cols
+        colors.update(cols[v].values())
+    # the color-supply gate: open at color slack (colors inside the set,
+    # less the edges a spanning path needs) <= 1
+    slack = len(colors) - (len(vs) - 1)
+    supply = (slack, _color_classes(adj) if slack <= 1 else [])
+    return vs, full, adj, adj_mask, cols, supply
 
 
-def _span_ends(start: int, full: int, adj, adj_mask, cols, wanted: int,
-               hit) -> None:
+def _span_ends(start: int, full: int, adj, adj_mask, cols, supply,
+               wanted: int, hit) -> None:
     """Spanning rainbow paths over the vertex mask `full` from `start`.
 
     Calls hit(path) at the first path, in ascending DFS order, to each end
     in the mask `wanted` that is still wanted when the search reaches it.
     `path` is the search's own vertex list, valid only during the call. hit
     returns the mask of ends no longer wanted, this one among them, and the
-    search stops once no wanted end is left. `adj`, `adj_mask` and `cols`
-    are _span_prep's rows of the vertex set.
+    search stops once no wanted end is left. `adj`, `adj_mask`, `cols` and
+    `supply` are _span_prep's rows and color-supply gate of the vertex set.
     """
     cur = [start]
     left = wanted
+    slack, classes = supply
 
     def walk(v: int, vmask: int, cmask: int, scan: int) -> bool:
         nonlocal left
         remaining = full & ~vmask
+        cur_bit = 1 << v
+        # Color supply: each remaining vertex needs one more edge, of a
+        # new color, inside the scope (the remaining vertices and v). So a
+        # node is cut once more than `slack` unused classes have no edge
+        # left there.
+        if classes and _starved(classes, len(cur) - 1, vmask ^ cur_bit,
+                                cmask, slack + 1):
+            return False
         # Prunes. A remaining vertex needs a live neighbour in remaining or
         # at v to be entered, and two to be left again. So one with none is
         # a dead end, and one with a single way in must be the path's last
@@ -341,7 +440,6 @@ def _span_ends(start: int, full: int, adj, adj_mask, cols, wanted: int,
         # lost a way in, and the parent's single-way-in and two-way
         # vertices are carried, as the colors used grow and the wanted
         # ends shrink.
-        cur_bit = 1 << v
         scope = remaining | cur_bit
         last = 0
         two = 0
@@ -395,7 +493,7 @@ def _span_ends(start: int, full: int, adj, adj_mask, cols, wanted: int,
 
 
 def _first_span(g: ColoredGraph, start: int, full: int, adj, adj_mask, cols,
-                wanted: int) -> Optional[RainbowPath]:
+                supply, wanted: int) -> Optional[RainbowPath]:
     """The first spanning path from `start` to any end in `wanted`, in
     ascending DFS order; the search stops at it."""
     found = []
@@ -404,7 +502,7 @@ def _first_span(g: ColoredGraph, start: int, full: int, adj, adj_mask, cols,
         found.append(path.copy())
         return wanted
 
-    _span_ends(start, full, adj, adj_mask, cols, wanted, hit)
+    _span_ends(start, full, adj, adj_mask, cols, supply, wanted, hit)
     return path_from_vertices(g, found[0]) if found else None
 
 
@@ -412,19 +510,20 @@ def spanning_rainbow_path_from(g: ColoredGraph, vset, start: int) -> Optional[Ra
     """Some rainbow path whose vertex set is exactly `vset`, starting at
     `start`; None if there is none. Returns the first such path in ascending
     DFS order: the first end the search reaches, where it stops."""
-    vs, full, adj, adj_mask, cols = _span_prep(g, vset)
+    vs, full, adj, adj_mask, cols, supply = _span_prep(g, vset)
     if start not in vs:
         raise PathError(f"start {start} not in vertex set")
     if len(vs) == 1:
         return RainbowPath((start,), ())
-    return _first_span(g, start, full, adj, adj_mask, cols, full & ~(1 << start))
+    return _first_span(g, start, full, adj, adj_mask, cols, supply,
+                       full & ~(1 << start))
 
 
 def spanning_rainbow_path_between(g: ColoredGraph, vset, u: int, w: int) -> Optional[RainbowPath]:
     """Some rainbow path with vertex set exactly `vset` and endpoints u and w:
     the first one from u in ascending DFS order."""
-    vs, full, adj, adj_mask, cols = _span_prep(g, vset)
+    vs, full, adj, adj_mask, cols, supply = _span_prep(g, vset)
     if u not in vs or w not in vs or u == w:
         raise PathError("endpoints must be distinct members of the vertex set")
-    return _first_span(g, u, full, adj, adj_mask, cols, 1 << w)
+    return _first_span(g, u, full, adj, adj_mask, cols, supply, 1 << w)
 

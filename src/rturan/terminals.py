@@ -327,7 +327,7 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
     masks, and the vertices are those with a partner: the ends of the
     pairs, which are exactly the terminals.
     """
-    vs, full, adj, adj_mask, cols = _span_prep(g, pstar.vertices)
+    vs, full, adj, adj_mask, cols, supply = _span_prep(g, pstar.vertices)
     if len(vs) == 1:
         return AuxGraph(vertices=tuple(vs), edges=frozenset())
     known = [0] * g.n
@@ -341,7 +341,7 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
         later &= ~(1 << u)
         wanted = later & ~known[u]
         if wanted:
-            _span_ends(u, full, adj, adj_mask, cols, wanted, hit)
+            _span_ends(u, full, adj, adj_mask, cols, supply, wanted, hit)
     return AuxGraph(vertices=tuple(v for v in vs if known[v]),
                     edges=frozenset((a, b) for a in vs for b in vs
                                     if a < b and known[a] >> b & 1))

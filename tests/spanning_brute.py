@@ -65,7 +65,7 @@ def reference_aux(g, pstar):
     """The auxiliary graph of V(pstar) from one spanning search per vertex
     u, in ascending order, over every later vertex: no end rotations and no
     pairs shared between roots."""
-    vs, full, adj, adj_mask, cols = _span_prep(g, pstar.vertices)
+    vs, full, adj, adj_mask, cols, supply = _span_prep(g, pstar.vertices)
     if len(vs) == 1:
         return AuxGraph(vertices=tuple(vs), edges=frozenset())
     edges = set()
@@ -77,6 +77,6 @@ def reference_aux(g, pstar):
             edges.add((u, path[-1]))
             return 1 << path[-1]
 
-        _span_ends(u, full, adj, adj_mask, cols, later, hit)
+        _span_ends(u, full, adj, adj_mask, cols, supply, later, hit)
     ends = {v for e in edges for v in e}
     return AuxGraph(vertices=tuple(sorted(ends)), edges=frozenset(edges))

@@ -450,6 +450,14 @@ def test_engine_empty_path_is_input_error(k4_file, capsys, cmd):
     assert capsys.readouterr() == ("", "error: empty vertex sequence\n")
 
 
+@pytest.mark.parametrize("raw", ["1,,0,2", "1,0,"])
+def test_engine_path_with_an_empty_item_is_input_error(k4_file, capsys, raw):
+    # an empty item is a typo, not a separator to skip
+    assert main(["engine", "profile", k4_file, "--path", raw]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: path argument {raw!r} is not a comma list of ids\n")
+
+
 def test_claims_clean(f2k_file, capsys):
     code, out = run(capsys, ["engine", "claims", f2k_file])
     assert code == 0

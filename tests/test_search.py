@@ -202,7 +202,7 @@ def suite_graphs(count):
             yield random_instance(rng, rng.randint(5, 12), 0.45, kind)
 
 
-def test_witnesses_are_lexicographically_least():
+def test_witnesses_are_lexicographically_least(supply_cuts):
     for g in seeded_graphs(31, 60):
         out = longest_rainbow_path(g)
         length = out.best.length
@@ -213,6 +213,8 @@ def test_witnesses_are_lexicographically_least():
             got = has_rainbow_path(g, L)
             assert got.found is (first is not None)
             assert (got.witness.vertices if got.witness else None) == first
+    # the brute force above checked the color-supply cut where it ran
+    assert True in supply_cuts
     # too large to enumerate: the longest search's one pass must record the
     # first path of its length, the one a first-hit search stops at
     for g in suite_graphs(100):
@@ -228,6 +230,16 @@ def test_witnesses_are_lexicographically_least():
 ], ids=["f2k3-longest", "mm3-longest", "mm3-exists7", "f2k3-exists8"])
 def test_frozen_node_counts(query, nodes):
     assert query().nodes_expanded == nodes
+
+
+def test_frozen_node_count_of_the_heaviest_suite_instance():
+    # instance 24 of the random/808 criterion-08 sweep, drawn as run_suite
+    # draws it, was its heaviest longest search: 72,548 nodes without the
+    # color-supply cut
+    rng = random.Random(808)
+    for _ in range(25):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, "random")
+    assert longest_rainbow_path(g).nodes_expanded == 4_198
 
 
 def test_deep_search_is_refused():

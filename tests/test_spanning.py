@@ -108,16 +108,21 @@ def test_aux_oracle_equals_reference_on_suite_instances(seed, kind):
 
 @pytest.mark.parametrize("seed,kind,nmax", [(808, "random", 12),
                                             (909, "bare_path", 9)])
-def test_aux_oracle_equals_prune_free_dfs(seed, kind, nmax):
+def test_aux_oracle_equals_prune_free_dfs(supply_cuts, seed, kind, nmax):
     # the same 200 instances; bare_path above n = 9 is too slow for a DFS
     # without a prune
     rng = random.Random(seed)
+    cases = []
     for _ in range(200):
         g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
         if g.n <= nmax:
-            pstar = longest_rainbow_path(g).best
-            assert (build_aux_oracle(g, pstar).edges
-                    == spanning_pairs(g, pstar.vertices))
+            cases.append((g, longest_rainbow_path(g).best))
+    supply_cuts.clear()
+    for g, pstar in cases:
+        assert (build_aux_oracle(g, pstar).edges
+                == spanning_pairs(g, pstar.vertices))
+    # the color-supply cut ran, and cut, in the searches checked above
+    assert True in supply_cuts
 
 
 def walk_calls(fn, *args):
@@ -165,6 +170,12 @@ def test_color_tests_keep_the_spanning_walk_smaller(seed, kind, most):
     # the color tests on two-way and single-way-in vertices cut the walk
     # above further, to this
     assert suite_walks(seed, kind) <= most
+
+
+def test_supply_cut_keeps_the_spanning_walk_smallest():
+    # the color-supply cut, where the color slack of V(P*) is at most 1,
+    # cuts the random walk above further, to this
+    assert suite_walks(808, "random") <= 12_425
 
 
 # === hand cases for the single-way-in prune ===
@@ -269,7 +280,7 @@ def spied_searches(monkeypatch, module):
     log = []
     inner = module._span_ends
 
-    def spy(start, full, adj, adj_mask, cols, wanted, hit):
+    def spy(start, full, adj, adj_mask, cols, supply, wanted, hit):
         rec = [start, 0]
         log.append(rec)
 
@@ -277,7 +288,7 @@ def spied_searches(monkeypatch, module):
             rec[1] += 1
             return hit(path)
 
-        inner(start, full, adj, adj_mask, cols, wanted, counted)
+        inner(start, full, adj, adj_mask, cols, supply, wanted, counted)
 
     monkeypatch.setattr(module, "_span_ends", spy)
     return log
