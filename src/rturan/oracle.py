@@ -17,6 +17,19 @@ edges, and the scan lowers `least` from all pairs to the first hit, whose
 coloured edges are the exact maximum and its witness. Vertex counts above the
 guard, or a K_n or witness past graphs.check_size, are refused before they
 are built, and so is a walk deeper than the interpreter allows.
+
+The scan walks K_n's edges in row order, (0,1), (0,2), ..., (1,2), ..., with
+two lex-leader rules that skip the colour branches of an edge:
+- row prefix: (u, v) stays uncoloured when (u, v-1) did and neither v-1 nor
+  v has a coloured edge yet;
+- degree cap: after row 0, (u, v) stays uncoloured when u or v already has
+  as many coloured edges as vertex 0.
+The scan keeps the first hit in branch order (colours first, then None), and
+relabelling the vertices turns a hit that breaks a rule into an earlier one:
+swapping v-1 and v colours (u, v-1) with the prefix unchanged, and moving a
+vertex of higher degree to 0, its neighbours to 1, 2, ..., makes row 0 longer.
+So the first hit obeys both rules, and the scan gives the same value and
+witness as one over every labelled edge subset, trying far fewer of them.
 """
 
 from __future__ import annotations
@@ -33,8 +46,12 @@ EXSTAR_VERTEX_GUARD = 7
 
 
 def _colorings(n: int, edges: tuple, avoid: Optional[int],
-               least: Optional[int] = None) -> Iterator[tuple]:
-    # at least `least` edges coloured (default: all), the others None
+               least: Optional[int] = None, *,
+               leader: bool = False) -> Iterator[tuple]:
+    # at least `least` edges coloured (default: all), the others None.
+    # `leader` turns on the lex-leader rules of the module docstring. They
+    # cut only hits that a vertex relabelling moves earlier, and that holds
+    # only when `edges` are K_n's in row order, as exstar_small passes them.
     m = len(edges)
     at = [0] * n  # colour mask at each vertex
     adj: list = [[] for _ in range(n)]  # (w, 1 << w, 1 << c) per placed edge
@@ -73,7 +90,15 @@ def _colorings(n: int, edges: tuple, avoid: Optional[int],
         u, v = edges[i]
         ubit, vbit = 1 << u, 1 << v
         busy = at[u] | at[v]
-        for c in range(fresh + 1):
+        top = fresh + 1
+        if leader:
+            if v > u + 1 and chosen[i - 1] is None and not (at[v - 1] | at[v]):
+                top = 0  # swapping v - 1 and v colours (u, v - 1) instead
+            elif i >= n - 1:
+                cap = at[0].bit_count()
+                if at[u].bit_count() >= cap or at[v].bit_count() >= cap:
+                    top = 0  # a vertex of higher degree could be vertex 0
+        for c in range(top):
             cbit = 1 << c
             if busy & cbit:
                 continue
@@ -163,7 +188,8 @@ def exstar_small(n: int, path_edges: int,
     check_size("exstar", n, n * (n - 1) // 2)
     all_edges = complete_graph(n).edges
     for least in range(len(all_edges), -1, -1):
-        cs = next(_colorings(n, all_edges, path_edges, least), None)
+        cs = next(_colorings(n, all_edges, path_edges, least, leader=True),
+                  None)
         if cs is not None:
             kept = [(u, v, c) for (u, v), c in zip(all_edges, cs)
                     if c is not None]

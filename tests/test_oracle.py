@@ -7,9 +7,11 @@ once (for tiny skeletons) by normalizing every raw color assignment to
 first-appearance order and counting distinct results.
 """
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +121,58 @@ def subset_exstar(n, path_edges):
     return 0
 
 
+def plain_exstar(n, path_edges):
+    """exstar_small's downward scan on the plain kernel, which tries every
+    labelled edge subset of K_n: (value, witness edges)."""
+    all_edges = complete_graph(n).edges
+    for least in range(len(all_edges), -1, -1):
+        cs = next(_colorings(n, all_edges, path_edges, least), None)
+        if cs is not None:
+            kept = [(u, v, c) for (u, v), c in zip(all_edges, cs)
+                    if c is not None]
+            return len(kept), ColoredGraph.from_edges(n, kept).edges
+    raise AssertionError("an edgeless graph avoids every path")
+
+
+def obeys_leader_rules(n, cs):
+    """Row prefix: a coloured (u, v) whose (u, v - 1) is uncoloured needs an
+    earlier coloured edge at v - 1 or v. Degree cap: no vertex has more
+    coloured edges than vertex 0. cs runs over K_n's edges in row order."""
+    touched, deg = set(), [0] * n
+    for i, ((u, v), c) in enumerate(zip(complete_graph(n).edges, cs)):
+        if c is None:
+            continue
+        if v > u + 1 and cs[i - 1] is None and not {v - 1, v} & touched:
+            return False
+        touched |= {u, v}
+        deg[u] += 1
+        deg[v] += 1
+    return max(deg) <= deg[0]
+
+
+def class_keys(n, stream):
+    """One key per isomorphism class of partial colorings of K_n: the least
+    of the n! vertex relabellings, colours renamed by first use and
+    uncoloured edges read as -1."""
+    edges = complete_graph(n).edges
+    index = {e: i for i, e in enumerate(edges)}
+    maps = [[index[min(p[u], p[v]), max(p[u], p[v])] for (u, v) in edges]
+            for p in permutations(range(n))]
+    keys = set()
+    for cs in stream:
+        best = None
+        for to in maps:
+            img = [None] * len(edges)
+            for i, c in enumerate(cs):
+                img[to[i]] = c
+            names = {}
+            key = tuple(-1 if c is None else names.setdefault(c, len(names))
+                        for c in img)
+            best = key if best is None else min(best, key)
+        keys.add(best)
+    return keys
+
+
 def path_skeleton(edges):
     return GraphSkeleton(edges + 1, tuple((i, i + 1) for i in range(edges)))
 
@@ -204,6 +258,23 @@ def test_least_spans_every_large_enough_subset():
                     (skel, avoid, least)
 
 
+@pytest.mark.parametrize("n,avoid,least", [
+    (4, None, 0), (4, None, 4), (4, 3, 0), (4, 3, 3),
+    (5, None, 9), (5, 3, 0), (5, 4, 6),
+])
+def test_leader_stream_keeps_every_class(n, avoid, least):
+    # on K_n in row order, leader mode cuts only colorings that break its
+    # two rules, and every isomorphism class keeps a coloring that obeys both
+    edges = complete_graph(n).edges
+    plain = list(_colorings(n, edges, avoid, least))
+    lead = list(_colorings(n, edges, avoid, least, leader=True))
+    rest = iter(plain)
+    assert all(cs in rest for cs in lead)  # a subsequence, in plain order
+    assert all(obeys_leader_rules(n, cs) for cs in lead)
+    assert class_keys(n, lead) == class_keys(n, plain)
+    assert n < 5 or len(lead) < len(plain)
+
+
 def test_coloring_avoiding_finds_or_refutes():
     g = coloring_avoiding(complete_graph(4), 3)
     assert g is not None and validate_proper(g).is_proper
@@ -269,6 +340,26 @@ def test_exstar_matches_subset_scan():
     for length in (3, 4, 5):
         assert exstar_small(5, length).value == subset_exstar(5, length), \
             length
+
+
+def test_exstar_equals_plain_scan():
+    # the first hit in branch order obeys the leader rules, so leader mode
+    # keeps the plain scan's value and its witness
+    cases = [(n, length) for n in range(3, 7) for length in (3, 4, 5)]
+    for n, length in cases + [(7, 3)]:
+        res = exstar_small(n, length)
+        assert (res.value, res.witness.edges) == plain_exstar(n, length), \
+            (n, length)
+
+
+def test_exstar_at_eight_vertices():
+    # the values the plain scan gave at n = 8, past the default guard
+    for length, value in ((3, 12), (4, 16)):
+        res = exstar_small(8, length, guard=8)
+        w = res.witness
+        assert res.value == value and w.n == 8 and w.m == value
+        assert validate_proper(w).is_proper
+        assert has_rainbow_path(w, length).found is False
 
 
 def test_exstar_monotone_in_both_arguments():
@@ -351,3 +442,30 @@ def test_exstar_refuses_oversized_inputs_before_building(monkeypatch):
 def test_exstar_dominates_packing():
     for (n, length), value in FROZEN.items():
         assert value >= packing_edge_count(n, length), (n, length)
+
+
+def _leader_callers(tree):
+    """Top-level names whose body calls _colorings with leader mode on."""
+    found = set()
+    for top in tree.body:
+        for call in ast.walk(top):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if callee == "_colorings" and any(
+                    kw.arg in ("leader", None)
+                    and not (isinstance(kw.value, ast.Constant)
+                             and kw.value.value is False)
+                    for kw in call.keywords):
+                found.add(getattr(top, "name", None))
+    return found
+
+
+def test_only_the_extremal_scan_turns_on_leader_mode():
+    # leader rows are sound only over K_n's edges in row order, which is
+    # what exstar_small passes; on any other edge list they cut witnesses
+    callers = set()
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        callers |= {(path.name, name)
+                    for name in _leader_callers(ast.parse(path.read_text()))}
+    assert callers == {("oracle.py", "exstar_small")}
