@@ -29,9 +29,9 @@ from .constructions import bipartite_f2k, blowup, bound_table, maamoun_meyniel
 from .corpus import RunConfig, build_claim_context, run_suite
 from .errors import (FalsificationError, GuardError, GraphError, PathError,
                      PreconditionError, WitnessError)
-from .graphs import (ColoredGraph, file_format, load_graph, save_graph,
-                     serialize_graph, serialize_graph_json, graph_to_json_obj,
-                     validate_proper)
+from .graphs import (ColoredGraph, file_format, is_int_token, load_graph,
+                     save_graph, serialize_graph, serialize_graph_json,
+                     graph_to_json_obj, validate_proper)
 from .induction import frac_str, run_induction, verify_certificate
 from .oracle import (COLORING_EDGE_GUARD, EXSTAR_VERTEX_GUARD, clique_packing,
                      coloring_avoiding, count_proper_colorings,
@@ -61,12 +61,15 @@ def _write_graph(g: ColoredGraph, out) -> None:
 
 def _fixed_path(g: ColoredGraph, raw: str):
     # a blank argument is a path with no vertices; an empty item elsewhere
-    # is malformed
-    items = raw.split(",") if raw.strip() else []
+    # is malformed, and each item is an integer token of the text format
+    items = [x.strip() for x in raw.split(",")] if raw.strip() else []
+    bad = PathError(f"path argument {raw!r} is not a comma list of ids")
+    if not all(map(is_int_token, items)):
+        raise bad
     try:
         ids = [int(x) for x in items]
-    except ValueError:
-        raise PathError(f"path argument {raw!r} is not a comma list of ids")
+    except ValueError:  # past int()'s 4300-digit conversion limit
+        raise bad from None
     p = path_from_vertices(g, ids)
     if not p.is_rainbow():
         raise PathError("the given path repeats a color")
@@ -454,16 +457,20 @@ def cmd_suite(args) -> int:
 
 def _command(sub, name: str, fn, help: str, *shared: str):
     """Subcommand `name` running fn, with the shared arguments `shared`
-    names: "file", "path" (--path and --budget), "budget" and "json"."""
+    names: "file", "path" (--path or --budget: a fixed path needs no
+    search), "budget" (with "path", both may be given) and "json"."""
     p = sub.add_parser(name, help=help)
     if "file" in shared:
         p.add_argument("file")
+    flags = p
     if "path" in shared:
-        p.add_argument("--path", metavar="V0,V1,...",
-                       help="fix the rainbow path instead of searching")
+        if "budget" not in shared:
+            flags = p.add_mutually_exclusive_group()
+        flags.add_argument("--path", metavar="V0,V1,...",
+                           help="fix the rainbow path instead of searching")
     if "path" in shared or "budget" in shared:
-        p.add_argument("--budget", type=int, default=None,
-                       help="search node budget (default: unlimited)")
+        flags.add_argument("--budget", type=int, default=None,
+                           help="search node budget (default: unlimited)")
     if "json" in shared:
         p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(fn=fn)
@@ -522,8 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("aux", cmd_engine_aux, "terminal pair graph, two ways")):
         _command(esub, name, fn, about, "file", "path", "json").add_argument(
             "--mode", choices=("rules", "oracle", "both"), default="both")
+    # the claim battery's maximality probe spends --budget on a given path
     _command(esub, "claims", cmd_engine_claims, "run the claim battery",
-             "file", "path", "json")
+             "file", "path", "budget", "json")
     ind = _command(esub, "induct", cmd_engine_induct,
                    "vertex deletion edge bound", "file", "budget", "json")
     ind.add_argument("--k", type=int, required=True,

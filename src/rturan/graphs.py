@@ -358,6 +358,12 @@ def graph_from_json_obj(obj: dict) -> ColoredGraph:
                               obj.get("sides"))
 
 
+def is_int_token(token: str) -> bool:
+    """The text format's integer token: ASCII digits with an optional
+    leading '-'."""
+    return token.isascii() and token.removeprefix("-").isdigit()
+
+
 def parse_graph(text: str) -> ColoredGraph:
     """Parse either format (JSON starts with '{'); both end in
     _graph_from_fields. The text lexer checks the header's sizes before it
@@ -386,8 +392,7 @@ def parse_graph(text: str) -> ColoredGraph:
         if not line:
             continue
         parts = line.split()
-        if not all(p.isascii() and p.removeprefix("-").isdigit()
-                   for p in parts):
+        if not all(map(is_int_token, parts)):
             raise GraphError(f"line {lineno}: non-integer token")
         try:
             row = [int(p) for p in parts]

@@ -54,7 +54,7 @@ each remaining vertex needs one more edge, of a new color, inside the
 scope, so a node is cut once the unused colors with an edge there are
 fewer than the vertices left. Its gate is the color slack of the vertex
 set, the colors inside it minus the edges a spanning path needs: it is on
-at 1 or less, and _span_prep builds the set's color classes only then.
+at 1 or less.
 The other two score each remaining vertex by its live neighbours among the
 remaining vertices and the current one: with none it can never be entered
 (dead end), and with exactly one it must be the path's last vertex, so at
@@ -80,9 +80,7 @@ The root scores every remaining vertex; each child rescans only v's
 remaining neighbours plus the parent's single-way-in and two-way vertices,
 re-tested against the wanted ends left, the colors used and the new
 current vertex. The prune makes the decision the full rescan would at
-every node, so the search tree is the same. The color tests read one
-{neighbour bit: color bit} row per vertex, which _span_prep builds beside
-the vertex set's bit table.
+every node, so the search tree is the same.
 
 Both kernels recurse once per path vertex. A path deeper than the
 interpreter's recursion limit (about a thousand vertices) ends the search
@@ -95,7 +93,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import GuardError, PathError, PreconditionError, too_deep
 from .graphs import ColoredGraph
@@ -373,7 +371,25 @@ def has_rainbow_path(g: ColoredGraph, length: int,
 
 # -- spanning-path machinery (terminal and connection oracles) ---------------
 
-def _span_prep(g: ColoredGraph, vset):
+class _SpanSet(NamedTuple):
+    """A vertex set prepared for _span_ends: `vs` is the set in ascending
+    order and `full` its mask. Indexed by vertex ((), 0 or None off the
+    set), `adj` is the graph's bit table filtered to the set, `adj_mask`
+    each row's neighbour mask and `cols` each row as {neighbour bit: color
+    bit}. `slack` is the set's color slack, and `classes` its color
+    classes (_color_classes), built only where the color-supply cut is
+    open (slack <= 1) and empty otherwise."""
+
+    vs: list
+    full: int
+    adj: list
+    adj_mask: list
+    cols: list
+    slack: int
+    classes: list
+
+
+def _span_prep(g: ColoredGraph, vset) -> _SpanSet:
     vs = sorted(set(vset))
     for v in vs:
         if not (0 <= v < g.n):
@@ -381,8 +397,6 @@ def _span_prep(g: ColoredGraph, vset):
     full = 0
     for v in vs:
         full |= 1 << v
-    # the graph's bit table filtered to the vertex set, indexed by vertex,
-    # and the same rows as {neighbour bit: color bit}
     bits = g._bits
     adj: list = [()] * g.n
     adj_mask = [0] * g.n
@@ -394,52 +408,38 @@ def _span_prep(g: ColoredGraph, vset):
         adj_mask[v] = sum(t[1] for t in row)
         cols[v] = {wbit: cbit for (_, wbit, cbit) in row}
         colors.update(cols[v].values())
-    # the color-supply gate: open at color slack (colors inside the set,
-    # less the edges a spanning path needs) <= 1
     slack = len(colors) - (len(vs) - 1)
-    supply = (slack, _color_classes(adj) if slack <= 1 else [])
-    return vs, full, adj, adj_mask, cols, supply
+    return _SpanSet(vs, full, adj, adj_mask, cols, slack,
+                    _color_classes(adj) if slack <= 1 else [])
 
 
-def _span_ends(start: int, full: int, adj, adj_mask, cols, supply,
-               wanted: int, hit) -> None:
-    """Spanning rainbow paths over the vertex mask `full` from `start`.
+def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
+    """Spanning rainbow paths over the prepared vertex set `s` from `start`.
 
     Calls hit(path) at the first path, in ascending DFS order, to each end
     in the mask `wanted` that is still wanted when the search reaches it.
     `path` is the search's own vertex list, valid only during the call. hit
     returns the mask of ends no longer wanted, this one among them, and the
-    search stops once no wanted end is left. `adj`, `adj_mask`, `cols` and
-    `supply` are _span_prep's rows and color-supply gate of the vertex set.
+    search stops once no wanted end is left.
     """
+    _, full, adj, adj_mask, cols, slack, classes = s
     cur = [start]
     left = wanted
-    slack, classes = supply
 
     def walk(v: int, vmask: int, cmask: int, scan: int) -> bool:
         nonlocal left
         remaining = full & ~vmask
         cur_bit = 1 << v
-        # Color supply: each remaining vertex needs one more edge, of a
-        # new color, inside the scope (the remaining vertices and v). So a
-        # node is cut once more than `slack` unused classes have no edge
-        # left there.
+        # The cuts the module docstring sets out. Color supply: cut once
+        # more than `slack` unused classes have no edge left in the scope
+        # (the remaining vertices and v).
         if classes and _starved(classes, len(cur) - 1, vmask ^ cur_bit,
                                 cmask, slack + 1):
             return False
-        # Prunes. A remaining vertex needs a live neighbour in remaining or
-        # at v to be entered, and two to be left again. So one with none is
-        # a dead end, and one with a single way in must be the path's last
-        # vertex: at most one may exist, it must be a wanted end, its edge's
-        # color must be unused, and if its way in is v itself it must also
-        # be the only vertex left. One with exactly two ways that is not a
-        # wanted end must be passed through, so both its edges are on the
-        # path and neither color may be used yet.
-        # Only the vertices in `scan` can fail: the step into v dropped
-        # just the previous vertex from the scope, so only its neighbours
-        # lost a way in, and the parent's single-way-in and two-way
-        # vertices are carried, as the colors used grow and the wanted
-        # ends shrink.
+        # Degree prunes, over the vertices in `scan` only: x with no live
+        # neighbour in the scope is a dead end; with one it is the path's
+        # last vertex; with two, unless x is a wanted end, it is passed
+        # through, so neither edge's color may be used yet.
         scope = remaining | cur_bit
         last = 0
         two = 0
@@ -492,8 +492,8 @@ def _span_ends(start: int, full: int, adj, adj_mask, cols, supply,
         raise too_deep("search", "the path search") from None
 
 
-def _first_span(g: ColoredGraph, start: int, full: int, adj, adj_mask, cols,
-                supply, wanted: int) -> Optional[RainbowPath]:
+def _first_span(g: ColoredGraph, s: _SpanSet, start: int,
+                wanted: int) -> Optional[RainbowPath]:
     """The first spanning path from `start` to any end in `wanted`, in
     ascending DFS order; the search stops at it."""
     found = []
@@ -502,7 +502,7 @@ def _first_span(g: ColoredGraph, start: int, full: int, adj, adj_mask, cols,
         found.append(path.copy())
         return wanted
 
-    _span_ends(start, full, adj, adj_mask, cols, supply, wanted, hit)
+    _span_ends(s, start, wanted, hit)
     return path_from_vertices(g, found[0]) if found else None
 
 
@@ -510,20 +510,19 @@ def spanning_rainbow_path_from(g: ColoredGraph, vset, start: int) -> Optional[Ra
     """Some rainbow path whose vertex set is exactly `vset`, starting at
     `start`; None if there is none. Returns the first such path in ascending
     DFS order: the first end the search reaches, where it stops."""
-    vs, full, adj, adj_mask, cols, supply = _span_prep(g, vset)
-    if start not in vs:
+    s = _span_prep(g, vset)
+    if start not in s.vs:
         raise PathError(f"start {start} not in vertex set")
-    if len(vs) == 1:
+    if len(s.vs) == 1:
         return RainbowPath((start,), ())
-    return _first_span(g, start, full, adj, adj_mask, cols, supply,
-                       full & ~(1 << start))
+    return _first_span(g, s, start, s.full & ~(1 << start))
 
 
 def spanning_rainbow_path_between(g: ColoredGraph, vset, u: int, w: int) -> Optional[RainbowPath]:
     """Some rainbow path with vertex set exactly `vset` and endpoints u and w:
     the first one from u in ascending DFS order."""
-    vs, full, adj, adj_mask, cols, supply = _span_prep(g, vset)
-    if u not in vs or w not in vs or u == w:
+    s = _span_prep(g, vset)
+    if u not in s.vs or w not in s.vs or u == w:
         raise PathError("endpoints must be distinct members of the vertex set")
-    return _first_span(g, u, full, adj, adj_mask, cols, supply, 1 << w)
+    return _first_span(g, s, u, 1 << w)
 

@@ -272,7 +272,7 @@ def _rotation_pairs(cols: list, path, known: list) -> None:
     """Record the end pair of the spanning rainbow path `path`, and of every
     path its end rotations reach, in `known` (one partner bitmask per
     vertex). `cols` maps each vertex of V(P*) to its neighbours' bits there
-    and their color bits (_span_prep's rows); `path` ends a pair not yet
+    and their color bits (_SpanSet.cols); `path` ends a pair not yet
     known.
 
     A chord from the end q_{s-1} to q_i, i <= s - 3, gives the path
@@ -327,23 +327,23 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
     masks, and the vertices are those with a partner: the ends of the
     pairs, which are exactly the terminals.
     """
-    vs, full, adj, adj_mask, cols, supply = _span_prep(g, pstar.vertices)
-    if len(vs) == 1:
-        return AuxGraph(vertices=tuple(vs), edges=frozenset())
+    s = _span_prep(g, pstar.vertices)
+    if len(s.vs) == 1:
+        return AuxGraph(vertices=tuple(s.vs), edges=frozenset())
     known = [0] * g.n
 
     def hit(path) -> int:
-        _rotation_pairs(cols, path, known)
+        _rotation_pairs(s.cols, path, known)
         return known[path[0]]
 
-    later = full
-    for u in vs[:-1]:
+    later = s.full
+    for u in s.vs[:-1]:
         later &= ~(1 << u)
         wanted = later & ~known[u]
         if wanted:
-            _span_ends(u, full, adj, adj_mask, cols, supply, wanted, hit)
-    return AuxGraph(vertices=tuple(v for v in vs if known[v]),
-                    edges=frozenset((a, b) for a in vs for b in vs
+            _span_ends(s, u, wanted, hit)
+    return AuxGraph(vertices=tuple(v for v in s.vs if known[v]),
+                    edges=frozenset((a, b) for a in s.vs for b in s.vs
                                     if a < b and known[a] >> b & 1))
 
 

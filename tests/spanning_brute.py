@@ -65,18 +65,18 @@ def reference_aux(g, pstar):
     """The auxiliary graph of V(pstar) from one spanning search per vertex
     u, in ascending order, over every later vertex: no end rotations and no
     pairs shared between roots."""
-    vs, full, adj, adj_mask, cols, supply = _span_prep(g, pstar.vertices)
-    if len(vs) == 1:
-        return AuxGraph(vertices=tuple(vs), edges=frozenset())
+    s = _span_prep(g, pstar.vertices)
+    if len(s.vs) == 1:
+        return AuxGraph(vertices=tuple(s.vs), edges=frozenset())
     edges = set()
-    later = full
-    for u in vs[:-1]:
+    later = s.full
+    for u in s.vs[:-1]:
         later &= ~(1 << u)
 
         def hit(path):
             edges.add((u, path[-1]))
             return 1 << path[-1]
 
-        _span_ends(u, full, adj, adj_mask, cols, supply, later, hit)
+        _span_ends(s, u, later, hit)
     ends = {v for e in edges for v in e}
     return AuxGraph(vertices=tuple(sorted(ends)), edges=frozenset(edges))

@@ -458,6 +458,35 @@ def test_engine_path_with_an_empty_item_is_input_error(k4_file, capsys, raw):
         "", f"error: path argument {raw!r} is not a comma list of ids\n")
 
 
+@pytest.mark.parametrize("raw", ["1_0,2", "+1,0,2", "١,0,2", "1,0,2.0"])
+def test_engine_path_items_are_graph_file_tokens(k4_file, capsys, raw):
+    # int() reads "1_0" as 10 and "+1" and the Arabic-Indic one as 1; the
+    # text graph lexer refuses all of them, and so does --path
+    assert main(["engine", "profile", k4_file, "--path", raw]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: path argument {raw!r} is not a comma list of ids\n")
+    # blanks around an item are stripped, as between tokens of a graph file
+    assert main(["engine", "profile", k4_file, "--path", "1, 0, 2"]) == 0
+
+
+@pytest.mark.parametrize("cmd", ["profile", "terminals", "aux"])
+def test_engine_path_and_budget_are_a_usage_error(k4_file, capsys, cmd):
+    # a given path needs no search, so a budget beside it would go unused
+    with pytest.raises(SystemExit) as e:
+        main(["engine", cmd, k4_file, "--path", "1,0,2", "--budget", "0"])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_engine_claims_spends_its_budget_on_a_given_path(k4_file, capsys):
+    # the maximality probe of the given path runs under the budget
+    assert main(["engine", "claims", k4_file, "--path", "1,0,2",
+                 "--budget", "0"]) == 3
+    assert "search budget too small" in capsys.readouterr().err
+    assert main(["engine", "claims", k4_file, "--path", "1,0,2",
+                 "--budget", "1000"]) == 0
+
+
 def test_claims_clean(f2k_file, capsys):
     code, out = run(capsys, ["engine", "claims", f2k_file])
     assert code == 0

@@ -11,9 +11,11 @@ and so shares its prunes, a plain DFS with no prune at all
 (spanning_brute.spanning_pairs).
 """
 
+import ast
 import random
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -280,7 +282,7 @@ def spied_searches(monkeypatch, module):
     log = []
     inner = module._span_ends
 
-    def spy(start, full, adj, adj_mask, cols, supply, wanted, hit):
+    def spy(s, start, wanted, hit):
         rec = [start, 0]
         log.append(rec)
 
@@ -288,7 +290,7 @@ def spied_searches(monkeypatch, module):
             rec[1] += 1
             return hit(path)
 
-        inner(start, full, adj, adj_mask, cols, supply, wanted, counted)
+        inner(s, start, wanted, counted)
 
     monkeypatch.setattr(module, "_span_ends", spy)
     return log
@@ -338,3 +340,35 @@ def test_path_from_stops_at_its_first_hit(monkeypatch):
     log = spied_searches(monkeypatch, search)
     assert spanning_rainbow_path_from(g, range(5), 0).vertices == (0, 1, 2, 3, 4)
     assert log == [[0, 1]]
+
+
+# === the prepared vertex set stays search.py's ===
+
+def _span_set_unpacks(tree):
+    """Lines that unpack a _span_prep result into names, or call
+    _span_ends with more than its four arguments."""
+    def calls(node, name):
+        return isinstance(node, ast.Call) and name == getattr(
+            node.func, "id", getattr(node.func, "attr", None))
+
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and calls(node.value, "_span_prep")
+                and any(isinstance(t, (ast.Tuple, ast.List))
+                        for t in node.targets)):
+            found.add(node.lineno)
+        elif (calls(node, "_span_ends")
+              and len(node.args) + len(node.keywords) > 4):
+            found.add(node.lineno)
+    return found
+
+
+def test_only_search_knows_the_prepared_set_layout():
+    # callers pass the _SpanSet record whole and read it by field, so a
+    # new kernel table changes search.py alone
+    kernel = Path(search.__file__)
+    files = sorted(kernel.parent.glob("*.py")) + sorted(
+        Path(__file__).parent.glob("*.py"))
+    found = {(path.name, line) for path in files if path != kernel
+             for line in _span_set_unpacks(ast.parse(path.read_text()))}
+    assert found == set()
