@@ -311,6 +311,9 @@ def cmd_engine_aux(args) -> int:
 
 def cmd_engine_claims(args) -> int:
     g = load_graph(args.file)
+    proper = validate_proper(g)
+    if not proper.is_proper:
+        raise PreconditionError(proper.refusal())
     p = _fixed_path(g, args.path) if args.path is not None else None
     rep = check_claims(build_claim_context(g, p, budget=args.budget))
     if args.json:

@@ -207,18 +207,16 @@ def _profile_partitions(prof) -> Optional[str]:
 
 def _tamper_once(g: ColoredGraph, pstar, fires) -> Optional[str]:
     """Corrupt one witness and insist the checker throws it out."""
-    pos = {v: i for i, v in enumerate(pstar.vertices)}
     for f in fires:
         vs = f.witness.vertices
         if len(vs) < 3:
             continue
-        broken = [pos[v] for v in (vs[:1] + vs[2:])]
         try:
-            checked_fire(g, pstar, f.rule, f.anchor, broken)
+            checked_fire(g, pstar, f.rule, vs[:1] + vs[2:])
         except WitnessError:
             return None
         return (f"checker accepted a witness with a vertex removed "
-                f"(rule {f.rule}, anchor {f.anchor})")
+                f"(rule {f.rule}, witness {vs})")
     return None
 
 

@@ -76,6 +76,8 @@ class GraphSkeleton:
     sides: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
+        if self.n < 0:
+            raise GraphError("negative vertex count")
         _check_edges(self.n, self.edges)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         object.__setattr__(self, "sides", _checked_sides(self.n, self.sides))
@@ -201,6 +203,12 @@ class ProperColoringReport:
     is_proper: bool
     # (vertex, color, edge1, edge2): two edges of the same color meeting at vertex
     violations: tuple[tuple[int, int, Edge, Edge], ...]
+
+    def refusal(self) -> str:
+        """Why an improper coloring is refused, for the commands that
+        assume a proper one."""
+        return (f"coloring is not proper ({len(self.violations)} clashes, "
+                f"first at vertex {self.violations[0][0]})")
 
 
 def validate_proper(g: ColoredGraph) -> ProperColoringReport:

@@ -142,9 +142,7 @@ def run_induction(g: ColoredGraph, k: int,
         raise PreconditionError("the path-edge budget k must be at least 1")
     rep = validate_proper(g)
     if not rep.is_proper:
-        raise PreconditionError(
-            f"coloring is not proper ({len(rep.violations)} clashes, "
-            f"first at vertex {rep.violations[0][0]})")
+        raise PreconditionError(rep.refusal())
     probe = has_rainbow_path(g, k + 1, budget=budget)
     if probe.found is None:
         raise GuardError("induct", "search budget too small to check the "

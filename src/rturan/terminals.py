@@ -35,10 +35,11 @@ Rule families, in profile.py vocabulary:
 
 The v_k end is the v_0 end of P* read backwards, so fresh_end, nice_end and
 window_end are the three start rules run on the reversed path (its profile
-is PathProfile.reversed()), with its chord position i reported as k - i
-here. A fresh chord v_k v_j frees v_{j+1}, and a window chord v_k v_j lands
-on v_{j-1}. Fires come family by family (fresh, nice, window), the start
-side before the end side, each in ascending chord position.
+is PathProfile.reversed()), and their fires are read backwards so they come
+in ascending chord position on P*. A fresh chord v_k v_j frees v_{j+1}, and
+a window chord v_k v_j lands on v_{j-1}. Fires come family by family
+(fresh, nice, window), the start side before the end side, each in
+ascending chord position.
 
 The nice rules go silent when the matching path edge sits below the chord
 and the chord is the far edge itself (start side i = k, end side i = 0):
@@ -93,7 +94,6 @@ from .search import spanning_rainbow_path_from  # noqa: F401
 @dataclass(frozen=True)
 class RuleFire:
     rule: str
-    anchor: tuple          # ("start"|"end"|"far", chord position) or ("path", 0)
     witness: RainbowPath   # its two ends are the terminals this firing certifies
 
 
@@ -127,67 +127,59 @@ def _witness(g: ColoredGraph, span: set, source: str, vertices) -> RainbowPath:
 
 
 def checked_fire(g: ColoredGraph, pstar: RainbowPath, rule: str,
-                 anchor: tuple, idx_seq) -> RuleFire:
-    """The fire whose witness is pstar read at the positions idx_seq; refuse
-    it unless that is a rainbow path of g on V(pstar)."""
-    verts = pstar.vertices
-    w = _witness(g, set(verts), rule, [verts[i] for i in idx_seq])
-    return RuleFire(rule=rule, anchor=anchor, witness=w)
+                 vertices) -> RuleFire:
+    """The fire whose witness is the vertex sequence `vertices`; refuse it
+    unless that is a rainbow path of g on V(pstar)."""
+    w = _witness(g, set(pstar.vertices), rule, vertices)
+    return RuleFire(rule, w)
 
 
 def _start_rules(prof: PathProfile) -> tuple:
     """The fresh, nice and window fires for chords v_0 v_i of prof's path:
-    one list per family, each of (i, witness positions) in ascending i."""
-    k = prof.k
-    colors = prof.path_colors
+    one list per family of witness vertex sequences, in ascending i. On
+    the reversed profile these are the end fires, which terminal_rules reads
+    backwards so they come in ascending chord position on P*."""
+    vs, colors = prof.path.vertices, prof.path_colors
     start, end = prof.start, prof.end
     chords = sorted(start.chords.items())
     fresh, nice, window = [], [], []
     for i, c in chords:
         if c in start.new:
-            fresh.append((i, [*range(i - 1, -1, -1), *range(i, k + 1)]))
+            fresh.append(vs[i - 1::-1] + vs[i:])
         if c in start.nice:
             j = colors.index(c)  # the fresh end chord sits at position j
             if j >= i:
-                nice.append((i, [*range(i - 1, -1, -1), *range(i, j + 1),
-                                 *range(k, j, -1)]))
-            elif i < k:
-                nice.append((i, [*range(j + 1, i + 1), *range(0, j + 1),
-                                 *range(k, i, -1)]))
+                nice.append(vs[i - 1::-1] + vs[i:j + 1] + vs[:j:-1])
+            elif i < prof.k:
+                nice.append(vs[j + 1:i + 1] + vs[:j + 1] + vs[:i:-1])
     if prof.pivots_present:
         outer = end.top[0]  # the smallest fresh end chord, counted from v_k
-        lo_outer, lo, hi = k - outer, prof.win_lo, prof.win_hi
+        lo_outer, lo, hi = prof.k - outer, prof.win_lo, prof.win_hi
         for i, c in chords:
             if c not in start.new or not (lo < i <= hi):
                 continue
             low = lo_outer if end.chords[outer] != c else lo
-            window.append((i, [*range(low + 1, i + 1), *range(0, low + 1),
-                               *range(k, i, -1)]))
+            window.append(vs[low + 1:i + 1] + vs[:low + 1] + vs[:i:-1])
     return fresh, nice, window
 
 
 def terminal_rules(g: ColoredGraph, prof: PathProfile) -> TerminalReport:
     """Replay the rotation rules on prof's path P* and report every firing."""
-    pstar, k = prof.path, prof.k
-    fires = [RuleFire("endpoints", ("path", 0), pstar)]
+    pstar, vs = prof.path, prof.path.vertices
+    fires = [RuleFire("endpoints", pstar)]
 
     if prof.far_edge_is_new:
-        for i in range(k):
-            fires.append(checked_fire(g, pstar, "far_jump", ("far", k),
-                                      [*range(i, -1, -1), *range(k, i, -1)]))
+        for i in range(prof.k):
+            fires.append(checked_fire(g, pstar, "far_jump",
+                                      vs[i::-1] + vs[:i:-1]))
 
-    # the *_end fires are the *_start fires of the reversed path, whose
-    # position i is k - i here; reading them backwards puts them in
-    # ascending position on this path
-    rev = prof.reversed()
     for family, heads, tails in zip(("fresh", "nice", "window"),
-                                    _start_rules(prof), _start_rules(rev)):
-        for i, seq in heads:
-            fires.append(checked_fire(g, pstar, family + "_start",
-                                      ("start", i), seq))
-        for i, seq in reversed(tails):
-            fires.append(checked_fire(g, rev.path, family + "_end",
-                                      ("end", k - i), seq))
+                                    _start_rules(prof),
+                                    _start_rules(prof.reversed())):
+        for seq in heads:
+            fires.append(checked_fire(g, pstar, family + "_start", seq))
+        for seq in reversed(tails):
+            fires.append(checked_fire(g, pstar, family + "_end", seq))
     return TerminalReport(fires=tuple(fires))
 
 

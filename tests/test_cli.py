@@ -6,8 +6,11 @@ avoiding coloring), 2 for unusable input, 3 for a guard or budget refusal,
 4 for an internal error (any other exception).
 """
 
+import argparse
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -514,6 +517,20 @@ def test_induct_rejects_broken_promise(f2k_file, capsys):
     assert main(["engine", "induct", f2k_file, "--k", "1"]) == 2
 
 
+def test_claims_and_induct_refuse_an_improper_coloring(tmp_path, capsys):
+    # the claims assume a proper coloring, so an "ok" on this graph would
+    # prove nothing; both commands refuse it with the same message
+    path = tmp_path / "imp.txt"
+    path.write_text("4 3 2\n0 1 0\n1 2 0\n2 3 1\n")
+    msg = "error: coloring is not proper (1 clashes, first at vertex 1)\n"
+    for argv in (["engine", "claims", str(path)],
+                 ["engine", "claims", str(path), "--path", "0,1,2"],
+                 ["engine", "induct", str(path), "--k", "2"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == msg, argv
+
+
 # === oracle ===
 
 def test_oracle_exstar_json(capsys):
@@ -769,3 +786,45 @@ def test_output_modes(f2k_file, capsys, argv, code, head):
         assert isinstance(json.loads(out), (dict, list))
     else:
         assert out.splitlines()[0].startswith(head)
+
+
+# === the documented command lists ===
+
+def parser_commands() -> set:
+    """(group, subcommand) for every subparser build_parser() defines, with
+    subcommand None for a group that has none."""
+    def subparsers(parser) -> dict:
+        return next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), {})
+    return {(group, sub)
+            for group, p in subparsers(cli.build_parser()).items()
+            for sub in (subparsers(p) or [None])}
+
+
+def documented_commands(lines) -> set:
+    """(group, subcommand) named by each `rt ...` line, expanding a|b
+    alternatives; a line whose third word is an option or an argument
+    names a group with no subcommand."""
+    out = set()
+    for line in lines:
+        words = line.split()
+        if words[:1] != ["rt"]:
+            continue
+        subs = [None]
+        if len(words) > 2 and re.fullmatch(r"[a-z0-9]+(\|[a-z0-9]+)*",
+                                           words[2]):
+            subs = words[2].split("|")
+        out.update((words[1], sub) for sub in subs)
+    return out
+
+
+def test_documented_command_lists_match_the_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    # the docstring table: the command column ends at the first wide gap
+    table = [re.split(r"\s{2,}", line.strip())[0]
+             for line in cli.__doc__.splitlines()]
+    want = parser_commands()
+    assert ("engine", "claims") in want and ("bounds", None) in want
+    assert documented_commands(block.splitlines()) == want
+    assert documented_commands(table) == want

@@ -42,6 +42,13 @@ def test_skeleton_rejects_bad_edges():
         GraphSkeleton(3, ((0, 1), (1, 0)))
 
 
+def test_skeleton_refuses_a_negative_vertex_count():
+    for build in (lambda: GraphSkeleton(-3, ()), lambda: complete_graph(-1),
+                  lambda: ColoredGraph(-3, (), 0)):
+        with pytest.raises(GraphError, match="negative vertex count"):
+            build()
+
+
 def test_colored_graph_accessors():
     g = small()
     assert g.n == 4 and g.m == 4

@@ -134,20 +134,20 @@ def test_far_jump_makes_everything_terminal():
 def test_checked_fire_rejects_non_path():
     g, p = hand_pair()
     with pytest.raises(WitnessError):
-        checked_fire(g, p, "bogus", ("start", 0), [2, 0, 1, 3, 4, 5])
+        checked_fire(g, p, "bogus", [2, 0, 1, 3, 4, 5])
 
 
 def test_checked_fire_rejects_repeated_color():
     g, p = hand_pair()
     with pytest.raises(WitnessError) as e:
-        checked_fire(g, p, "bogus", ("start", 0), [4, 0, 5, 2, 3])
+        checked_fire(g, p, "bogus", [4, 0, 5, 2, 3])
     assert "color" in str(e.value)
 
 
 def test_checked_fire_rejects_non_spanning():
     g, p = hand_pair()
     with pytest.raises(WitnessError) as e:
-        checked_fire(g, p, "bogus", ("start", 0), [0, 1, 2, 3, 4])
+        checked_fire(g, p, "bogus", [0, 1, 2, 3, 4])
     assert "span" in str(e.value)
 
 
@@ -243,7 +243,7 @@ def test_aux_rules_reread_witnesses_from_the_graph():
         w = f.witness
         # the recorded colors, reversed: still distinct, but not g's colors
         forged = RainbowPath(w.vertices, w.colors[::-1])
-        bad = TerminalReport(fires=(RuleFire(f.rule, f.anchor, forged),))
+        bad = TerminalReport(fires=(RuleFire(f.rule, forged),))
         with pytest.raises(WitnessError) as e:
             build_aux_rules(g, p, bad)
         assert e.value.rule == "witness"
