@@ -76,6 +76,16 @@ def _fixed_path(g: ColoredGraph, raw: str):
     return p
 
 
+def _load_proper(path: str) -> ColoredGraph:
+    """The graph at `path`, refused (exit 2) unless properly colored: the
+    engine's profile, rules and claims assume a proper coloring."""
+    g = load_graph(path)
+    proper = validate_proper(g)
+    if not proper.is_proper:
+        raise PreconditionError(proper.refusal())
+    return g
+
+
 def _pick_path(g: ColoredGraph, args):
     """The path the engine works on: either --path, or a proven longest."""
     if args.path is not None:
@@ -206,7 +216,7 @@ def cmd_bounds(args) -> int:
 # -- engine ------------------------------------------------------------------
 
 def cmd_engine_profile(args) -> int:
-    g = load_graph(args.file)
+    g = _load_proper(args.file)
     p = _pick_path(g, args)
     prof = compute_profile(g, p)
     ends = {"start": prof.start, "end": prof.end}
@@ -239,7 +249,7 @@ def cmd_engine_profile(args) -> int:
 
 
 def cmd_engine_terminals(args) -> int:
-    g = load_graph(args.file)
+    g = _load_proper(args.file)
     p = _pick_path(g, args)
     payload: dict = {"path": _path_obj(p)}
     rules = oracle = None
@@ -279,7 +289,7 @@ def cmd_engine_terminals(args) -> int:
 
 
 def cmd_engine_aux(args) -> int:
-    g = load_graph(args.file)
+    g = _load_proper(args.file)
     p = _pick_path(g, args)
     payload: dict = {"path": _path_obj(p)}
     auxes: dict = {}
@@ -310,10 +320,7 @@ def cmd_engine_aux(args) -> int:
 
 
 def cmd_engine_claims(args) -> int:
-    g = load_graph(args.file)
-    proper = validate_proper(g)
-    if not proper.is_proper:
-        raise PreconditionError(proper.refusal())
+    g = _load_proper(args.file)
     p = _fixed_path(g, args.path) if args.path is not None else None
     rep = check_claims(build_claim_context(g, p, budget=args.budget))
     if args.json:

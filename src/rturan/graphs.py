@@ -90,11 +90,11 @@ class GraphSkeleton:
         """Color this skeleton; colors[i] belongs to self.edges[i]."""
         if len(colors) != self.m:
             raise GraphError("one color per edge required")
-        return ColoredGraph.from_edges(
+        # the edges are already ascending, each with u < v: nothing to sort
+        return ColoredGraph(
             self.n,
-            [(u, v, c) for (u, v), c in zip(self.edges, colors)],
-            sides=self.sides,
-        )
+            tuple([(u, v, c) for (u, v), c in zip(self.edges, colors)]),
+            max(colors, default=-1) + 1, self.sides)
 
 
 @dataclass(frozen=True)
@@ -110,24 +110,52 @@ class ColoredGraph:
     _col: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 0:
+        """Validate and build in one pass over the edges, in their given
+        order: the first edge outside 0 <= u < v < n, or listed twice,
+        is refused there; a color outside the palette is refused after the
+        pass, at the least such edge. Edges not in ascending order are
+        sorted; in ascending order, each neighbour list comes out
+        ascending as it is built (v's lower neighbours come first, from
+        the edges (u, v), then its upper ones)."""
+        n, palette = self.n, self.num_colors
+        if n < 0:
             raise GraphError("negative vertex count")
-        if self.num_colors < 0:
+        if palette < 0:
             raise GraphError("negative palette size")
-        _check_edges(self.n, ((u, v) for (u, v, _) in self.edges))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.n)}
+        nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
         col: dict[Edge, int] = {}
+        bad_color = None
+        prev = (-1, -1)
+        ascending = True
         for (u, v, c) in self.edges:
-            if not (0 <= c < self.num_colors):
-                raise GraphError(f"color {c} outside palette 0..{self.num_colors - 1}")
+            if not (0 <= u < v < n):
+                raise GraphError(f"bad edge ({u},{v}) for n={n}")
+            e = (u, v)
+            if e in col:
+                raise GraphError(f"duplicate edge ({u},{v})")
+            if not (0 <= c < palette) and (bad_color is None
+                                           or e < bad_color[0]):
+                bad_color = (e, c)
+            if e < prev:
+                ascending = False
+            prev = e
+            col[e] = c
             nbrs[u].append((v, c))
             nbrs[v].append((u, c))
-            col[(u, v)] = c
-        object.__setattr__(self, "_nbrs",
-                           {v: tuple(sorted(ws)) for v, ws in nbrs.items()})
+        if bad_color is not None:
+            raise GraphError(f"color {bad_color[1]} outside palette "
+                             f"0..{palette - 1}")
+        if ascending:
+            object.__setattr__(self, "edges", tuple(self.edges))
+            object.__setattr__(self, "_nbrs",
+                               {v: tuple(ws) for v, ws in nbrs.items()})
+        else:
+            object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+            object.__setattr__(self, "_nbrs",
+                               {v: tuple(sorted(ws))
+                                for v, ws in nbrs.items()})
         object.__setattr__(self, "_col", col)
-        object.__setattr__(self, "sides", _checked_sides(self.n, self.sides))
+        object.__setattr__(self, "sides", _checked_sides(n, self.sides))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]],

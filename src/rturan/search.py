@@ -20,12 +20,22 @@ min(n - 1, colors in use), and the search stops once the best length
 reaches it. The color-supply cut: a path that goes on from v spends one
 new color per edge, each on an edge inside the scope (the unvisited
 vertices and v), so a node whose depth plus the number of unused colors
-with an edge inside the scope is at most the best length is cut. Its gate
-is the color slack, colors in use - (n - 1): above 1 the cut rarely cuts
-and still costs, so it is off. It is also off where every color class has
-at least n / 2 edges, as in the xor colorings: a class loses at most one
-edge per dead vertex (see _starved), so there the count would start only
-halfway down the path, and it was measured slower. longest_rainbow_path
+with an edge inside the scope is at most the best length is cut. The
+count is exact and costs one big-int addition per node (_supply_layout):
+each color class is a field of bits, one per edge and a guard bit above
+them; the walk's color mask carries, beside the guard bits of the colors
+used, the edges of every vertex the path has left (the dead vertices), in
+two regions, one for the edges whose lower end it is and one for the upper
+end; and adding one to every field carries into a guard bit exactly where
+the class has no edge clear of the dead vertices. Its gate is the color
+slack, colors in use - (n - 1): above 1 the cut rarely cuts and still
+costs, so it is off. It is also off where every color class has at least
+n / 2 edges, as in the xor colorings: a class of a proper coloring is a
+matching and loses at most one edge per dead vertex, so there the count
+would start only halfway down the path, and it was measured slower. And
+it is off where the layout, m + colors in use bits, would be wider than
+SUPPLY_FIELD_BITS: every color bit of the walk's table is three layouts
+wide, so each step costs more as the layout grows. longest_rainbow_path
 is one run from floor 0 under the caller's budget, and has_rainbow_path(L)
 one run from floor L - 1 with `first` set. Each returns the path the
 kernel recorded: the first of its length in ascending DFS order, so the
@@ -52,9 +62,11 @@ only shrinks, so a prune decided against it stays sound after it shrinks.
 Three prunes keep it sound and small. The first is the color-supply cut:
 each remaining vertex needs one more edge, of a new color, inside the
 scope, so a node is cut once the unused colors with an edge there are
-fewer than the vertices left. Its gate is the color slack of the vertex
-set, the colors inside it minus the edges a spanning path needs: it is on
-at 1 or less.
+fewer than the vertices left. It reads the same carry-field count as
+_dfs, over the layout of the set's own edges. Its gate is the color slack
+of the vertex set, the colors inside it minus the edges a spanning path
+needs: it is on at 1 or less, where the set's edges plus colors fit
+SUPPLY_FIELD_BITS.
 The other two score each remaining vertex by its live neighbours among the
 remaining vertices and the current one: with none it can never be entered
 (dead end), and with exactly one it must be the path's last vertex, so at
@@ -231,15 +243,21 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     # The cap and the color-supply cut share one depth test per node,
     # depth >= cut_from, so with the gate shut a node costs what it did
     # without the cut. No depth reaches n. The gate opens at color slack
-    # colors - (n - 1) <= 1, where some class has fewer than n / 2 edges,
-    # at the depth that can first empty a class: its fewest edges. The
-    # cap sets cut_from to 0 once the best length reaches lim.
+    # colors - (n - 1) <= 1, where some class has fewer than n / 2 edges
+    # and the layout fits SUPPLY_FIELD_BITS, at the depth that can first
+    # empty a class: its fewest edges. The walk then reads the layout's
+    # table, whose color bits are guard bits carrying the edges of the
+    # row's vertex. The cap sets cut_from to 0 once the best length
+    # reaches lim.
     cut_from = n
-    classes: list = []
-    if colors <= n:
+    field = field2 = low = guard = 0
+    if colors <= n and g.m + colors <= SUPPLY_FIELD_BITS:
         classes = _color_classes(nbrs)
-        if classes and 2 * classes[0][0] < n:
-            cut_from = classes[0][0]
+        smallest = min(map(len, classes.values()), default=n)
+        if 2 * smallest < n:
+            nbrs, field, low, guard = _supply_layout(nbrs, classes)
+            field2 = 2 * field
+            cut_from = smallest
     if lim <= floor:
         cut_from = 0
     nodes = 0
@@ -259,11 +277,14 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
                 return False
             if lim <= depth:
                 cut_from = 0
-        if depth >= cut_from and (
-                lim <= best_len
-                or _starved(classes, depth, vmask ^ (1 << v), cmask,
-                            colors - best_len)):
-            return True
+        if depth >= cut_from:
+            if lim <= best_len:
+                return True
+            # the unused classes with no edge left in the scope
+            # (_supply_layout), inline: a call per node costs most of it
+            dead = ((cmask >> field | cmask >> field2) + low) & guard
+            if (dead ^ dead & cmask).bit_count() >= colors - best_len:
+                return True
         for (w, wbit, cbit) in nbrs[v]:
             if (vmask & wbit) or (cmask & cbit):
                 continue
@@ -284,45 +305,70 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     return best_len, best_seq, nodes, nodes > stop
 
 
-def _color_classes(rows) -> list:
+# The widest carry-field layout (edges plus colors of the scope) the
+# color-supply cut is built for. A layout F bits wide makes every color
+# bit of its table 3F bits long, so each step and color test of the walk
+# costs more with F. 20,000-node longest searches on random_instance graphs
+# (Python 3.11, 2-core Xeon), per node, with the layout against a per-class
+# loop and against the cut shut: 3.4, 5.2 and 2.4 us at F = 1,149; 6.5,
+# 6.4 and 2.8 us at 2,040; 15.1, 8.3 and 2.5 us at 3,156; 33.6, 15.2 and
+# 4.1 us at 8,033, where the layout also took 49 MB. Wider scopes run with
+# the cut shut.
+SUPPLY_FIELD_BITS = 1024
+
+
+def _color_classes(rows) -> dict:
     """The color classes of a bit table (the graph's _bits, or _span_prep's
-    rows of a vertex set), fewest edges first: (edges, color bit, edge
-    masks), an edge mask holding the bits of its two ends."""
-    by: dict = {}
+    rows of a vertex set): {color bit: its edges (v, w), v < w}."""
+    classes: dict = {}
     for v, row in enumerate(rows):
-        vbit = 1 << v
-        for (w, wbit, cbit) in row:
+        for (w, _, cbit) in row:
             if w > v:
-                if cbit in by:
-                    by[cbit].append(vbit | wbit)
+                if cbit in classes:
+                    classes[cbit].append((v, w))
                 else:
-                    by[cbit] = [vbit | wbit]
-    return sorted([(len(es), c, es) for c, es in by.items()])
+                    classes[cbit] = [(v, w)]
+    return classes
 
 
-def _starved(classes, dead_count: int, dead: int, cmask: int,
-             need: int) -> bool:
-    """True if at least `need` classes of `classes` (_color_classes) whose
-    color is not in `cmask` have no edge clear of `dead`, the mask of
-    `dead_count` vertices.
+def _supply_layout(rows, classes: dict) -> tuple:
+    """The carry-field layout of the color-supply cut over a bit table and
+    its color classes (_color_classes): (table, F, low, guard).
 
-    A class of a proper coloring is a matching, so each dead vertex ends
-    at most one of its edges, and only classes with at most `dead_count`
-    edges are read. A class that is not a matching is read the same way;
-    it may be counted as alive when it is not, which only cuts less.
+    Each color class gets one field of the low F bits: one bit per edge,
+    then a guard bit; `low` holds each field's lowest bit and `guard` its
+    guard bit. `table` is `rows` with each color bit replaced by its
+    class's guard bit, plus the edge bits of the row's vertex v: those of
+    the edges whose lower end is v at offset F, those whose upper end is v
+    at offset 2F. A path's color mask, the OR of its steps' color bits, is
+    then its colors' guard bits plus, in the two regions, the edges of
+    every vertex it has left, and no two steps share a bit: a vertex is
+    left once, and an edge's bit in a region belongs to one of its ends.
+    So with d = (((cmask >> F) | (cmask >> 2F)) + low) & guard, the
+    guard bits of d & ~cmask are the unused classes with no edge clear of
+    the vertices left: one addition carries into a guard bit exactly where
+    every edge bit of its field is set. The count is exact on any
+    coloring, proper or not.
     """
-    for (size, cbit, edges) in classes:
-        if size > dead_count:
-            return False
-        if not cmask & cbit:
-            for e in edges:
-                if not e & dead:
-                    break
-            else:
-                need -= 1
-                if need <= 0:
-                    return True
-    return False
+    lower = [0] * len(rows)
+    upper = [0] * len(rows)
+    gbit = {}
+    field = low = guard = 0
+    for cbit, edges in classes.items():
+        low |= 1 << field
+        for (v, w) in edges:
+            lower[v] |= 1 << field
+            upper[w] |= 1 << field
+            field += 1
+        gbit[cbit] = 1 << field
+        guard |= 1 << field
+        field += 1
+    table = []
+    for v, row in enumerate(rows):
+        left = lower[v] << field | upper[v] << 2 * field
+        table.append([(w, wbit, gbit[cbit] | left)
+                      for (w, wbit, cbit) in row])
+    return table, field, low, guard
 
 
 def _check_budget(budget: Optional[int]) -> None:
@@ -376,9 +422,12 @@ class _SpanSet(NamedTuple):
     order and `full` its mask. Indexed by vertex ((), 0 or None off the
     set), `adj` is the graph's bit table filtered to the set, `adj_mask`
     each row's neighbour mask and `cols` each row as {neighbour bit: color
-    bit}. `slack` is the set's color slack, and `classes` its color
-    classes (_color_classes), built only where the color-supply cut is
-    open (slack <= 1) and empty otherwise."""
+    bit}. `slack` is the set's color slack. Where the color-supply cut is
+    open (slack <= 1, and the set's edges plus colors at most
+    SUPPLY_FIELD_BITS), `field`, `low` and `guard` are the set's carry-field
+    layout (_supply_layout), `adj` is its table, and `cols` holds the bare
+    guard bits, the color bits a path's color mask tests against; otherwise
+    `field` is 0 and the bits are the graph's."""
 
     vs: list
     full: int
@@ -386,7 +435,9 @@ class _SpanSet(NamedTuple):
     adj_mask: list
     cols: list
     slack: int
-    classes: list
+    field: int
+    low: int
+    guard: int
 
 
 def _span_prep(g: ColoredGraph, vset) -> _SpanSet:
@@ -402,15 +453,22 @@ def _span_prep(g: ColoredGraph, vset) -> _SpanSet:
     adj_mask = [0] * g.n
     cols: list = [None] * g.n
     colors: set = set()
+    ends = 0
     for v in vs:
         row = [t for t in bits[v] if t[1] & full]
         adj[v] = row
         adj_mask[v] = sum(t[1] for t in row)
-        cols[v] = {wbit: cbit for (_, wbit, cbit) in row}
-        colors.update(cols[v].values())
+        colors.update(t[2] for t in row)
+        ends += len(row)
     slack = len(colors) - (len(vs) - 1)
-    return _SpanSet(vs, full, adj, adj_mask, cols, slack,
-                    _color_classes(adj) if slack <= 1 else [])
+    field = low = guard = 0
+    if slack <= 1 and ends // 2 + len(colors) <= SUPPLY_FIELD_BITS:
+        adj, field, low, guard = _supply_layout(adj, _color_classes(adj))
+    # the bare color bits: a layout's guard bits, below its regions
+    mask = (1 << field) - 1 if field else -1
+    for v in vs:
+        cols[v] = {wbit: cbit & mask for (_, wbit, cbit) in adj[v]}
+    return _SpanSet(vs, full, adj, adj_mask, cols, slack, field, low, guard)
 
 
 def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
@@ -422,7 +480,9 @@ def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
     returns the mask of ends no longer wanted, this one among them, and the
     search stops once no wanted end is left.
     """
-    _, full, adj, adj_mask, cols, slack, classes = s
+    _, full, adj, adj_mask, cols, slack, field, low, guard = s
+    field2 = 2 * field
+    need = max(slack, 0)
     cur = [start]
     left = wanted
 
@@ -431,11 +491,12 @@ def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
         remaining = full & ~vmask
         cur_bit = 1 << v
         # The cuts the module docstring sets out. Color supply: cut once
-        # more than `slack` unused classes have no edge left in the scope
-        # (the remaining vertices and v).
-        if classes and _starved(classes, len(cur) - 1, vmask ^ cur_bit,
-                                cmask, slack + 1):
-            return False
+        # more than `slack` unused classes (and at least one) have no edge
+        # left in the scope, the remaining vertices and v (_supply_layout).
+        if field:
+            dead = ((cmask >> field | cmask >> field2) + low) & guard
+            if (dead ^ dead & cmask).bit_count() > need:
+                return False
         # Degree prunes, over the vertices in `scan` only: x with no live
         # neighbour in the scope is a dead end; with one it is the path's
         # last vertex; with two, unless x is a wanted end, it is passed

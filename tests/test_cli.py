@@ -531,6 +531,20 @@ def test_claims_and_induct_refuse_an_improper_coloring(tmp_path, capsys):
         assert out == "" and err == msg, argv
 
 
+@pytest.mark.parametrize("cmd", ["profile", "terminals", "aux"])
+def test_engine_commands_refuse_an_improper_coloring(tmp_path, capsys, cmd):
+    # the profile and the rules assume a proper coloring: on this graph the
+    # profile would merge the two color-0 edges at vertex 1 into one color
+    path = tmp_path / "imp.txt"
+    path.write_text("4 3 2\n0 1 0\n1 2 0\n2 3 1\n")
+    msg = "error: coloring is not proper (1 clashes, first at vertex 1)\n"
+    for argv in (["engine", cmd, str(path)],
+                 ["engine", cmd, str(path), "--path", "1,2,3"],
+                 ["engine", cmd, str(path), "--json"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", msg), argv
+
+
 # === oracle ===
 
 def test_oracle_exstar_json(capsys):

@@ -77,6 +77,40 @@ def test_colored_edges_checked_like_skeleton_edges():
             ColoredGraph(3, tuple(e + (0,) for e in bad), 1)
 
 
+def test_construction_sorts_only_what_is_out_of_order():
+    rng = random.Random(3)
+    for _ in range(50):
+        n = rng.randint(1, 9)
+        rows = [(u, v, rng.randrange(4)) for u in range(n)
+                for v in range(u + 1, n) if rng.random() < 0.5]
+        ordered = ColoredGraph(n, tuple(rows), 4)
+        rng.shuffle(rows)
+        shuffled = ColoredGraph(n, tuple(rows), 4)
+        assert shuffled == ordered and ordered.edges == tuple(sorted(rows))
+        for g in (ordered, shuffled):
+            for v in range(n):
+                assert list(g.neighbors(v)) == sorted(
+                    (b if a == v else a, c) for (a, b, c) in rows
+                    if v in (a, b))
+        skeleton = GraphSkeleton(n, tuple((u, v) for (u, v, _) in rows))
+        colors = [ordered.color_of(u, v) for (u, v) in skeleton.edges]
+        assert skeleton.with_colors(colors) == ColoredGraph.from_edges(
+            n, rows, num_colors=max(colors, default=-1) + 1)
+
+
+def test_edge_refusals_come_before_color_refusals():
+    # edges are checked in the order given, and a bad edge or a repeated
+    # one anywhere is named before a color outside the palette; of the
+    # colors, the least edge's is named
+    for rows, msg in [
+            (((0, 1, 7), (0, 3, 0)), "bad edge (0,3) for n=3"),
+            (((1, 2, 7), (0, 1, 0), (0, 1, 0)), "duplicate edge (0,1)"),
+            (((1, 2, 8), (0, 2, 7), (0, 1, 0)),
+             "color 7 outside palette 0..0")]:
+        with pytest.raises(GraphError, match=re.escape(msg)):
+            ColoredGraph(3, rows, 1)
+
+
 def test_skeleton_sides_checked_like_colored_graph_sides():
     for bad, msg in [((5, 7), "sides entries must be 0 or 1"),
                      ((0,), "sides tag length != n")]:

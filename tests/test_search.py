@@ -3,22 +3,28 @@ dumber search written here in the test."""
 
 import ast
 import random
+import sys
+import tracemalloc
+import types
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import rturan
+from rturan import search
 from rturan.constructions import bipartite_f2k, maamoun_meyniel
 from rturan.corpus import build_claim_context, random_instance
 from rturan.errors import GuardError, PathError, PreconditionError
 from rturan.graphs import ColoredGraph, one_factorized_complete
-from rturan.search import (ExistsOutcome, RainbowPath, has_rainbow_path,
-                           is_rainbow, longest_rainbow_path, path_from_vertices,
-                           spanning_rainbow_path_between,
+from rturan.search import (SUPPLY_FIELD_BITS, ExistsOutcome, RainbowPath,
+                           has_rainbow_path, is_rainbow, longest_rainbow_path,
+                           path_from_vertices, spanning_rainbow_path_between,
                            spanning_rainbow_path_from)
 from rturan.profile import compute_profile
-from rturan.terminals import build_aux_rules, terminal_rules
+from rturan.terminals import (build_aux_oracle, build_aux_rules,
+                              terminal_rules)
 
 from spanning_brute import enumerate_rainbow_paths_on
 
@@ -202,19 +208,33 @@ def suite_graphs(count):
             yield random_instance(rng, rng.randint(5, 12), 0.45, kind)
 
 
-def test_witnesses_are_lexicographically_least(supply_cuts):
-    for g in seeded_graphs(31, 60):
-        out = longest_rainbow_path(g)
-        length = out.best.length
-        assert out.best.vertices == next(rainbow_sequences(g, length))
+def searches_of(graphs):
+    """A run for the supply_cut fixture: longest and every exists query on
+    each graph, and the nodes they expanded."""
+    def run():
+        outs = [(longest_rainbow_path(g),
+                 [has_rainbow_path(g, L) for L in range(g.n + 1)])
+                for g in graphs]
+        nodes = sum(o.nodes_expanded + sum(e.nodes_expanded for e in es)
+                    for o, es in outs)
+        return [(o.best, [(e.found, e.witness) for e in es])
+                for o, es in outs], nodes
+    return run
+
+
+def test_witnesses_are_lexicographically_least(supply_cut):
+    graphs = list(seeded_graphs(31, 60))
+    # the color-supply cut fired in these searches and changed no answer,
+    # so the brute force below checks it too
+    outs = supply_cut(searches_of(graphs))
+    for g, (best, exists) in zip(graphs, outs):
+        length = best.length
+        assert best.vertices == next(rainbow_sequences(g, length))
         assert next(rainbow_sequences(g, length + 1), None) is None
-        for L in range(g.n + 1):
+        for L, (found, witness) in enumerate(exists):
             first = next(rainbow_sequences(g, L), None)
-            got = has_rainbow_path(g, L)
-            assert got.found is (first is not None)
-            assert (got.witness.vertices if got.witness else None) == first
-    # the brute force above checked the color-supply cut where it ran
-    assert True in supply_cuts
+            assert found is (first is not None)
+            assert (witness.vertices if witness else None) == first
     # too large to enumerate: the longest search's one pass must record the
     # first path of its length, the one a first-hit search stops at
     for g in suite_graphs(100):
@@ -240,6 +260,129 @@ def test_frozen_node_count_of_the_heaviest_suite_instance():
     for _ in range(25):
         g = random_instance(rng, rng.randint(5, 12), 0.45, "random")
     assert longest_rainbow_path(g).nodes_expanded == 4_198
+
+
+# === the color-supply cut's carry-field count ===
+
+def supply_counts(g, fn, *args):
+    """fn(*args), and for each node where a path kernel computed the
+    color-supply count, (the colors of the classes the count found dead and
+    unused, the colors of those brute force finds, the number of vertices
+    the path has left). Brute force reads the graph: a class is dead when
+    every edge of its color inside the scope (the graph, or the vertex set
+    of a spanning search) has an end the path has left, and unused when no
+    edge of the path has its color."""
+    walks = {next(c for c in kernel.__code__.co_consts
+                  if isinstance(c, types.CodeType) and c.co_name == "walk")
+             for kernel in (search._dfs, search._span_ends)}
+    seen = []
+    layouts = {}
+
+    def node(frame):
+        at = frame.f_locals
+        table = at.get("adj", at.get("nbrs"))
+        if id(table) not in layouts:
+            # each guard bit's color, and the edges inside the scope
+            field = at["field"]
+            scope = at.get("full", (1 << g.n) - 1)
+            layouts[id(table)] = (
+                {cbit & ((1 << field) - 1): g.color_of(u, w)
+                 for u, row in enumerate(table) for (w, _, cbit) in row},
+                [(u, v, c) for (u, v, c) in g.edges
+                 if scope >> u & 1 and scope >> v & 1], table)
+        color_of, edges, _ = layouts[id(table)]
+        dead, cmask, cur = at["dead"], at["cmask"], at["cur"]
+        found = {color_of[b] for b in color_of if b & dead and not b & cmask}
+        left = set(cur[:-1])
+        used = {g.color_of(a, b) for a, b in zip(cur, cur[1:])}
+        brute = {c for (_, _, c) in edges if c not in used} - {
+            c for (u, v, c) in edges if u not in left and v not in left}
+        seen.append((found, brute, len(left)))
+
+    def trace(frame, event, arg):
+        if frame.f_code not in walks:
+            return None
+
+        def line(frame, event, arg):
+            # the line after the count's first line: `dead` is set, and
+            # no later line of this node is traced
+            if "dead" in frame.f_locals:
+                node(frame)
+                frame.f_trace_lines = False
+            return line
+        return line
+
+    sys.settrace(trace)
+    try:
+        return fn(*args), seen
+    finally:
+        sys.settrace(None)
+
+
+def gated_suite_graphs(count):
+    """Suite instances (proper colorings) whose color slack opens the
+    color-supply gate."""
+    return [g for g in suite_graphs(count)
+            if len(g.used_colors()) <= g.n]
+
+
+def test_supply_count_equals_brute_force_on_proper_colorings():
+    nodes = spans = 0
+    for g in gated_suite_graphs(20):
+        best, seen = supply_counts(g, longest_rainbow_path, g)
+        _, span_seen = supply_counts(g, build_aux_oracle, g, best.best)
+        for found, brute, _ in seen + span_seen:
+            assert found == brute
+        nodes += len(seen)
+        spans += len(span_seen)
+    assert nodes > 1000 and spans > 1000
+
+
+def test_supply_count_equals_brute_force_on_improper_colorings():
+    # a class that is not a matching can lose every edge to fewer dead
+    # vertices than it has edges; the count sees it as dead, so it may
+    # cut more than a count of one edge per dead vertex, never less
+    nodes = spans = past_matching = 0
+    for g in seeded_graphs(41, 80, n_max=7):
+        out, seen = supply_counts(g, longest_rainbow_path, g)
+        nodes += len(seen)
+        if g.n:
+            length = out.best.length
+            assert out.best.vertices == next(rainbow_sequences(g, length))
+            assert next(rainbow_sequences(g, length + 1), None) is None
+            for start in range(g.n):
+                _, span_seen = supply_counts(g, spanning_rainbow_path_from,
+                                             g, range(g.n), start)
+                spans += len(span_seen)
+                seen += span_seen
+        for found, brute, left in seen:
+            assert found == brute
+            past_matching += any(
+                sum(c == d for (_, _, d) in g.edges) > left for c in found)
+    assert nodes > 100 and spans > 1000 and past_matching > 0
+
+
+def test_wide_gated_input_builds_no_layout(monkeypatch):
+    # color slack far below 1 opens the gate, but the layout would be
+    # m + colors bits wide, past SUPPLY_FIELD_BITS: the search runs on the
+    # plain table alone and does what it does with the cut shut
+    g = random_instance(random.Random(1), 400, 0.1, "random")
+    colors = len(g.used_colors())
+    assert colors <= g.n and g.m + colors > SUPPLY_FIELD_BITS
+    assert min(Counter(c for (_, _, c) in g.edges).values()) * 2 < g.n
+    tracemalloc.start()
+    try:
+        g._bits
+        table = tracemalloc.get_traced_memory()[1]
+        out = longest_rainbow_path(g, budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a layout table would take about 50 MB here, the plain one 2 MB
+    assert peak < 1.5 * table
+    monkeypatch.setattr(search, "SUPPLY_FIELD_BITS", 0)
+    shut = longest_rainbow_path(g, budget=2000)
+    assert (out.best, out.nodes_expanded) == (shut.best, shut.nodes_expanded)
 
 
 def test_deep_search_is_refused():

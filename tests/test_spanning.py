@@ -110,7 +110,7 @@ def test_aux_oracle_equals_reference_on_suite_instances(seed, kind):
 
 @pytest.mark.parametrize("seed,kind,nmax", [(808, "random", 12),
                                             (909, "bare_path", 9)])
-def test_aux_oracle_equals_prune_free_dfs(supply_cuts, seed, kind, nmax):
+def test_aux_oracle_equals_prune_free_dfs(supply_cut, seed, kind, nmax):
     # the same 200 instances; bare_path above n = 9 is too slow for a DFS
     # without a prune
     rng = random.Random(seed)
@@ -119,12 +119,14 @@ def test_aux_oracle_equals_prune_free_dfs(supply_cuts, seed, kind, nmax):
         g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
         if g.n <= nmax:
             cases.append((g, longest_rainbow_path(g).best))
-    supply_cuts.clear()
-    for g, pstar in cases:
-        assert (build_aux_oracle(g, pstar).edges
-                == spanning_pairs(g, pstar.vertices))
-    # the color-supply cut ran, and cut, in the searches checked above
-    assert True in supply_cuts
+
+    def run():
+        runs = [walk_calls(build_aux_oracle, g, pstar) for g, pstar in cases]
+        return [aux.edges for aux, _ in runs], sum(w for _, w in runs)
+
+    # the color-supply cut fired, and cut, in the searches checked here
+    for (g, pstar), edges in zip(cases, supply_cut(run)):
+        assert edges == spanning_pairs(g, pstar.vertices)
 
 
 def walk_calls(fn, *args):
