@@ -35,7 +35,8 @@ matching and loses at most one edge per dead vertex, so there the count
 would start only halfway down the path, and it was measured slower. And
 it is off where the layout, m + colors in use bits, would be wider than
 SUPPLY_FIELD_BITS: every color bit of the walk's table is three layouts
-wide, so each step costs more as the layout grows. longest_rainbow_path
+wide, so each step costs more as the layout grows, and past the bound
+that outweighs the nodes the cut saves. longest_rainbow_path
 is one run from floor 0 under the caller's budget, and has_rainbow_path(L)
 one run from floor L - 1 with `first` set. Each returns the path the
 kernel recorded: the first of its length in ascending DFS order, so the
@@ -66,7 +67,8 @@ fewer than the vertices left. It reads the same carry-field count as
 _dfs, over the layout of the set's own edges. Its gate is the color slack
 of the vertex set, the colors inside it minus the edges a spanning path
 needs: it is on at 1 or less, where the set's edges plus colors fit
-SUPPLY_FIELD_BITS.
+SPAN_SUPPLY_FIELD_BITS, a wider bound than _dfs's, as the cut saves far
+more here than it costs.
 The other two score each remaining vertex by its live neighbours among the
 remaining vertices and the current one: with none it can never be entered
 (dead end), and with exactly one it must be the path's last vertex, so at
@@ -305,16 +307,26 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     return best_len, best_seq, nodes, nodes > stop
 
 
-# The widest carry-field layout (edges plus colors of the scope) the
-# color-supply cut is built for. A layout F bits wide makes every color
-# bit of its table 3F bits long, so each step and color test of the walk
-# costs more with F. 20,000-node longest searches on random_instance graphs
-# (Python 3.11, 2-core Xeon), per node, with the layout against a per-class
-# loop and against the cut shut: 3.4, 5.2 and 2.4 us at F = 1,149; 6.5,
-# 6.4 and 2.8 us at 2,040; 15.1, 8.3 and 2.5 us at 3,156; 33.6, 15.2 and
-# 4.1 us at 8,033, where the layout also took 49 MB. Wider scopes run with
-# the cut shut.
+# The widest carry-field layout (edges plus colors) _dfs builds the
+# color-supply cut for; a wider gated graph runs with the cut shut. A
+# layout F bits wide makes every color bit of the walk's table 3F bits
+# long, so a node costs more as F grows. Longest searches, budget 20,000
+# nodes, on 244 gated random_instance graphs (Python 3.11, 2-core Xeon),
+# time with the layout over time with the cut shut, geometric mean per
+# band of F: 0.29 at 128-256 bits, 0.53 at 256-512, 0.97 at 512-768, 1.01
+# at 768-1,024, 1.48 at 1,024-1,536, 2.6-3.5 past 2,048. Per node the
+# layout costs 1.5-2.5 times the shut cut up to 1,536 bits and 2.8-3.7
+# past 2,048. So the bound is where the cut stops paying for itself in
+# this kernel.
 SUPPLY_FIELD_BITS = 1024
+
+# The widest layout _span_prep builds, a memory guard and not a measured
+# crossover: over a vertex set of color slack <= 1 the cut saves far more
+# than it costs at every width measured (the first spanning path over
+# V(P*) of gated random_instance graphs at 1,027-1,645 bits took 3-8 ms
+# with the layout, and over 5 s for most with the cut shut). A layout of
+# F bits over about F edges takes about 0.75 F^2 bytes: 13 MB here.
+SPAN_SUPPLY_FIELD_BITS = 4096
 
 
 def _color_classes(rows) -> dict:
@@ -424,10 +436,10 @@ class _SpanSet(NamedTuple):
     each row's neighbour mask and `cols` each row as {neighbour bit: color
     bit}. `slack` is the set's color slack. Where the color-supply cut is
     open (slack <= 1, and the set's edges plus colors at most
-    SUPPLY_FIELD_BITS), `field`, `low` and `guard` are the set's carry-field
-    layout (_supply_layout), `adj` is its table, and `cols` holds the bare
-    guard bits, the color bits a path's color mask tests against; otherwise
-    `field` is 0 and the bits are the graph's."""
+    SPAN_SUPPLY_FIELD_BITS), `field`, `low` and `guard` are the set's
+    carry-field layout (_supply_layout), `adj` is its table, and `cols`
+    holds the bare guard bits, the color bits a path's color mask tests
+    against; otherwise `field` is 0 and the bits are the graph's."""
 
     vs: list
     full: int
@@ -462,7 +474,7 @@ def _span_prep(g: ColoredGraph, vset) -> _SpanSet:
         ends += len(row)
     slack = len(colors) - (len(vs) - 1)
     field = low = guard = 0
-    if slack <= 1 and ends // 2 + len(colors) <= SUPPLY_FIELD_BITS:
+    if slack <= 1 and ends // 2 + len(colors) <= SPAN_SUPPLY_FIELD_BITS:
         adj, field, low, guard = _supply_layout(adj, _color_classes(adj))
     # the bare color bits: a layout's guard bits, below its regions
     mask = (1 << field) - 1 if field else -1

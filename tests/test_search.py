@@ -18,7 +18,8 @@ from rturan.constructions import bipartite_f2k, maamoun_meyniel
 from rturan.corpus import build_claim_context, random_instance
 from rturan.errors import GuardError, PathError, PreconditionError
 from rturan.graphs import ColoredGraph, one_factorized_complete
-from rturan.search import (SUPPLY_FIELD_BITS, ExistsOutcome, RainbowPath,
+from rturan.search import (SPAN_SUPPLY_FIELD_BITS, SUPPLY_FIELD_BITS,
+                           ExistsOutcome, RainbowPath,
                            has_rainbow_path, is_rainbow, longest_rainbow_path,
                            path_from_vertices, spanning_rainbow_path_between,
                            spanning_rainbow_path_from)
@@ -384,6 +385,19 @@ def test_wide_gated_input_builds_no_layout(monkeypatch):
     shut = longest_rainbow_path(g, budget=2000)
     assert (out.best, out.nodes_expanded) == (shut.best, shut.nodes_expanded)
 
+
+def test_spanning_layout_bound_is_wider_than_the_longest_search_bound():
+    # one-factorized K_48: 1,128 edges and 47 colors, slack 0. The longest
+    # search would run it with the cut shut, but a spanning search over
+    # its vertices still builds the layout; K_92 (4,186 edges, 91 colors)
+    # is past the spanning bound too
+    g = one_factorized_complete(48)
+    assert SUPPLY_FIELD_BITS < g.m + 47 <= SPAN_SUPPLY_FIELD_BITS
+    s = search._span_prep(g, range(48))
+    assert (s.slack, s.field) == (0, g.m + 47)
+    g = one_factorized_complete(92)
+    s = search._span_prep(g, range(92))
+    assert g.m + 91 > SPAN_SUPPLY_FIELD_BITS and (s.slack, s.field) == (0, 0)
 
 def test_deep_search_is_refused():
     g = rainbow_path_graph(3000)
