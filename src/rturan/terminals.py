@@ -56,16 +56,22 @@ shared by every root, is the only record of the pairs known so far; the
 auxiliary graph is read off it at the end. Each spanning path the kernel
 finds is closed under end rotations: a chord from an end q_{s-1} to q_i
 whose color is off the path, or is the color of the cut edge q_i q_{i+1},
-gives the spanning rainbow path q_0..q_i, q_{s-1}..q_{i+1}, and every
-rotation that shows a pair not yet known is followed in turn. Root u, in
-ascending order, then searches only for the later vertices whose pair with
-u is still unknown, stops once none is left, and is skipped when there is
-none. The pairs stay exact. No pair is invented: each one recorded ends a
-real spanning rainbow path, by construction. None is missed: root u's
-search is exhaustive over its later partners not yet known, and drops one
-only once its pair is known. These rotations are written apart from the
-rules' (_jump_rotations, _start_rules), so the oracle stays independent of
-what it checks.
+gives the spanning rainbow path q_0..q_i, q_{s-1}..q_{i+1}; the start end
+q_0 rotates the same way. Every rotation that shows a pair not yet known
+is followed in turn. A rotation finds its chord's position in the path it
+rotates and carries that path's color mask, so it builds no position table
+and no reversed copy. The far end rotates before the start, chords in
+ascending neighbour order. Root u, in ascending order, then searches only
+for the later vertices whose pair with u is still unknown, stops once none
+is left, and is skipped when there is none. The pairs stay exact. No pair
+is invented: each one recorded ends a real spanning rainbow path, by
+construction. None is missed: root u's search is exhaustive over its later
+partners not yet known, and drops one only once its pair is known. These
+rotations are written apart from the rules' (_jump_rotations,
+_start_rules), so the oracle stays independent of what it checks: the
+oracle's functions call none of the rule layer's, and _jump_rotations
+calls none of the oracle's (an AST test in tests/test_spanning.py keeps it
+so).
 
 A terminal ends a spanning rainbow path whose other end is a different
 vertex, so when P* has two or more vertices the terminals are exactly the
@@ -206,18 +212,24 @@ def _jump_rotations(g: ColoredGraph, w: RainbowPath):
     A fresh chord v_0 v_i with i >= 2 frees the path edge v_{i-1} v_i:
     cutting it keeps v_k fixed and moves v_0 to v_{i-1}, which is exactly
     what the degree bound on the auxiliary graph exploits. The jump_end
-    rotations are those of w read backwards, read back again.
+    rotations are the same at v_k: a fresh chord v_k v_j with j <= k - 2
+    cuts v_j v_{j+1} and gives v_0..v_j, v_k..v_{j+1}. The jump_end
+    rotations come first, then the jump_start ones, each in ascending
+    neighbour order.
     """
-    used = set(w.colors)
+    vs = w.vertices
+    on_path, used = set(vs), set(w.colors)
     out = []
-    for source, vs, back in (("jump_end", w.vertices[::-1], -1),
-                             ("jump_start", w.vertices, 1)):
-        pos = {v: i for i, v in enumerate(vs)}
-        for (x, c) in g.neighbors(vs[0]):
-            i = pos.get(x)
-            if i is None or c in used or i < 2:
-                continue
-            out.append((source, (vs[i - 1::-1] + vs[i:])[::back]))
+    for (x, c) in g.neighbors(vs[-1]):
+        if x in on_path and c not in used:
+            j = vs.index(x)
+            if j <= len(vs) - 3:
+                out.append(("jump_end", vs[:j + 1] + vs[:j:-1]))
+    for (x, c) in g.neighbors(vs[0]):
+        if x in on_path and c not in used:
+            i = vs.index(x)
+            if i >= 2:
+                out.append(("jump_start", vs[i - 1::-1] + vs[i:]))
     return out
 
 
@@ -270,11 +282,16 @@ def _rotation_pairs(cols: list, path, known: list) -> None:
     A chord from the end q_{s-1} to q_i, i <= s - 3, gives the path
     q_0..q_i, q_{s-1}..q_{i+1} on the same vertices; it is rainbow when the
     chord's color is off the path or is the color of the cut edge
-    q_i q_{i+1}. The start end rotates the same way on the path read
-    backwards. Only rotations that show a pair not yet known are followed,
-    so each pair is rotated at most once. Every pair recorded ends a real
-    spanning rainbow path. This is the oracle's own rotation, written apart
-    from the rules it checks (_jump_rotations, _start_rules).
+    q_i q_{i+1}. A chord from the start q_0 to q_j, j >= 2, gives the path
+    q_{s-1}..q_j, q_0..q_{j-1} the same way, the cut edge being
+    q_{j-1} q_j. Each chord's position is looked up in q itself, and the
+    color mask of a rotated path is q's with the cut edge's color swapped
+    for the chord's. The far end of q rotates first, then its start, each
+    chord in ascending neighbour order. Only rotations that show a pair
+    not yet known are followed, so each pair is rotated at most once.
+    Every pair recorded ends a real spanning rainbow path. This is the
+    oracle's own rotation, written apart from the rules it checks
+    (_jump_rotations, _start_rules).
     """
     s = len(path)
 
@@ -286,20 +303,33 @@ def _rotation_pairs(cols: list, path, known: list) -> None:
         return True
 
     learn(path[0], path[-1])
-    todo = [(path, [cols[a][1 << b] for a, b in zip(path, path[1:])])]
+    cb = [cols[a][1 << b] for a, b in zip(path, path[1:])]
+    todo = [(path, cb, sum(cb))]
     while todo:
-        q, cb = todo.pop()
-        cmask = sum(cb)
-        # rotate at the far end of q, then of q read backwards
-        for p, pc in ((q, cb), (q[::-1], cb[::-1])):
-            pos = {1 << v: i for i, v in enumerate(p)}
-            for xbit, cbit in cols[p[-1]].items():
-                i = pos[xbit]
-                if i > s - 3 or (cmask & cbit and cbit != pc[i]):
-                    continue
-                if learn(p[0], p[i + 1]):
-                    todo.append((p[:i + 1] + p[:i:-1],
-                                 pc[:i] + [cbit] + pc[:i:-1]))
+        q, cb, cmask = todo.pop()
+        first, last = q[0], q[-1]
+        for xbit, cbit in cols[last].items():
+            i = q.index(xbit.bit_length() - 1)
+            if i > s - 3:
+                continue
+            cut = cb[i]
+            if cmask & cbit and cbit != cut:
+                continue
+            if learn(first, q[i + 1]):
+                todo.append((q[:i + 1] + q[:i:-1],
+                             cb[:i] + [cbit] + cb[:i:-1],
+                             cmask ^ cut | cbit))
+        for xbit, cbit in cols[first].items():
+            j = q.index(xbit.bit_length() - 1)
+            if j < 2:
+                continue
+            cut = cb[j - 1]
+            if cmask & cbit and cbit != cut:
+                continue
+            if learn(last, q[j - 1]):
+                todo.append((q[:j - 1:-1] + q[:j],
+                             cb[:j - 1:-1] + [cbit] + cb[:j - 1],
+                             cmask ^ cut | cbit))
 
 
 def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
@@ -334,9 +364,15 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
         wanted = later & ~known[u]
         if wanted:
             _span_ends(s, u, wanted, hit)
+    edges = []
+    for a in s.vs:
+        rest = known[a] >> a + 1 << a + 1   # a's partners above a
+        while rest:
+            bbit = rest & -rest
+            rest ^= bbit
+            edges.append((a, bbit.bit_length() - 1))
     return AuxGraph(vertices=tuple(v for v in s.vs if known[v]),
-                    edges=frozenset((a, b) for a in s.vs for b in s.vs
-                                    if a < b and known[a] >> b & 1))
+                    edges=frozenset(edges))
 
 
 def maximum_matching(aux: AuxGraph) -> tuple:

@@ -6,7 +6,9 @@ still be the original's, read through the relabelling. Each case is the
 instance idx of the criterion-08 sweep with that seed, relabelled by maps
 drawn from random.Random(label), label = "seed:idx:perm_seed": a vertex
 permutation pi, then an injective color renaming sigma into the palette
-plus 5 spare ids. mismatches(label) replays one case alone.
+plus 5 spare ids. mismatches(label) replays one case alone. The induction
+certificate's totals are compared on the first INDUCTION_COUNT instances
+only; its step counts follow tie order, so they are not compared.
 """
 
 import random
@@ -15,11 +17,13 @@ from functools import lru_cache
 from rturan.claims import check_claims
 from rturan.corpus import build_claim_context, random_instance
 from rturan.graphs import ColoredGraph
+from rturan.induction import run_induction
 from rturan.search import has_rainbow_path, path_from_vertices
 from rturan.terminals import build_aux_rules, terminal_rules
 
 SWEEPS = {808: "random", 909: "bare_path"}
 COUNT = 200
+INDUCTION_COUNT = 100
 PERM_SEED = 1
 SPARE_COLORS = 5
 
@@ -73,6 +77,10 @@ def mismatches(label: str) -> list:
         == [(o.name, o.status) for o in check_claims(hctx).outcomes],
         "matching": ctx.mstats.size == hctx.mstats.size,
     }
+    if idx < INDUCTION_COUNT:
+        cert, hcert = run_induction(g, length), run_induction(h, length)
+        checks["induction"] = ((cert.total_edges, cert.holds)
+                               == (hcert.total_edges, hcert.holds))
     return [layer for layer, same in checks.items() if not same]
 
 

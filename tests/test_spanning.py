@@ -182,6 +182,69 @@ def test_supply_cut_keeps_the_spanning_walk_smallest():
     assert suite_walks(808, "random") <= 12_425
 
 
+@pytest.mark.parametrize("seed,kind,walks", [(808, "random", 12_425),
+                                             (909, "bare_path", 2_346)])
+def test_spanning_walk_totals_are_pinned(seed, kind, walks):
+    # the exact totals: a change to the kernel or to the rotation closure
+    # that moves them changes which paths the oracle walks
+    assert suite_walks(seed, kind) == walks
+
+
+# === the rotation closure against its position-table form ===
+
+def reference_rotation_pairs(cols, path, known):
+    """terminals._rotation_pairs written with a {vertex bit: position} table
+    and reversed copies of the path and its colors for each end: the far
+    end of q, then q read backwards."""
+    s = len(path)
+
+    def learn(a, b):
+        if known[a] >> b & 1:
+            return False
+        known[a] |= 1 << b
+        known[b] |= 1 << a
+        return True
+
+    learn(path[0], path[-1])
+    todo = [(path, [cols[a][1 << b] for a, b in zip(path, path[1:])])]
+    while todo:
+        q, cb = todo.pop()
+        cmask = sum(cb)
+        for p, pc in ((q, cb), (q[::-1], cb[::-1])):
+            pos = {1 << v: i for i, v in enumerate(p)}
+            for xbit, cbit in cols[p[-1]].items():
+                i = pos[xbit]
+                if i > s - 3 or (cmask & cbit and cbit != pc[i]):
+                    continue
+                if learn(p[0], p[i + 1]):
+                    todo.append((p[:i + 1] + p[:i:-1],
+                                 pc[:i] + [cbit] + pc[:i:-1]))
+
+
+@pytest.mark.parametrize("seed,kind", [(808, "random"), (909, "bare_path")])
+def test_rotation_closure_equals_the_position_table_form(monkeypatch, seed,
+                                                          kind):
+    # the first 200 instances of each criterion-08 sweep: after every hit
+    # the partner masks are the reference's, run from the same masks
+    closure = terminals._rotation_pairs
+    hits = 0
+
+    def checked(cols, path, known):
+        nonlocal hits
+        expected = list(known)
+        reference_rotation_pairs(cols, list(path), expected)
+        closure(cols, path, known)
+        assert known == expected
+        hits += 1
+
+    monkeypatch.setattr(terminals, "_rotation_pairs", checked)
+    rng = random.Random(seed)
+    for _ in range(200):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+        build_aux_oracle(g, longest_rainbow_path(g).best)
+    assert hits > 0
+
+
 # === hand cases for the single-way-in prune ===
 
 def graph(n, edges):
@@ -374,3 +437,53 @@ def test_only_search_knows_the_prepared_set_layout():
     found = {(path.name, line) for path in files if path != kernel
              for line in _span_set_unpacks(ast.parse(path.read_text()))}
     assert found == set()
+
+
+# === the oracle's rotations stay apart from the rules' ===
+
+RULE_SIDE = {"_jump_rotations", "_start_rules", "checked_fire", "_witness"}
+ORACLE_ROOTS = {"_rotation_pairs", "build_aux_oracle", "terminal_oracle"}
+
+
+def terminals_functions():
+    """Each top-level function of terminals.py: the names it calls, and the
+    names of the functions nested in it."""
+    tree = ast.parse(Path(terminals.__file__).read_text())
+    out = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            calls, nested = set(), set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    calls.add(getattr(node.func, "id",
+                                      getattr(node.func, "attr", None)))
+                elif isinstance(node, ast.FunctionDef) and node is not top:
+                    nested.add(node.name)
+            out[top.name] = (calls, nested)
+    return out
+
+
+def reach(functions, root):
+    """The names `root` calls, directly or through the top-level functions
+    of terminals.py it calls."""
+    seen, todo = set(), [root]
+    while todo:
+        for name in functions[todo.pop()][0] - seen:
+            seen.add(name)
+            if name in functions:
+                todo.append(name)
+    return seen
+
+
+def test_oracle_rotations_are_written_apart_from_the_rules():
+    functions = terminals_functions()
+    # the walk finds the calls it looks for
+    assert {"_jump_rotations", "_witness"} <= reach(functions,
+                                                    "build_aux_rules")
+    for root in ORACLE_ROOTS:
+        assert reach(functions, root) & RULE_SIDE == set(), root
+    oracle = set(ORACLE_ROOTS)
+    for root in ORACLE_ROOTS:
+        oracle |= functions[root][1]
+    assert oracle >= {"learn", "hit"}
+    assert reach(functions, "_jump_rotations") & oracle == set()

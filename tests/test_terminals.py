@@ -196,6 +196,36 @@ def suite_instances(seed, kind, count):
         yield g, p, terminal_rules(g, compute_profile(g, p))
 
 
+def reference_jump_rotations(g, w):
+    """terminals._jump_rotations written with a {vertex: position} table:
+    the jump_end rotations are the jump_start rotations of w read
+    backwards, read back again."""
+    used = set(w.colors)
+    out = []
+    for source, vs, back in (("jump_end", w.vertices[::-1], -1),
+                             ("jump_start", w.vertices, 1)):
+        pos = {v: i for i, v in enumerate(vs)}
+        for (x, c) in g.neighbors(vs[0]):
+            i = pos.get(x)
+            if i is None or c in used or i < 2:
+                continue
+            out.append((source, (vs[i - 1::-1] + vs[i:])[::back]))
+    return out
+
+
+@pytest.mark.parametrize("seed,kind", [(808, "random"), (909, "bare_path")])
+def test_jump_rotations_equal_the_position_table_form(seed, kind):
+    # every fire witness of the first 200 instances of each sweep, P*
+    # included: the same rotations, in the same order
+    sources = set()
+    for g, p, rep in suite_instances(seed, kind, 200):
+        for f in rep.fires:
+            rotations = terminals._jump_rotations(g, f.witness)
+            assert rotations == reference_jump_rotations(g, f.witness)
+            sources.update(source for source, _ in rotations)
+    assert sources == {"jump_end", "jump_start"}
+
+
 @pytest.mark.parametrize("seed,kind", [(808, "random"), (909, "bare_path")])
 def test_aux_rules_equal_the_unmemoized_reference(seed, kind):
     for g, p, rep in suite_instances(seed, kind, 60):
