@@ -28,9 +28,14 @@ used, the edges of every vertex the path has left (the dead vertices), in
 two regions, one for the edges whose lower end it is and one for the upper
 end; and adding one to every field carries into a guard bit exactly where
 the class has no edge clear of the dead vertices. Its gate is the color
-slack, colors in use - (n - 1): above 1 the cut rarely cuts and still
-costs, so it is off. It is also off where every color class has at least
-n / 2 edges, as in the xor colorings: a class of a proper coloring is a
+slack, colors in use - (n - 1): it is on at 2 or less, one more than the
+spanning kernel's gate below. At slack 2 it takes the longest search of
+the heaviest criterion-08 instance (random, seed 808, idx 230: n 12, 13
+colors) from 65,286 nodes to 10,088, and the first 500 instances of that
+sweep from 142,757 to 87,365 (bare_path, seed 909: 34,037 to 33,826);
+at slack 3 it cut no more nodes on random and 316 (0.9%) on bare_path,
+so it stays off above 2. It is also off where every color class has at
+least n / 2 edges, as in the xor colorings: a class of a proper coloring is a
 matching and loses at most one edge per dead vertex, so there the count
 would start only halfway down the path, and it was measured slower. And
 it is off where the layout, m + colors in use bits, would be wider than
@@ -66,9 +71,12 @@ scope, so a node is cut once the unused colors with an edge there are
 fewer than the vertices left. It reads the same carry-field count as
 _dfs, over the layout of the set's own edges. Its gate is the color slack
 of the vertex set, the colors inside it minus the edges a spanning path
-needs: it is on at 1 or less, where the set's edges plus colors fit
-SPAN_SUPPLY_FIELD_BITS, a wider bound than _dfs's, as the cut saves far
-more here than it costs.
+needs: it is on at 1 or less (one less than _dfs's gate), where the
+set's edges plus colors fit SPAN_SUPPLY_FIELD_BITS, a wider bound than
+_dfs's, as the cut saves far more here than it costs. Opened up to slack
+3, it found the same pairs on the first 500 instances of each
+criterion-08 sweep in barely fewer walks (random 138,556 to 135,795,
+bare_path 49,922 to 49,661), so it stays at 1.
 The other two score each remaining vertex by its live neighbours among the
 remaining vertices and the current one: with none it can never be entered
 (dead end), and with exactly one it must be the path's last vertex, so at
@@ -245,15 +253,15 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     # The cap and the color-supply cut share one depth test per node,
     # depth >= cut_from, so with the gate shut a node costs what it did
     # without the cut. No depth reaches n. The gate opens at color slack
-    # colors - (n - 1) <= 1, where some class has fewer than n / 2 edges
-    # and the layout fits SUPPLY_FIELD_BITS, at the depth that can first
-    # empty a class: its fewest edges. The walk then reads the layout's
-    # table, whose color bits are guard bits carrying the edges of the
-    # row's vertex. The cap sets cut_from to 0 once the best length
-    # reaches lim.
+    # colors - (n - 1) <= 2 (the spanning kernel's stays at <= 1), where
+    # some class has fewer than n / 2 edges and the layout fits
+    # SUPPLY_FIELD_BITS, at the depth that can first empty a class: its
+    # fewest edges. The walk then reads the layout's table, whose color
+    # bits are guard bits carrying the edges of the row's vertex. The cap
+    # sets cut_from to 0 once the best length reaches lim.
     cut_from = n
     field = field2 = low = guard = 0
-    if colors <= n and g.m + colors <= SUPPLY_FIELD_BITS:
+    if colors <= n + 1 and g.m + colors <= SUPPLY_FIELD_BITS:
         classes = _color_classes(nbrs)
         smallest = min(map(len, classes.values()), default=n)
         if 2 * smallest < n:
@@ -360,7 +368,10 @@ def _supply_layout(rows, classes: dict) -> tuple:
     guard bits of d & ~cmask are the unused classes with no edge clear of
     the vertices left: one addition carries into a guard bit exactly where
     every edge bit of its field is set. The count is exact on any
-    coloring, proper or not.
+    coloring, proper or not. The regions stay two because the step test
+    cmask & cbit reads them too: in one shared region the edge xv's bit
+    would sit in the rows of both x and v, so once the path had left v,
+    every step out of x would be refused.
     """
     lower = [0] * len(rows)
     upper = [0] * len(rows)

@@ -9,16 +9,26 @@ permutation pi, then an injective color renaming sigma into the palette
 plus 5 spare ids. mismatches(label) replays one case alone. The induction
 certificate's totals are compared on the first INDUCTION_COUNT instances
 only; its step counts follow tie order, so they are not compared.
+
+The decide constructions are checked the same way, on the search layer
+alone: the canonical proper colorings of K5 with 5 or 6 colors (color slack
+1 or 2, where the longest and exists searches build the color-supply
+layout) and the xor constructions. A case is labelled "name:perm_seed",
+name one of CONSTRUCTIONS or "k5.i" for the i-th canonical coloring, and
+decide_mismatches(label) replays it alone.
 """
 
 import random
 from functools import lru_cache
 
 from rturan.claims import check_claims
+from rturan.constructions import bipartite_f2k, blowup, maamoun_meyniel
 from rturan.corpus import build_claim_context, random_instance
-from rturan.graphs import ColoredGraph
+from rturan.graphs import ColoredGraph, complete_graph
 from rturan.induction import run_induction
-from rturan.search import has_rainbow_path, path_from_vertices
+from rturan.oracle import proper_colorings
+from rturan.search import (has_rainbow_path, longest_rainbow_path,
+                           path_from_vertices)
 from rturan.terminals import build_aux_rules, terminal_rules
 
 SWEEPS = {808: "random", 909: "bare_path"}
@@ -88,4 +98,59 @@ def test_every_layer_is_invariant_under_relabelling():
     labels = [f"{seed}:{idx}:{PERM_SEED}" for seed in SWEEPS
               for idx in range(COUNT)]
     bad = {label: m for label in labels if (m := mismatches(label))}
+    assert not bad, f"relabelled answers differ: {bad}"
+
+
+CONSTRUCTIONS = {
+    "mm2": lambda: maamoun_meyniel(2),
+    "mm3": lambda: maamoun_meyniel(3),
+    "f2k2": lambda: bipartite_f2k(2),
+    "blowup": lambda: blowup(2, 16),
+}
+CONSTRUCTION_PERM_SEEDS = (1, 2, 3)
+
+
+@lru_cache(maxsize=None)
+def k5_colorings() -> tuple:
+    return tuple(proper_colorings(complete_graph(5)))
+
+
+def construction(name: str) -> ColoredGraph:
+    if name.startswith("k5."):
+        return k5_colorings()[int(name[3:])]
+    return CONSTRUCTIONS[name]()
+
+
+def search_answers(g: ColoredGraph) -> tuple:
+    """The longest length L and the exists verdicts at L and L + 1."""
+    length = longest_rainbow_path(g).pinned().length
+    return length, [has_rainbow_path(g, k).found
+                    for k in (length, length + 1)]
+
+
+@lru_cache(maxsize=None)
+def original_answers(name: str) -> tuple:
+    return search_answers(construction(name))
+
+
+def decide_mismatches(label: str) -> list:
+    """The search answers of the relabelled construction that differ from
+    the original's."""
+    name, _ = label.split(":")
+    _, h = relabel(construction(name), label)
+    length, exists = original_answers(name)
+    hlength, hexists = search_answers(h)
+    checks = {"longest": hlength == length,
+              "exists": hexists == exists == [True, False]}
+    return [layer for layer, same in checks.items() if not same]
+
+
+def test_decide_constructions_are_invariant_under_relabelling():
+    k5 = [f"k5.{i}" for i, g in enumerate(k5_colorings())
+          if len(g.used_colors()) in (5, 6)]
+    assert len(k5) == 96
+    labels = [f"{name}:{PERM_SEED}" for name in k5] + [
+        f"{name}:{seed}" for name in CONSTRUCTIONS
+        for seed in CONSTRUCTION_PERM_SEEDS]
+    bad = {label: m for label in labels if (m := decide_mismatches(label))}
     assert not bad, f"relabelled answers differ: {bad}"

@@ -253,14 +253,44 @@ def test_frozen_node_counts(query, nodes):
     assert query().nodes_expanded == nodes
 
 
-def test_frozen_node_count_of_the_heaviest_suite_instance():
-    # instance 24 of the random/808 criterion-08 sweep, drawn as run_suite
-    # draws it, was its heaviest longest search: 72,548 nodes without the
-    # color-supply cut
-    rng = random.Random(808)
-    for _ in range(25):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, "random")
+def suite_instance(seed, kind, idx):
+    """Instance idx of a criterion-08 sweep, drawn as run_suite draws it
+    (run_suite labels it f"{seed}:{idx}")."""
+    rng = random.Random(seed)
+    for _ in range(idx + 1):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+    return g
+
+
+def test_frozen_node_count_of_the_heaviest_suite_instance(supply_cut):
+    # 808:230 (n 12, 13 colors, color slack 2) is the heaviest longest
+    # search of the random/808 sweep, 65,286 nodes with the color-supply
+    # cut shut. 808:24 (slack 0) is the heaviest with the cut shut
+    # everywhere, 72,548 nodes, and the next heaviest with it on.
+    g = suite_instance(808, "random", 230)
+
+    def run():
+        out = longest_rainbow_path(g)
+        return out.best, out.nodes_expanded
+
+    # the cut fired and kept the witness of the search with it shut
+    supply_cut(run)
+    assert run()[1] == 10_088
+    g = suite_instance(808, "random", 24)
     assert longest_rainbow_path(g).nodes_expanded == 4_198
+
+
+@pytest.mark.parametrize("seed,kind,nodes", [(808, "random", 87_365),
+                                             (909, "bare_path", 33_826)])
+def test_sweep_longest_node_totals_are_pinned(seed, kind, nodes):
+    # the longest searches of the first 500 instances of each criterion-08
+    # sweep: a change to the kernel's cuts or to its gate moves these
+    rng = random.Random(seed)
+    total = 0
+    for _ in range(500):
+        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+        total += longest_rainbow_path(g).nodes_expanded
+    assert total == nodes
 
 
 # === the color-supply cut's carry-field count ===
@@ -306,8 +336,9 @@ def supply_counts(g, fn, *args):
 
         def line(frame, event, arg):
             # the line after the count's first line: `dead` is set, and
-            # no later line of this node is traced
-            if "dead" in frame.f_locals:
+            # no later line of this node is traced (its return event
+            # still comes here, and is not a node)
+            if event == "line" and "dead" in frame.f_locals:
                 node(frame)
                 frame.f_trace_lines = False
             return line
@@ -322,13 +353,13 @@ def supply_counts(g, fn, *args):
 
 def gated_suite_graphs(count):
     """Suite instances (proper colorings) whose color slack opens the
-    color-supply gate."""
+    longest search's color-supply gate (colors in use - (n - 1) <= 2)."""
     return [g for g in suite_graphs(count)
-            if len(g.used_colors()) <= g.n]
+            if len(g.used_colors()) <= g.n + 1]
 
 
 def test_supply_count_equals_brute_force_on_proper_colorings():
-    nodes = spans = 0
+    nodes = spans = slack2 = 0
     for g in gated_suite_graphs(20):
         best, seen = supply_counts(g, longest_rainbow_path, g)
         _, span_seen = supply_counts(g, build_aux_oracle, g, best.best)
@@ -336,7 +367,15 @@ def test_supply_count_equals_brute_force_on_proper_colorings():
             assert found == brute
         nodes += len(seen)
         spans += len(span_seen)
-    assert nodes > 1000 and spans > 1000
+        if len(g.used_colors()) == g.n + 1:
+            slack2 += len(seen)
+    # 808:230, the heaviest gated instance, at color slack 2; its V(P*)
+    # is past the spanning gate, so only its longest search counts
+    g = suite_instance(808, "random", 230)
+    _, seen = supply_counts(g, longest_rainbow_path, g)
+    assert all(found == brute for found, brute, _ in seen)
+    assert nodes > 1000 and spans > 1000 and slack2 > 0
+    assert len(seen) > 10_000
 
 
 def test_supply_count_equals_brute_force_on_improper_colorings():
