@@ -36,7 +36,7 @@ from .oracle import (ExstarResult, clique_packing, coloring_avoiding,
                      packing_edge_count, proper_colorings)
 from .corpus import (FailureRecord, RunConfig, SuiteSummary,
                      build_claim_context, check_instance, random_instance,
-                     run_suite)
+                     run_suite, sweep)
 
 __version__ = "0.1.0"
 

@@ -86,11 +86,13 @@ def _load_proper(path: str) -> ColoredGraph:
     return g
 
 
-def _pick_path(g: ColoredGraph, args):
-    """The path the engine works on: either --path, or a proven longest."""
+def _pick_path(args):
+    """(g, p): the proper graph in args.file and the path the engine works
+    on, either --path or a proven longest."""
+    g = _load_proper(args.file)
     if args.path is not None:
-        return _fixed_path(g, args.path)
-    return longest_rainbow_path(g, budget=args.budget).pinned()
+        return g, _fixed_path(g, args.path)
+    return g, longest_rainbow_path(g, budget=args.budget).pinned()
 
 
 def _path_obj(p) -> dict:
@@ -216,8 +218,7 @@ def cmd_bounds(args) -> int:
 # -- engine ------------------------------------------------------------------
 
 def cmd_engine_profile(args) -> int:
-    g = _load_proper(args.file)
-    p = _pick_path(g, args)
+    g, p = _pick_path(args)
     prof = compute_profile(g, p)
     ends = {"start": prof.start, "end": prof.end}
     sets = {(f"swap_from_{side}" if name == "swaps" else f"{side}_{name}"):
@@ -249,8 +250,7 @@ def cmd_engine_profile(args) -> int:
 
 
 def cmd_engine_terminals(args) -> int:
-    g = _load_proper(args.file)
-    p = _pick_path(g, args)
+    g, p = _pick_path(args)
     payload: dict = {"path": _path_obj(p)}
     rules = oracle = None
     if args.mode in ("rules", "both"):
@@ -289,8 +289,7 @@ def cmd_engine_terminals(args) -> int:
 
 
 def cmd_engine_aux(args) -> int:
-    g = _load_proper(args.file)
-    p = _pick_path(g, args)
+    g, p = _pick_path(args)
     payload: dict = {"path": _path_obj(p)}
     auxes: dict = {}
     builders = {"rules": lambda: build_aux_rules(

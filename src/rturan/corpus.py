@@ -9,9 +9,10 @@ against the oracle's terminals, the auxiliary edges against the oracle's
 pairs, and the whole claim battery with hypotheses evaluated honestly
 (skips are skips, not passes). The builder lives here so that perfbench's
 traced run, which wraps each layer at its `corpus` name, sees every call.
-A failure record names the instance by seed and index so any run can be
-replayed exactly. An instance whose checks raise anything but a guard
-refusal becomes a "crash" record, and the sweep goes on.
+`sweep(config)` draws a run's instances in order, each labelled "seed:idx"
+as its failure records are, so `islice` to idx replays one alone. An
+instance whose checks raise anything but a guard refusal becomes a "crash"
+record, and the sweep goes on.
 
 The optional tamper pass corrupts one rule witness per instance and demands
 that the witness checker refuses it; a silent acceptance is reported as a
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .claims import ClaimContext, check_claims
 from .errors import GuardError, PreconditionError, WitnessError
@@ -280,16 +281,22 @@ def check_instance(g: ColoredGraph, label: str,
     return fails, report
 
 
-def run_suite(config: RunConfig) -> SuiteSummary:
+def sweep(config: RunConfig) -> Iterator[tuple[str, ColoredGraph]]:
+    """(label, graph) per instance, in order: one RNG seeded by config.seed
+    draws each vertex count, then each graph."""
     rng = random.Random(config.seed)
+    for idx in range(config.instances):
+        n = rng.randint(config.n_min, config.n_max)
+        yield (f"{config.seed}:{idx}",
+               random_instance(rng, n, config.edge_prob, config.kind))
+
+
+def run_suite(config: RunConfig) -> SuiteSummary:
     failures = []
     hyp_counts: dict = {}
     claim_counts = {"ok": 0, "falsified": 0, "skipped": 0}
     start = time.perf_counter()
-    for idx in range(config.instances):
-        label = f"{config.seed}:{idx}"
-        n = rng.randint(config.n_min, config.n_max)
-        g = random_instance(rng, n, config.edge_prob, config.kind)
+    for label, g in sweep(config):
         try:
             fails, report = check_instance(g, label, budget=config.budget,
                                            tamper=config.tamper)

@@ -125,24 +125,27 @@ def _colorings(n: int, edges: tuple, avoid: Optional[int],
         raise too_deep("colorings", "the coloring walk") from None
 
 
-def proper_colorings(skel: GraphSkeleton, avoid: Optional[int] = None,
-                     guard: int = COLORING_EDGE_GUARD) -> Iterator[ColoredGraph]:
-    """All canonical proper colorings of skel, optionally only those with
-    no rainbow path of `avoid` edges."""
-    if avoid is not None and avoid < 1:
-        raise PreconditionError("the forbidden path length must be >= 1 edge")
+def _check_coloring_guard(skel: GraphSkeleton, guard: int) -> None:
     if skel.m > guard:
         raise GuardError("colorings",
                          f"{skel.m} edges exceed the exhaustive guard {guard}")
-    for cs in _colorings(skel.n, skel.edges, avoid):
-        yield skel.with_colors(cs)
+
+
+def proper_colorings(skel: GraphSkeleton, avoid: Optional[int] = None,
+                     guard: int = COLORING_EDGE_GUARD) -> Iterator[ColoredGraph]:
+    """All canonical proper colorings of skel, optionally only those with
+    no rainbow path of `avoid` edges. A bad `avoid` or a skeleton over the
+    guard is refused at the call, before the first coloring is asked for."""
+    if avoid is not None and avoid < 1:
+        raise PreconditionError("the forbidden path length must be >= 1 edge")
+    _check_coloring_guard(skel, guard)
+    return (skel.with_colors(cs)
+            for cs in _colorings(skel.n, skel.edges, avoid))
 
 
 def count_proper_colorings(skel: GraphSkeleton,
                            guard: int = COLORING_EDGE_GUARD) -> int:
-    if skel.m > guard:
-        raise GuardError("colorings",
-                         f"{skel.m} edges exceed the exhaustive guard {guard}")
+    _check_coloring_guard(skel, guard)
     return sum(1 for _ in _colorings(skel.n, skel.edges, None))
 
 

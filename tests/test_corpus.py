@@ -1,16 +1,18 @@
 """Config plumbing and the seeded sweep driver."""
 
+import ast
 import dataclasses
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from rturan import corpus
 from rturan.claims import check_claims
 from rturan.corpus import (KINDS, RunConfig, build_claim_context,
-                           check_instance, random_instance, run_suite)
+                           check_instance, random_instance, run_suite, sweep)
 from rturan.errors import GuardError, WitnessError
 from rturan.graphs import ColoredGraph, validate_proper
 from rturan.profile import compute_profile
@@ -153,14 +155,58 @@ def test_check_instance_stops_at_a_bad_aux_witness(monkeypatch):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_check_instance_runs_the_claim_pipeline(kind):
-    rng = random.Random(808)
-    for idx in range(40):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
-        _, report = check_instance(g, f"808:{idx}")
-        assert report == check_claims(build_claim_context(g)), idx
+    cfg = RunConfig(seed=808, instances=40, n_min=5, n_max=12, kind=kind)
+    for label, g in sweep(cfg):
+        _, report = check_instance(g, label)
+        assert report == check_claims(build_claim_context(g)), label
 
 
 # === whole sweeps ===
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(seed=4, instances=6, n_min=5, n_max=8, kind="random",
+              budget=10_000),
+    RunConfig(seed=4, instances=6, n_min=5, n_max=8, kind="bare_path",
+              tamper=True),
+    RunConfig(instances=0),
+], ids=["random", "bare_path", "empty"])
+def test_run_suite_checks_exactly_the_sweep(monkeypatch, cfg):
+    calls = []
+
+    def record(g, label, **kwargs):
+        assert kwargs == {"budget": cfg.budget, "tamper": cfg.tamper}
+        calls.append((label, g))
+        return [], None
+
+    monkeypatch.setattr(corpus, "check_instance", record)
+    run_suite(cfg)
+    assert calls == list(sweep(cfg))
+    assert [label for label, _ in calls] == [
+        f"{cfg.seed}:{idx}" for idx in range(cfg.instances)]
+
+
+def test_sweeps_are_drawn_only_by_corpus_sweep():
+    # random_instance with a randint vertex count and a fixed edge
+    # probability is a RunConfig sweep written out by hand; its instances
+    # would drift from run_suite's the day the draw changes. (A draw that
+    # picks each graph's edge probability too is no RunConfig sweep.)
+    def arg(call, pos, name):
+        if len(call.args) > pos:
+            return call.args[pos]
+        return next((k.value for k in call.keywords if k.arg == name), None)
+
+    hand = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "random_instance"):
+                continue
+            n, p = arg(node, 1, "n"), arg(node, 2, "edge_prob")
+            if (isinstance(n, ast.Call)
+                    and getattr(n.func, "attr", None) == "randint"
+                    and isinstance(p, ast.Constant)):
+                hand.append(f"{path.name}:{node.lineno}")
+    assert not hand, f"draw these through corpus.sweep: {hand}"
 
 def test_random_sweep_is_clean_and_deterministic():
     cfg = RunConfig(seed=5, instances=30, n_min=5, n_max=9, kind="random")

@@ -7,7 +7,7 @@ import pytest
 
 from rturan import graphs
 from rturan.constructions import bipartite_f2k, blowup, maamoun_meyniel
-from rturan.corpus import random_instance
+from rturan.corpus import RunConfig, sweep
 from rturan.errors import GraphError, GuardError
 from rturan.graphs import (PARSE_VERTEX_GUARD, ColoredGraph, GraphSkeleton,
                            complete_graph, disjoint_union, graph_from_json_obj,
@@ -248,15 +248,14 @@ def test_empty_sides_tag_survives_text():
 
 def test_both_formats_read_back_the_same_graph():
     # the constructions and the first 200 instances of each criterion-08
-    # sweep, drawn as run_suite draws them
+    # sweep
     graphs = [bipartite_f2k(2), bipartite_f2k(3), maamoun_meyniel(2),
               maamoun_meyniel(3), blowup(2, 16), blowup(2, 20), blowup(2, 7),
               one_factorized_complete(6), ColoredGraph(0, (), 0, ()),
               ColoredGraph(3, (), 2)]
     for seed, kind in ((808, "random"), (909, "bare_path")):
-        rng = random.Random(seed)
-        graphs += [random_instance(rng, rng.randint(5, 12), 0.45, kind)
-                   for _ in range(200)]
+        graphs += [g for _, g in sweep(RunConfig(
+            seed=seed, instances=200, n_min=5, n_max=12, kind=kind))]
     for g in graphs:
         assert parse_graph(serialize_graph(g)) == g
         assert parse_graph(serialize_graph_json(g)) == g

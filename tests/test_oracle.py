@@ -284,6 +284,13 @@ def test_coloring_avoiding_finds_or_refutes():
 
 
 def test_coloring_guards():
+    # refused at the call, before a first coloring is asked for
+    with pytest.raises(GuardError):
+        proper_colorings(complete_graph(7))
+    with pytest.raises(GuardError):
+        count_proper_colorings(complete_graph(7))
+    with pytest.raises(PreconditionError):
+        proper_colorings(path_skeleton(2), avoid=0)
     with pytest.raises(GuardError):
         next(proper_colorings(complete_graph(7)))
     with pytest.raises(GuardError):

@@ -7,13 +7,12 @@ the definitions before being asserted.
 """
 
 import json
-import random
 from collections import Counter
 
 import pytest
 
 from rturan.cli import main
-from rturan.corpus import random_instance
+from rturan.corpus import RunConfig, sweep
 from rturan.errors import PathError
 from rturan.graphs import ColoredGraph, save_graph, validate_proper
 from rturan.profile import compute_profile
@@ -181,10 +180,9 @@ def mirror_cases():
                   [(0, 5, 30)]):                    # fresh far edge
         g = ColoredGraph.from_edges(6, path + extra)
         yield g, path_from_vertices(g, range(6))
-    rng = random.Random(77)
     for kind in ("random", "bare_path"):
-        for _ in range(80):
-            g = random_instance(rng, rng.randint(4, 10), 0.45, kind)
+        cfg = RunConfig(seed=77, instances=80, n_min=4, n_max=10, kind=kind)
+        for _, g in sweep(cfg):
             yield g, longest_rainbow_path(g).best
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from rturan.claims import check_claims
 from rturan.constructions import bipartite_f2k, blowup, maamoun_meyniel
-from rturan.corpus import build_claim_context, random_instance
+from rturan.corpus import RunConfig, build_claim_context, sweep
 from rturan.graphs import ColoredGraph, complete_graph
 from rturan.induction import run_induction
 from rturan.oracle import proper_colorings
@@ -39,12 +39,10 @@ SPARE_COLORS = 5
 
 
 @lru_cache(maxsize=None)
-def sweep(seed: int) -> tuple:
-    """The first COUNT instances of the criterion-08 sweep with this seed,
-    drawn as run_suite draws them."""
-    rng = random.Random(seed)
-    return tuple(random_instance(rng, rng.randint(5, 12), 0.45, SWEEPS[seed])
-                 for _ in range(COUNT))
+def suite_graphs(seed: int) -> tuple:
+    """The first COUNT instances of the criterion-08 sweep with this seed."""
+    return tuple(g for _, g in sweep(RunConfig(
+        seed=seed, instances=COUNT, n_min=5, n_max=12, kind=SWEEPS[seed])))
 
 
 def relabel(g: ColoredGraph, label: str):
@@ -63,7 +61,7 @@ def mismatches(label: str) -> list:
     """The layers whose answer on the relabelled copy differs from the
     original's, read through pi."""
     seed, idx, _ = map(int, label.split(":"))
-    g = sweep(seed)[idx]
+    g = suite_graphs(seed)[idx]
     pi, h = relabel(g, label)
 
     def edges(aux):

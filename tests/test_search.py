@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 import types
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,8 @@ import pytest
 import rturan
 from rturan import search
 from rturan.constructions import bipartite_f2k, maamoun_meyniel
-from rturan.corpus import build_claim_context, random_instance
+from rturan.corpus import (RunConfig, build_claim_context, random_instance,
+                           sweep)
 from rturan.errors import GuardError, PathError, PreconditionError
 from rturan.graphs import ColoredGraph, one_factorized_complete
 from rturan.search import (SPAN_SUPPLY_FIELD_BITS, SUPPLY_FIELD_BITS,
@@ -201,12 +202,16 @@ def test_longest_budget_counts_the_refused_node():
         longest_rainbow_path(g, budget=-1)
 
 
+def criterion_08(seed, kind, count):
+    """The first `count` (label, graph) of the criterion-08 sweep `seed`."""
+    return sweep(RunConfig(seed=seed, instances=count, n_min=5, n_max=12,
+                           kind=kind))
+
+
 def suite_graphs(count):
     """The first `count` instances of the criterion-08 sweeps, both kinds."""
     for seed, kind in ((808, "random"), (909, "bare_path")):
-        rng = random.Random(seed)
-        for _ in range(count):
-            yield random_instance(rng, rng.randint(5, 12), 0.45, kind)
+        yield from (g for _, g in criterion_08(seed, kind, count))
 
 
 def searches_of(graphs):
@@ -253,13 +258,10 @@ def test_frozen_node_counts(query, nodes):
     assert query().nodes_expanded == nodes
 
 
-def suite_instance(seed, kind, idx):
-    """Instance idx of a criterion-08 sweep, drawn as run_suite draws it
-    (run_suite labels it f"{seed}:{idx}")."""
-    rng = random.Random(seed)
-    for _ in range(idx + 1):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
-    return g
+def suite_instance(label):
+    """The random/808 instance with this label, "808:idx", replayed alone."""
+    idx = int(label.split(":")[1])
+    return next(islice(criterion_08(808, "random", idx + 1), idx, None))[1]
 
 
 def test_frozen_node_count_of_the_heaviest_suite_instance(supply_cut):
@@ -267,7 +269,7 @@ def test_frozen_node_count_of_the_heaviest_suite_instance(supply_cut):
     # search of the random/808 sweep, 65,286 nodes with the color-supply
     # cut shut. 808:24 (slack 0) is the heaviest with the cut shut
     # everywhere, 72,548 nodes, and the next heaviest with it on.
-    g = suite_instance(808, "random", 230)
+    g = suite_instance("808:230")
 
     def run():
         out = longest_rainbow_path(g)
@@ -276,7 +278,7 @@ def test_frozen_node_count_of_the_heaviest_suite_instance(supply_cut):
     # the cut fired and kept the witness of the search with it shut
     supply_cut(run)
     assert run()[1] == 10_088
-    g = suite_instance(808, "random", 24)
+    g = suite_instance("808:24")
     assert longest_rainbow_path(g).nodes_expanded == 4_198
 
 
@@ -285,11 +287,8 @@ def test_frozen_node_count_of_the_heaviest_suite_instance(supply_cut):
 def test_sweep_longest_node_totals_are_pinned(seed, kind, nodes):
     # the longest searches of the first 500 instances of each criterion-08
     # sweep: a change to the kernel's cuts or to its gate moves these
-    rng = random.Random(seed)
-    total = 0
-    for _ in range(500):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
-        total += longest_rainbow_path(g).nodes_expanded
+    total = sum(longest_rainbow_path(g).nodes_expanded
+                for _, g in criterion_08(seed, kind, 500))
     assert total == nodes
 
 
@@ -371,7 +370,7 @@ def test_supply_count_equals_brute_force_on_proper_colorings():
             slack2 += len(seen)
     # 808:230, the heaviest gated instance, at color slack 2; its V(P*)
     # is past the spanning gate, so only its longest search counts
-    g = suite_instance(808, "random", 230)
+    g = suite_instance("808:230")
     _, seen = supply_counts(g, longest_rainbow_path, g)
     assert all(found == brute for found, brute, _ in seen)
     assert nodes > 1000 and spans > 1000 and slack2 > 0

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from rturan import search, terminals
-from rturan.corpus import random_instance
+from rturan.corpus import RunConfig, random_instance, sweep
 from rturan.graphs import ColoredGraph
 from rturan.search import (longest_rainbow_path, path_from_vertices,
                            spanning_rainbow_path_between,
@@ -57,6 +57,12 @@ def check_oracles(g, pstar):
     assert aux.edges == frozenset((o[0], o[-1]) for o in orders
                                   if o[0] < o[-1])
     assert aux == reference_aux(g, pstar)
+
+
+def suite_graphs(seed, kind, count):
+    """The first `count` instances of the criterion-08 sweep `seed`."""
+    return (g for _, g in sweep(RunConfig(seed=seed, instances=count, n_min=5,
+                                          n_max=12, kind=kind)))
 
 
 def seeded_graphs(kind):
@@ -99,11 +105,8 @@ def test_spanning_searches_match_brute_force(kind):
 
 @pytest.mark.parametrize("seed,kind", [(808, "random"), (909, "bare_path")])
 def test_aux_oracle_equals_reference_on_suite_instances(seed, kind):
-    # the first 200 instances of each criterion-08 sweep, drawn as
-    # run_suite draws them
-    rng = random.Random(seed)
-    for _ in range(200):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+    # the first 200 instances of each criterion-08 sweep
+    for g in suite_graphs(seed, kind, 200):
         pstar = longest_rainbow_path(g).best
         assert build_aux_oracle(g, pstar) == reference_aux(g, pstar)
 
@@ -113,12 +116,8 @@ def test_aux_oracle_equals_reference_on_suite_instances(seed, kind):
 def test_aux_oracle_equals_prune_free_dfs(supply_cut, seed, kind, nmax):
     # the same 200 instances; bare_path above n = 9 is too slow for a DFS
     # without a prune
-    rng = random.Random(seed)
-    cases = []
-    for _ in range(200):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
-        if g.n <= nmax:
-            cases.append((g, longest_rainbow_path(g).best))
+    cases = [(g, longest_rainbow_path(g).best)
+             for g in suite_graphs(seed, kind, 200) if g.n <= nmax]
 
     def run():
         runs = [walk_calls(build_aux_oracle, g, pstar) for g, pstar in cases]
@@ -150,13 +149,9 @@ def walk_calls(fn, *args):
 
 def suite_walks(seed, kind):
     """Walk calls the aux oracle makes on 40 suite instances."""
-    rng = random.Random(seed)
-    walks = 0
-    for _ in range(40):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
-        walks += walk_calls(build_aux_oracle, g,
-                            longest_rainbow_path(g).pinned())[1]
-    return walks
+    return sum(walk_calls(build_aux_oracle, g,
+                          longest_rainbow_path(g).pinned())[1]
+               for g in suite_graphs(seed, kind, 40))
 
 
 @pytest.mark.parametrize("seed,kind,most", [(808, "random", 51_538),
@@ -238,9 +233,7 @@ def test_rotation_closure_equals_the_position_table_form(monkeypatch, seed,
         hits += 1
 
     monkeypatch.setattr(terminals, "_rotation_pairs", checked)
-    rng = random.Random(seed)
-    for _ in range(200):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+    for g in suite_graphs(seed, kind, 200):
         build_aux_oracle(g, longest_rainbow_path(g).best)
     assert hits > 0
 

@@ -8,12 +8,13 @@ there; two variants below make each nice branch fire instead.
 """
 
 import random
+from itertools import islice
 
 import pytest
 
 from rturan import terminals
 from rturan.constructions import maamoun_meyniel
-from rturan.corpus import random_instance
+from rturan.corpus import RunConfig, sweep
 from rturan.errors import GuardError, WitnessError
 from rturan.graphs import ColoredGraph
 from rturan.profile import compute_profile
@@ -189,9 +190,8 @@ def suite_instances(seed, kind, count):
     """The first `count` instances of the criterion-08 sweep (n 5..12,
     edge probability 0.45), each with its proven longest path and rule
     report."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, kind)
+    cfg = RunConfig(seed=seed, instances=count, n_min=5, n_max=12, kind=kind)
+    for _, g in sweep(cfg):
         p = longest_rainbow_path(g).best
         yield g, p, terminal_rules(g, compute_profile(g, p))
 
@@ -286,9 +286,8 @@ def test_aux_rules_reread_witnesses_from_the_graph():
 def test_aux_rules_vertices_hold_every_edge_end():
     # suite instance 808:115: a jump rotation ends at vertex 5, a terminal
     # no rule names
-    rng = random.Random(808)
-    for _ in range(116):
-        g = random_instance(rng, rng.randint(5, 12), 0.45, "random")
+    cfg = RunConfig(seed=808, instances=116, n_min=5, n_max=12)
+    _, g = next(islice(sweep(cfg), 115, None))
     p = longest_rainbow_path(g).best
     rep = terminal_rules(g, compute_profile(g, p))
     aux = build_aux_rules(g, p, rep)
