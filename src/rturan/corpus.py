@@ -142,7 +142,12 @@ def _greedy_color(rng: random.Random, n: int, skeleton_edges,
 
 def random_instance(rng: random.Random, n: int, edge_prob: float,
                     kind: str = "random") -> ColoredGraph:
-    """One seeded properly colored graph with at least one edge."""
+    """One seeded properly colored graph with at least one edge, so on at
+    least two vertices; `kind` is one of KINDS."""
+    if kind not in KINDS:
+        raise PreconditionError(f"unknown instance kind {kind!r}")
+    if n < 2:
+        raise PreconditionError("an instance needs n >= 2 vertices")
     if kind == "bare_path":
         order = list(range(n))
         rng.shuffle(order)

@@ -41,15 +41,45 @@ would start only halfway down the path, and it was measured slower. And
 it is off where the layout, m + colors in use bits, would be wider than
 SUPPLY_FIELD_BITS: every color bit of the walk's table is three layouts
 wide, so each step costs more as the layout grows, and past the bound
-that outweighs the nodes the cut saves. longest_rainbow_path
-is one run from floor 0 under the caller's budget, and has_rainbow_path(L)
-one run from floor L - 1 with `first` set. Each returns the path the
-kernel recorded: the first of its length in ascending DFS order, so the
-lexicographically least. Both cuts drop only subtrees without a path
-longer than the best length so far: the cap cuts nothing until the best
-length reaches the constant, and the supply cut drops a subtree only where
-no path in it beats the best. So the single longest pass meets every path
-of the final length before it records the first of them. The path needs
+that outweighs the nodes the cut saves.
+
+Where the colors in use are at most n - 1, the cap is the number of
+colors, and once the best length is one short of it only a path that
+spends every color can beat it: the refutation a one-color-short graph
+ends with, and all of has_rainbow_path(g, colors). Such a path takes
+exactly one edge of every color, and two rules use that. The pre-check,
+once per search: the edges of the colors with a single edge in g must
+all lie on the path, so where they are not a linear forest (a vertex
+meets three of them, or they close a cycle) the cap drops to colors - 1
+and the search stops at the first path of that length, the one the full
+search keeps. Forcing, at every node once the best length is colors - 1:
+each unused class must give one edge inside the scope, so a class whose
+only edges there are at v gives the next step. The same carry-field
+count, with v read as left too, finds those classes at a few big-int
+operations per node. Two of them (or an unused class with no edge left)
+cut the node, and one restricts the step to that class's edges at v,
+every one of them where the coloring is improper. Both rules run only
+where the graph is at least FORCING_FLOOR_BITS wide (m + colors in use),
+below which they measured slower, and they open the layout where some
+class has fewer edges than the cap even where the supply gate is shut:
+so on maamoun_meyniel(3) (7 colors, classes of 4 edges on 8 vertices)
+but not on bipartite_f2k(3), whose classes have 8 edges. They take
+maamoun_meyniel(3) from 11,152 nodes to 3,092 (longest) and 3,088
+(exists 7), 808:24 from 4,198 to 1,285, the first 500 random/808
+instances from 87,365 to 53,156 (bare_path/909 stays at 33,826), and the
+40 random instances of seed 5 at n 19..20 from 2,694,113 to 53,126,
+where 5:21 (17 colors, longest 16) goes from 2,582,381 to 423 because
+the pre-check refutes its 17-edge path.
+
+longest_rainbow_path is one run from floor 0 under the caller's budget,
+and has_rainbow_path(L) one run from floor L - 1 with `first` set. Each
+returns the path the kernel recorded: the first of its length in
+ascending DFS order, so the lexicographically least. Every cut drops only
+subtrees without a path longer than the best length so far: the cap cuts
+nothing until the best length reaches the constant, and the supply cut,
+the pre-check and forcing drop a subtree only where no path in it beats
+the best. So the single longest pass meets every path of the final
+length before it records the first of them. The path needs
 no orientation fix: had its reverse begun at a smaller root, that root's
 search, finished before this one began, would have recorded a path of this
 length first.
@@ -240,11 +270,16 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     best length reaches it. With the color-supply gate open, a node is cut
     once colors - best length unused color classes have no edge left in
     its scope: of the colors - depth unused colors, at most best length -
-    depth then have an edge there, so no path below beats the best. Every
-    node is counted,
-    and once the count passes `budget` the search stops. Returns (best
-    length, its vertices, nodes expanded, budget exhausted); the vertices
-    are [0] while nothing beat `floor`.
+    depth then have an edge there, so no path below beats the best. Where
+    lim is colors, only a path that spends every color beats a best length
+    of colors - 1, and two rules refute such paths: the pre-check lowers
+    lim to colors - 1 where _spends_every_color says none exists, and, at
+    that best length, a node is cut where two unused classes have their
+    only edges left in scope at v, and steps only along the edges of the
+    class where one has. Every node is counted, and once the count passes
+    `budget` the search stops. Returns (best length, its vertices, nodes
+    expanded, budget exhausted); the vertices are [0] while nothing beat
+    `floor`.
     """
     n = g.n
     lim = min(n - 1, colors)
@@ -257,18 +292,29 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     # some class has fewer than n / 2 edges and the layout fits
     # SUPPLY_FIELD_BITS, at the depth that can first empty a class: its
     # fewest edges. The walk then reads the layout's table, whose color
-    # bits are guard bits carrying the edges of the row's vertex. The cap
-    # sets cut_from to 0 once the best length reaches lim.
+    # bits are guard bits carrying the edges of the row's vertex. From
+    # FORCING_FLOOR_BITS wide, where lim is colors, the pre-check runs,
+    # the gate also opens where some class has fewer than lim edges, and
+    # forcing is on: reach drops from lim to colors - 1. cut_from drops to
+    # 0 once the best length reaches reach, for the cap at lim and for
+    # forcing at colors - 1, where every node is checked.
     cut_from = n
+    reach = lim
     field = field2 = low = guard = 0
-    if colors <= n + 1 and g.m + colors <= SUPPLY_FIELD_BITS:
+    width = g.m + colors
+    if colors <= n + 1 and width <= SUPPLY_FIELD_BITS:
         classes = _color_classes(nbrs)
         smallest = min(map(len, classes.values()), default=n)
-        if 2 * smallest < n:
+        if width >= FORCING_FLOOR_BITS and lim == colors:
+            if not _spends_every_color(classes):
+                lim = reach = colors - 1
+            elif smallest < lim:
+                reach = colors - 1
+        if 2 * smallest < n or reach < lim:
             nbrs, field, low, guard = _supply_layout(nbrs, classes)
             field2 = 2 * field
             cut_from = smallest
-    if lim <= floor:
+    if reach <= floor:
         cut_from = 0
     nodes = 0
     best_len = floor
@@ -285,16 +331,45 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
             best_seq = cur.copy()
             if first:
                 return False
-            if lim <= depth:
+            if reach <= depth:
                 cut_from = 0
         if depth >= cut_from:
             if lim <= best_len:
                 return True
             # the unused classes with no edge left in the scope
             # (_supply_layout), inline: a call per node costs most of it
-            dead = ((cmask >> field | cmask >> field2) + low) & guard
-            if (dead ^ dead & cmask).bit_count() >= colors - best_len:
-                return True
+            gone = cmask >> field | cmask >> field2
+            dead = (gone + low) & guard
+            if best_len != reach:
+                if (dead ^ dead & cmask).bit_count() >= colors - best_len:
+                    return True
+            elif nbrs[v]:
+                # Forcing. Only a path that spends every color beats the
+                # best, and its steps from v spend one edge of each unused
+                # class, all in the scope. Read as if v were left too
+                # (any entry of its row carries its edges), the count
+                # gives the unused classes with no edge in the scope but
+                # at v: a dead one cuts the node, two that are not cut it
+                # (the path leaves v once), and one forces the step along
+                # each of its edges at v (more than one where the coloring
+                # is improper). Those steps get a loop of their own: a
+                # filtered row handed to the loop below measured 3-4%
+                # slower on the searches with the gate shut.
+                left = cmask | nbrs[v][0][2]
+                spent = ((left >> field | left >> field2) + low) & guard
+                spent ^= spent & cmask
+                if spent:
+                    if spent & dead or spent & (spent - 1):
+                        return True
+                    for (w, wbit, cbit) in nbrs[v]:
+                        if cbit & spent and not vmask & wbit:
+                            cur.append(w)
+                            ok = walk(w, vmask | wbit, cmask | cbit,
+                                      depth + 1)
+                            cur.pop()
+                            if not ok:
+                                return False
+                    return True
         for (w, wbit, cbit) in nbrs[v]:
             if (vmask & wbit) or (cmask & cbit):
                 continue
@@ -335,6 +410,50 @@ SUPPLY_FIELD_BITS = 1024
 # with the layout, and over 5 s for most with the cut shut). A layout of
 # F bits over about F edges takes about 0.75 F^2 bytes: 13 MB here.
 SPAN_SUPPLY_FIELD_BITS = 4096
+
+
+# The narrowest graph, m + colors in use bits, on which _dfs runs the
+# pre-check and forcing (and opens the layout for them where the supply
+# gate alone would not). Below it both cost more than they save. Longest
+# searches on the graphs with colors <= n - 1 of the first 1000 instances
+# of the random/808, bare_path/909 and random/31 sweeps (n 5..12; Python
+# 3.11, 2-core Xeon), CPU time with the rules on over off, min of 4, per
+# band of m + colors: 1.16 at 4-7 bits (127 graphs), 1.10 at 8-11 (294),
+# 1.02 at 12-15 (265), 1.01 at 16-19 (194), 0.96 at 20-23 (218), 0.92
+# at 24-27 (199), 0.83 at 28-31 (152), 0.65 past 31 (446). Nodes fell in
+# every band from 4 bits on (by 20-51%), so it is the cost per node,
+# not the cut, that sets the floor.
+FORCING_FLOOR_BITS = 20
+
+
+def _spends_every_color(classes: dict) -> bool:
+    """False where no path can spend every color of its color classes
+    (_color_classes): the edges of the colors with a single edge must all
+    lie on such a path, so they must form a linear forest, and here a
+    vertex meets three of them or they close a cycle. True otherwise,
+    which proves nothing."""
+    meets: dict = {}
+    root: dict = {}
+
+    def find(x):
+        while x in root:
+            root[x] = root.get(root[x], root[x])
+            x = root[x]
+        return x
+
+    for edges in classes.values():
+        if len(edges) != 1:
+            continue
+        v, w = edges[0]
+        for x in (v, w):
+            meets[x] = meets.get(x, 0) + 1
+            if meets[x] == 3:
+                return False
+        a, b = find(v), find(w)
+        if a == b:
+            return False
+        root[a] = b
+    return True
 
 
 def _color_classes(rows) -> dict:

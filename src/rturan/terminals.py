@@ -120,7 +120,25 @@ class TerminalReport:
 
 def _witness(g: ColoredGraph, span: set, source: str, vertices) -> RainbowPath:
     """The witness `vertices` read off g; refuse it unless it is a rainbow
-    path of g whose vertex set is `span`."""
+    path of g whose vertex set is `span`.
+
+    One pass reads the colors; a sequence of two or more vertices with
+    every edge in g, as many vertices as `span`, distinct colors and
+    vertex set `span` is a simple rainbow path on it. Anything else is
+    read again the long way, which keeps a one-vertex path and refuses
+    the rest with their first fault."""
+    vs = tuple(vertices)
+    col = g._col
+    colors = []
+    for u, v in zip(vs, vs[1:]):
+        c = col.get((u, v) if u < v else (v, u))
+        if c is None:
+            break
+        colors.append(c)
+    else:
+        if (colors and len(vs) == len(span)
+                and len(set(colors)) == len(colors) and set(vs) == span):
+            return RainbowPath._prechecked(vs, tuple(colors))
     try:
         w = path_from_vertices(g, vertices)
     except PathError as e:

@@ -13,7 +13,7 @@ from rturan import corpus
 from rturan.claims import check_claims
 from rturan.corpus import (KINDS, RunConfig, build_claim_context,
                            check_instance, random_instance, run_suite, sweep)
-from rturan.errors import GuardError, WitnessError
+from rturan.errors import GuardError, PreconditionError, WitnessError
 from rturan.graphs import ColoredGraph, validate_proper
 from rturan.profile import compute_profile
 from rturan.search import longest_rainbow_path
@@ -74,6 +74,18 @@ def test_bare_path_plants_a_spanning_rainbow_path():
 def test_sparse_random_instance_still_has_an_edge():
     g = random_instance(random.Random(0), 5, 0.0)
     assert g.m == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_instance_refuses_fewer_than_two_vertices(kind, n):
+    with pytest.raises(PreconditionError, match="n >= 2"):
+        random_instance(random.Random(0), n, 0.5, kind)
+
+
+def test_instance_refuses_an_unknown_kind():
+    with pytest.raises(PreconditionError, match="unknown instance kind"):
+        random_instance(random.Random(0), 8, 0.5, "bare-path")
 
 
 # === single-instance checking ===

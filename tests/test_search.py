@@ -250,8 +250,8 @@ def test_witnesses_are_lexicographically_least(supply_cut):
 
 @pytest.mark.parametrize("query,nodes", [
     (lambda: longest_rainbow_path(bipartite_f2k(3)), 458_000),
-    (lambda: longest_rainbow_path(maamoun_meyniel(3)), 11_152),
-    (lambda: has_rainbow_path(maamoun_meyniel(3), 7), 11_152),
+    (lambda: longest_rainbow_path(maamoun_meyniel(3)), 3_092),
+    (lambda: has_rainbow_path(maamoun_meyniel(3), 7), 3_088),
     (lambda: has_rainbow_path(bipartite_f2k(3), 8), 458_000),
 ], ids=["f2k3-longest", "mm3-longest", "mm3-exists7", "f2k3-exists8"])
 def test_frozen_node_counts(query, nodes):
@@ -267,8 +267,9 @@ def suite_instance(label):
 def test_frozen_node_count_of_the_heaviest_suite_instance(supply_cut):
     # 808:230 (n 12, 13 colors, color slack 2) is the heaviest longest
     # search of the random/808 sweep, 65,286 nodes with the color-supply
-    # cut shut. 808:24 (slack 0) is the heaviest with the cut shut
-    # everywhere, 72,548 nodes, and the next heaviest with it on.
+    # cut shut. 808:24 (slack 0, 11 colors, longest 10) is the heaviest
+    # with the cut shut everywhere, 72,548 nodes, and 4,198 with the cut
+    # on but forcing off.
     g = suite_instance("808:230")
 
     def run():
@@ -279,10 +280,10 @@ def test_frozen_node_count_of_the_heaviest_suite_instance(supply_cut):
     supply_cut(run)
     assert run()[1] == 10_088
     g = suite_instance("808:24")
-    assert longest_rainbow_path(g).nodes_expanded == 4_198
+    assert longest_rainbow_path(g).nodes_expanded == 1_285
 
 
-@pytest.mark.parametrize("seed,kind,nodes", [(808, "random", 87_365),
+@pytest.mark.parametrize("seed,kind,nodes", [(808, "random", 53_156),
                                              (909, "bare_path", 33_826)])
 def test_sweep_longest_node_totals_are_pinned(seed, kind, nodes):
     # the longest searches of the first 500 instances of each criterion-08
@@ -292,13 +293,104 @@ def test_sweep_longest_node_totals_are_pinned(seed, kind, nodes):
     assert total == nodes
 
 
+def scale_sweep(n_min, n_max):
+    """The scale target's 40 instances: random, seed 5, n_min..n_max."""
+    return sweep(RunConfig(seed=5, instances=40, n_min=n_min, n_max=n_max,
+                           kind="random"))
+
+
+def test_scale_sweep_longest_nodes_are_pinned():
+    # 5:21 (n 19, 17 colors, longest 16) took 2,582,381 nodes before the
+    # pre-check refuted its 17-edge path at the root
+    total = 0
+    for label, g in scale_sweep(19, 20):
+        nodes = longest_rainbow_path(g).nodes_expanded
+        total += nodes
+        if label == "5:21":
+            assert nodes == 423
+    assert total == 53_126
+
+
+def one_color_short(graphs):
+    """The graphs whose longest rainbow path misses one color in use."""
+    return [g for g in graphs
+            if longest_rainbow_path(g).best.length
+            == len(g.used_colors()) - 1]
+
+
+def test_tight_rules_keep_every_answer_and_cut_nodes(monkeypatch):
+    # the pre-check and forcing against the same searches with both off
+    # (FORCING_FLOOR_BITS past every width), on every one-color-short
+    # instance of both sweeps and of the scale target at n 15..16
+    graphs = one_color_short(
+        list(suite_graphs(500)) + [g for _, g in scale_sweep(15, 16)])
+
+    def run():
+        outs, nodes = [], 0
+        for g in graphs:
+            best = longest_rainbow_path(g)
+            spend = has_rainbow_path(g, len(g.used_colors()))
+            outs.append((best.best, spend.found, spend.witness))
+            nodes += best.nodes_expanded + spend.nodes_expanded
+        return outs, nodes
+
+    outs, nodes = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "FORCING_FLOOR_BITS", sys.maxsize)
+        plain, plain_nodes = run()
+    assert outs == plain
+    assert nodes < plain_nodes
+    assert len(graphs) > 150 and all(found is not True
+                                     for _, found, _ in outs)
+
+
+def padded(n, singles):
+    """n vertices: the single-edge colors `singles` (one (u, v) each,
+    colors 0, 1, ...), and two more colors on the other pairs of vertices
+    1..n-1 (improper), so the graph is as wide as FORCING_FLOOR_BITS asks
+    and lim is the number of colors."""
+    edges = [(u, v, c) for c, (u, v) in enumerate(singles)]
+    taken = {(u, v) for u, v in singles}
+    k = len(singles)
+    edges += [(u, v, k + (u + v) % 2) for u in range(1, n)
+              for v in range(u + 1, n) if (u, v) not in taken]
+    g = ColoredGraph.from_edges(n, edges)
+    colors = len(g.used_colors())
+    assert colors < n and g.m + colors >= search.FORCING_FLOOR_BITS
+    return g
+
+
+@pytest.mark.parametrize("singles,spends", [
+    ([(0, 1), (0, 2), (0, 3)], False),   # three meet vertex 0
+    ([(1, 2), (2, 3), (1, 3)], False),   # they close a triangle
+    ([(0, 1), (1, 2), (3, 4)], True),    # a linear forest: no refutation
+])
+def test_precheck_against_brute_force(singles, spends):
+    g = padded(8, singles)
+    colors = len(g.used_colors())
+    classes = search._color_classes(g._bits)
+    assert search._spends_every_color(classes) is spends
+    every = next(rainbow_sequences(g, colors), None)
+    out = has_rainbow_path(g, colors)
+    assert out.found is (every is not None)
+    assert (out.witness.vertices if out.witness else None) == every
+    best = longest_rainbow_path(g)
+    assert best.best.vertices == next(rainbow_sequences(g, best.best.length))
+    assert next(rainbow_sequences(g, best.best.length + 1), None) is None
+    if not spends:
+        # refuted at the root: lim drops to colors - 1, which the floor
+        # already reaches, so each root ends at its first node
+        assert out.nodes_expanded == g.n
+
 # === the color-supply cut's carry-field count ===
 
 def supply_counts(g, fn, *args):
-    """fn(*args), and for each node where a path kernel computed the
+    """fn(*args), for each node where a path kernel computed the
     color-supply count, (the colors of the classes the count found dead and
     unused, the colors of those brute force finds, the number of vertices
-    the path has left). Brute force reads the graph: a class is dead when
+    the path has left), and the same triple for each node where _dfs's
+    forcing read the unused classes with no edge in the scope but at the
+    current vertex. Brute force reads the graph: a class is dead when
     every edge of its color inside the scope (the graph, or the vertex set
     of a spanning search) has an end the path has left, and unused when no
     edge of the path has its color."""
@@ -306,9 +398,10 @@ def supply_counts(g, fn, *args):
                   if isinstance(c, types.CodeType) and c.co_name == "walk")
              for kernel in (search._dfs, search._span_ends)}
     seen = []
+    forced = []
     layouts = {}
 
-    def node(frame):
+    def node(frame, record, name, spare):
         at = frame.f_locals
         table = at.get("adj", at.get("nbrs"))
         if id(table) not in layouts:
@@ -321,13 +414,16 @@ def supply_counts(g, fn, *args):
                 [(u, v, c) for (u, v, c) in g.edges
                  if scope >> u & 1 and scope >> v & 1], table)
         color_of, edges, _ = layouts[id(table)]
-        dead, cmask, cur = at["dead"], at["cmask"], at["cur"]
-        found = {color_of[b] for b in color_of if b & dead and not b & cmask}
+        bits, cmask, cur = at[name], at["cmask"], at["cur"]
+        found = {color_of[b] for b in color_of if b & bits and not b & cmask}
         left = set(cur[:-1])
+        # forcing spares the edges at the current vertex
+        spared = {cur[-1]} if spare else set()
         used = {g.color_of(a, b) for a, b in zip(cur, cur[1:])}
         brute = {c for (_, _, c) in edges if c not in used} - {
-            c for (u, v, c) in edges if u not in left and v not in left}
-        seen.append((found, brute, len(left)))
+            c for (u, v, c) in edges if u not in left and v not in left
+            and not {u, v} & spared}
+        record.append((found, brute, len(left)))
 
     def trace(frame, event, arg):
         if frame.f_code not in walks:
@@ -335,17 +431,19 @@ def supply_counts(g, fn, *args):
 
         def line(frame, event, arg):
             # the line after the count's first line: `dead` is set, and
-            # no later line of this node is traced (its return event
-            # still comes here, and is not a node)
+            # no later line of this node is traced; its return event
+            # still comes here, and reads `spent` where forcing set it
             if event == "line" and "dead" in frame.f_locals:
-                node(frame)
+                node(frame, seen, "dead", False)
                 frame.f_trace_lines = False
+            elif event == "return" and "spent" in frame.f_locals:
+                node(frame, forced, "spent", True)
             return line
         return line
 
     sys.settrace(trace)
     try:
-        return fn(*args), seen
+        return fn(*args), seen, forced
     finally:
         sys.settrace(None)
 
@@ -358,47 +456,81 @@ def gated_suite_graphs(count):
 
 
 def test_supply_count_equals_brute_force_on_proper_colorings():
-    nodes = spans = slack2 = 0
-    for g in gated_suite_graphs(20):
-        best, seen = supply_counts(g, longest_rainbow_path, g)
-        _, span_seen = supply_counts(g, build_aux_oracle, g, best.best)
-        for found, brute, _ in seen + span_seen:
+    nodes = spans = slack2 = forcing = 0
+    for g in gated_suite_graphs(25):
+        best, seen, forced = supply_counts(g, longest_rainbow_path, g)
+        _, span_seen, _ = supply_counts(g, build_aux_oracle, g, best.best)
+        for found, brute, _ in seen + span_seen + forced:
             assert found == brute
         nodes += len(seen)
         spans += len(span_seen)
+        forcing += len(forced)
         if len(g.used_colors()) == g.n + 1:
             slack2 += len(seen)
     # 808:230, the heaviest gated instance, at color slack 2; its V(P*)
     # is past the spanning gate, so only its longest search counts
     g = suite_instance("808:230")
-    _, seen = supply_counts(g, longest_rainbow_path, g)
+    _, seen, _ = supply_counts(g, longest_rainbow_path, g)
     assert all(found == brute for found, brute, _ in seen)
     assert nodes > 1000 and spans > 1000 and slack2 > 0
     assert len(seen) > 10_000
+    # forcing, on 808:24 (one color short) and on its exists query for
+    # every color
+    g = suite_instance("808:24")
+    for fn, args in ((longest_rainbow_path, ()),
+                     (has_rainbow_path, (len(g.used_colors()),))):
+        _, seen, forced = supply_counts(g, fn, g, *args)
+        assert all(found == brute for found, brute, _ in seen + forced)
+        forcing += len(forced)
+    assert forcing > 500
+
+
+def improper_graph(seed):
+    """A random coloring, not proper, of a random graph on 7 or 8
+    vertices with 4 to 6 colors."""
+    rng = random.Random(seed)
+    n, k, p = rng.choice([7, 8]), rng.choice([4, 5, 6]), rng.choice(
+        [0.4, 0.5, 0.6])
+    return ColoredGraph.from_edges(n, [
+        (u, v, rng.randrange(k)) for u in range(n) for v in range(u + 1, n)
+        if rng.random() < p])
 
 
 def test_supply_count_equals_brute_force_on_improper_colorings():
     # a class that is not a matching can lose every edge to fewer dead
     # vertices than it has edges; the count sees it as dead, so it may
-    # cut more than a count of one edge per dead vertex, never less
-    nodes = spans = past_matching = 0
-    for g in seeded_graphs(41, 80, n_max=7):
-        out, seen = supply_counts(g, longest_rainbow_path, g)
+    # cut more than a count of one edge per dead vertex, never less. The
+    # 8-vertex graphs are wide enough for forcing, where a class may keep
+    # several edges at the current vertex, each a step the search takes.
+    nodes = spans = past_matching = forcing = 0
+    rng = random.Random(43)
+    wide = [ColoredGraph.from_edges(8, [
+        (u, v, rng.randrange(6)) for u in range(8) for v in range(u + 1, 8)
+        if rng.random() < 0.5]) for _ in range(8)]
+    # in these, a forced class has two edges at the current vertex and only
+    # the second leads to the path that every witness check below expects
+    wide += [improper_graph(seed) for seed in (205, 227, 295, 312)]
+    for i, g in enumerate([*seeded_graphs(41, 80, n_max=7), *wide]):
+        out, seen, forced = supply_counts(g, longest_rainbow_path, g)
         nodes += len(seen)
+        forcing += len(forced)
         if g.n:
             length = out.best.length
             assert out.best.vertices == next(rainbow_sequences(g, length))
             assert next(rainbow_sequences(g, length + 1), None) is None
-            for start in range(g.n):
-                _, span_seen = supply_counts(g, spanning_rainbow_path_from,
-                                             g, range(g.n), start)
-                spans += len(span_seen)
-                seen += span_seen
-        for found, brute, left in seen:
+            if i < 80:
+                for start in range(g.n):
+                    _, span_seen, _ = supply_counts(
+                        g, spanning_rainbow_path_from, g, range(g.n), start)
+                    spans += len(span_seen)
+                    seen += span_seen
+        for found, brute, left in seen + forced:
             assert found == brute
+        for found, brute, left in seen:
             past_matching += any(
                 sum(c == d for (_, _, d) in g.edges) > left for c in found)
     assert nodes > 100 and spans > 1000 and past_matching > 0
+    assert forcing > 100
 
 
 def test_wide_gated_input_builds_no_layout(monkeypatch):

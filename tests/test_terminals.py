@@ -8,14 +8,14 @@ there; two variants below make each nice branch fire instead.
 """
 
 import random
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
 from rturan import terminals
 from rturan.constructions import maamoun_meyniel
 from rturan.corpus import RunConfig, sweep
-from rturan.errors import GuardError, WitnessError
+from rturan.errors import GuardError, PathError, WitnessError
 from rturan.graphs import ColoredGraph
 from rturan.profile import compute_profile
 from rturan.search import (RainbowPath, is_rainbow, longest_rainbow_path,
@@ -151,6 +151,44 @@ def test_checked_fire_rejects_non_spanning():
         checked_fire(g, p, "bogus", [0, 1, 2, 3, 4])
     assert "span" in str(e.value)
 
+
+
+def long_way_witness(g, span, source, vertices):
+    """_witness as three separate checks: read the path off g, then its
+    colors, then its vertex set."""
+    try:
+        w = path_from_vertices(g, vertices)
+    except PathError as e:
+        raise WitnessError(source, f"witness is not a path: {e}")
+    if not w.is_rainbow():
+        raise WitnessError(source, "witness repeats a color")
+    if set(w.vertices) != span:
+        raise WitnessError(source, "witness does not span the path vertices")
+    return w
+
+
+def test_witness_reads_agree_with_the_long_way():
+    # every sequence of up to four of the hand instance's vertices and a
+    # few out of range, against every span of the path's prefixes: each
+    # read returns the same path or refuses with the same message
+    g, p = hand_pair()
+    seqs = [()] + [s for k in range(1, 5)
+                   for s in permutations(list(range(g.n)) + [-1, g.n], k)]
+    spans = [set(p.vertices[:k]) for k in range(1, len(p.vertices) + 1)]
+    kept = refused = 0
+    for span in spans:
+        for vs in seqs:
+            try:
+                expected = long_way_witness(g, span, "r", vs)
+            except WitnessError as e:
+                with pytest.raises(WitnessError) as got:
+                    terminals._witness(g, span, "r", vs)
+                assert str(got.value) == str(e)
+                refused += 1
+                continue
+            assert terminals._witness(g, span, "r", vs) == expected
+            kept += 1
+    assert kept > 10 and refused > 1000
 
 # === auxiliary graph ===
 
