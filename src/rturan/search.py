@@ -95,7 +95,7 @@ in its hook, from the path and its end rotations, and drops every end
 whose pair with the root it knows by then, so one search per root answers
 all of that root's endpoint pairs it does not know yet. The wanted set
 only shrinks, so a prune decided against it stays sound after it shrinks.
-Three prunes keep it sound and small. The first is the color-supply cut:
+Four prunes keep it sound and small. The first is the color-supply cut:
 each remaining vertex needs one more edge, of a new color, inside the
 scope, so a node is cut once the unused colors with an edge there are
 fewer than the vertices left. It reads the same carry-field count as
@@ -105,8 +105,21 @@ needs: it is on at 1 or less (one less than _dfs's gate), where the
 set's edges plus colors fit SPAN_SUPPLY_FIELD_BITS, a wider bound than
 _dfs's, as the cut saves far more here than it costs. Opened up to slack
 3, it found the same pairs on the first 500 instances of each
-criterion-08 sweep in barely fewer walks (random 138,556 to 135,795,
-bare_path 49,922 to 49,661), so it stays at 1.
+criterion-08 sweep in barely fewer walks (before forcing: random 138,556
+to 135,795, bare_path 49,922 to 49,661), so it stays at 1.
+The second is forcing, _dfs's rule where the supply count has no room to
+spare. Of the unused colors, slack + (vertices left) in number, a spanning
+path takes one edge each of as many as there are vertices left; so where
+the unused classes the count finds dead number exactly max(slack, 0), every
+other unused class gives exactly one edge of the rest of the path. A class
+among those whose only edges in the scope are at v must then give the step
+out of v: the same count, with v read as left too, finds them. Two of them
+cut the node, since the path leaves v once, and one restricts the step to
+that class's edges at v, every one of them where the coloring is improper.
+On the first 500 instances of each criterion-08 sweep it takes the aux
+oracle's walks from 138,556 to 77,096 (random) and from 49,922 to 49,674
+(bare_path), and on the 40 random instances of seed 5 at n 17..18 from
+3,353,183 to 1,390,745.
 The other two score each remaining vertex by its live neighbours among the
 remaining vertices and the current one: with none it can never be entered
 (dead end), and with exactly one it must be the path's last vertex, so at
@@ -316,6 +329,9 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
             cut_from = smallest
     if reach <= floor:
         cut_from = 0
+        if first and lim <= floor:
+            # the pre-check refuted every path longer than the floor
+            return floor, [0], 0, False
     nodes = 0
     best_len = floor
     best_seq = [0]
@@ -632,17 +648,11 @@ def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
         nonlocal left
         remaining = full & ~vmask
         cur_bit = 1 << v
-        # The cuts the module docstring sets out. Color supply: cut once
-        # more than `slack` unused classes (and at least one) have no edge
-        # left in the scope, the remaining vertices and v (_supply_layout).
-        if field:
-            dead = ((cmask >> field | cmask >> field2) + low) & guard
-            if (dead ^ dead & cmask).bit_count() > need:
-                return False
-        # Degree prunes, over the vertices in `scan` only: x with no live
-        # neighbour in the scope is a dead end; with one it is the path's
-        # last vertex; with two, unless x is a wanted end, it is passed
-        # through, so neither edge's color may be used yet.
+        # The cuts the module docstring sets out. Degree prunes, over the
+        # vertices in `scan` only: x with no live neighbour in the scope is
+        # a dead end; with one it is the path's last vertex; with two,
+        # unless x is a wanted end, it is passed through, so neither edge's
+        # color may be used yet.
         scope = remaining | cur_bit
         last = 0
         two = 0
@@ -670,6 +680,49 @@ def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
             last = xbit
         # what a child must rescan, less the child itself
         rescan = (adj_mask[v] & remaining) | last | two
+        # Color supply: cut once more than `slack` unused classes (and at
+        # least one) have no edge left in the scope, the remaining vertices
+        # and v (_supply_layout).
+        if field:
+            dead = ((cmask >> field | cmask >> field2) + low) & guard
+            count = (dead ^ dead & cmask).bit_count()
+            if count > need:
+                return False
+            steps = adj[v]
+            if count == need and steps:
+                # Forcing. Every other unused class gives exactly one edge
+                # of the rest of the path. Read as if v were left too (any
+                # entry of its row carries its edges), the count gives
+                # `spent`, the unused classes with no edge in the scope but
+                # at v; those not dead must give the step out of v: two cut
+                # the node, and one takes the step along each of its edges
+                # at v (more than one where the coloring is improper).
+                # Those steps get a loop of their own, so the loop below,
+                # all a node with the gate shut runs, tests no more.
+                out = cmask | steps[0][2]
+                spent = ((out >> field | out >> field2) + low) & guard
+                spent ^= spent & cmask
+                one = spent & ~dead
+                if one:
+                    if one & (one - 1):
+                        return False
+                    for (w, wbit, cbit) in steps:
+                        if not cbit & one or vmask & wbit or cmask & cbit:
+                            continue
+                        if remaining == wbit:
+                            cur.append(w)
+                            left &= ~hit(cur)
+                            cur.pop()
+                            return not left
+                        if not (left & ~(vmask | wbit)):
+                            continue
+                        cur.append(w)
+                        done = walk(w, vmask | wbit, cmask | cbit,
+                                    rescan & ~wbit)
+                        cur.pop()
+                        if done:
+                            return True
+                    return False
         for (w, wbit, cbit) in adj[v]:
             if (vmask & wbit) or (cmask & cbit):
                 continue

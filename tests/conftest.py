@@ -22,10 +22,10 @@ def supply_cut(monkeypatch):
     """check(run): run() returns (output, work), the work counted in search
     nodes or walk calls. check runs it as it is, then with every
     carry-field layout the kernels build (search._supply_layout, which they
-    look up by name) given no guard bits, so its count is 0 and the cut
-    never fires while the tables stay the same. It asserts that the outputs
-    are equal and that the cut did strictly less work: so the cut fired.
-    Returns the output."""
+    look up by name) given no guard bits, so its count is 0 and neither
+    the cut nor forcing, which reads the same count, ever fires while the
+    tables stay the same. It asserts that the outputs are equal and that
+    the cut did strictly less work: so the cut fired. Returns the output."""
     def check(run):
         output, work = run()
         inner = search._supply_layout

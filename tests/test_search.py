@@ -301,13 +301,16 @@ def scale_sweep(n_min, n_max):
 
 def test_scale_sweep_longest_nodes_are_pinned():
     # 5:21 (n 19, 17 colors, longest 16) took 2,582,381 nodes before the
-    # pre-check refuted its 17-edge path at the root
+    # pre-check refuted its 17-edge path at the root; the exists query for
+    # that path then expands no node
     total = 0
     for label, g in scale_sweep(19, 20):
         nodes = longest_rainbow_path(g).nodes_expanded
         total += nodes
         if label == "5:21":
             assert nodes == 423
+            out = has_rainbow_path(g, 17)
+            assert (out.found, out.nodes_expanded) == (False, 0)
     assert total == 53_126
 
 
@@ -378,9 +381,9 @@ def test_precheck_against_brute_force(singles, spends):
     assert best.best.vertices == next(rainbow_sequences(g, best.best.length))
     assert next(rainbow_sequences(g, best.best.length + 1), None) is None
     if not spends:
-        # refuted at the root: lim drops to colors - 1, which the floor
-        # already reaches, so each root ends at its first node
-        assert out.nodes_expanded == g.n
+        # refuted before the roots: lim drops to colors - 1, which the
+        # floor already reaches, so the search expands no node
+        assert out.nodes_expanded == 0
 
 # === the color-supply cut's carry-field count ===
 
@@ -388,7 +391,7 @@ def supply_counts(g, fn, *args):
     """fn(*args), for each node where a path kernel computed the
     color-supply count, (the colors of the classes the count found dead and
     unused, the colors of those brute force finds, the number of vertices
-    the path has left), and the same triple for each node where _dfs's
+    the path has left), and the same triple for each node where a kernel's
     forcing read the unused classes with no edge in the scope but at the
     current vertex. Brute force reads the graph: a class is dead when
     every edge of its color inside the scope (the graph, or the vertex set
@@ -456,15 +459,17 @@ def gated_suite_graphs(count):
 
 
 def test_supply_count_equals_brute_force_on_proper_colorings():
-    nodes = spans = slack2 = forcing = 0
+    nodes = spans = slack2 = forcing = span_forcing = 0
     for g in gated_suite_graphs(25):
         best, seen, forced = supply_counts(g, longest_rainbow_path, g)
-        _, span_seen, _ = supply_counts(g, build_aux_oracle, g, best.best)
-        for found, brute, _ in seen + span_seen + forced:
+        _, span_seen, span_forced = supply_counts(g, build_aux_oracle, g,
+                                                  best.best)
+        for found, brute, _ in seen + span_seen + forced + span_forced:
             assert found == brute
         nodes += len(seen)
         spans += len(span_seen)
         forcing += len(forced)
+        span_forcing += len(span_forced)
         if len(g.used_colors()) == g.n + 1:
             slack2 += len(seen)
     # 808:230, the heaviest gated instance, at color slack 2; its V(P*)
@@ -473,6 +478,7 @@ def test_supply_count_equals_brute_force_on_proper_colorings():
     _, seen, _ = supply_counts(g, longest_rainbow_path, g)
     assert all(found == brute for found, brute, _ in seen)
     assert nodes > 1000 and spans > 1000 and slack2 > 0
+    assert span_forcing > 100
     assert len(seen) > 10_000
     # forcing, on 808:24 (one color short) and on its exists query for
     # every color
@@ -502,7 +508,7 @@ def test_supply_count_equals_brute_force_on_improper_colorings():
     # cut more than a count of one edge per dead vertex, never less. The
     # 8-vertex graphs are wide enough for forcing, where a class may keep
     # several edges at the current vertex, each a step the search takes.
-    nodes = spans = past_matching = forcing = 0
+    nodes = spans = past_matching = forcing = span_forcing = 0
     rng = random.Random(43)
     wide = [ColoredGraph.from_edges(8, [
         (u, v, rng.randrange(6)) for u in range(8) for v in range(u + 1, 8)
@@ -520,17 +526,19 @@ def test_supply_count_equals_brute_force_on_improper_colorings():
             assert next(rainbow_sequences(g, length + 1), None) is None
             if i < 80:
                 for start in range(g.n):
-                    _, span_seen, _ = supply_counts(
+                    _, span_seen, span_forced = supply_counts(
                         g, spanning_rainbow_path_from, g, range(g.n), start)
                     spans += len(span_seen)
+                    span_forcing += len(span_forced)
                     seen += span_seen
+                    forced += span_forced
         for found, brute, left in seen + forced:
             assert found == brute
         for found, brute, left in seen:
             past_matching += any(
                 sum(c == d for (_, _, d) in g.edges) > left for c in found)
     assert nodes > 100 and spans > 1000 and past_matching > 0
-    assert forcing > 100
+    assert forcing > 100 and span_forcing > 100
 
 
 def test_wide_gated_input_builds_no_layout(monkeypatch):

@@ -177,8 +177,15 @@ def test_supply_cut_keeps_the_spanning_walk_smallest():
     assert suite_walks(808, "random") <= 12_425
 
 
-@pytest.mark.parametrize("seed,kind,walks", [(808, "random", 12_425),
-                                             (909, "bare_path", 2_346)])
+def test_forcing_keeps_the_spanning_walk_smallest():
+    # forcing, where the unused classes the supply count finds dead number
+    # exactly the slack, cuts the walk above further, to this (bare_path:
+    # 2,346 to 2,307)
+    assert suite_walks(808, "random") <= 6_905
+
+
+@pytest.mark.parametrize("seed,kind,walks", [(808, "random", 6_905),
+                                             (909, "bare_path", 2_307)])
 def test_spanning_walk_totals_are_pinned(seed, kind, walks):
     # the exact totals: a change to the kernel or to the rotation closure
     # that moves them changes which paths the oracle walks
@@ -331,6 +338,21 @@ def test_wanted_end_with_two_ways_is_not_forced():
     assert spanning_rainbow_path_from(g, vs, 0) == pstar
     check_spanning_searches(g, vs)
     check_oracles(g, pstar)
+
+
+def test_forced_class_with_two_edges_at_the_current_vertex():
+    # improper: color 0 has only the edges 0-2 and 0-4, both at the root,
+    # and V has color slack 0, so every color gives one edge of a spanning
+    # path and color 0 gives the step out of 0. The step 0-1 is skipped
+    # (without forcing the walk takes 6 calls), and the forced steps are
+    # both edges of color 0: 0-2 is cut, and only 0-4 completes a path
+    g = graph(5, [(0, 1, 1), (0, 2, 0), (0, 4, 0), (2, 4, 1), (1, 2, 2),
+                  (1, 3, 3)])
+    vs = range(5)
+    p, walks = walk_calls(spanning_rainbow_path_from, g, vs, 0)
+    assert p.vertices == (0, 4, 2, 1, 3)
+    assert walks == 5
+    check_spanning_searches(g, vs)
 
 
 # === hand cases for the aux oracle's end rotations ===
