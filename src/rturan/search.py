@@ -10,79 +10,20 @@ edge, in ascending order, a color's rank being its place among the colors in
 use); no search rebuilds it, and a spanning query only filters it down to
 its vertex set.
 
-longest_rainbow_path and has_rainbow_path share one recursive kernel, _dfs.
-It searches for rainbow paths longer than a floor from every root in
-ascending DFS order and keeps the first path of the best length, or, with
-`first` set, stops at the first path longer than the floor. It has two
-cuts. The free-vertex/free-color cap: both free counts drop by one per
-step, so depth + min(free vertices, free colors) is the constant
-min(n - 1, colors in use), and the search stops once the best length
-reaches it. The color-supply cut: a path that goes on from v spends one
-new color per edge, each on an edge inside the scope (the unvisited
-vertices and v), so a node whose depth plus the number of unused colors
-with an edge inside the scope is at most the best length is cut. The
-count is exact and costs one big-int addition per node (_supply_layout):
-each color class is a field of bits, one per edge and a guard bit above
-them; the walk's color mask carries, beside the guard bits of the colors
-used, the edges of every vertex the path has left (the dead vertices), in
-two regions, one for the edges whose lower end it is and one for the upper
-end; and adding one to every field carries into a guard bit exactly where
-the class has no edge clear of the dead vertices. Its gate is the color
-slack, colors in use - (n - 1): it is on at 2 or less, one more than the
-spanning kernel's gate below. At slack 2 it takes the longest search of
-the heaviest criterion-08 instance (random, seed 808, idx 230: n 12, 13
-colors) from 65,286 nodes to 10,088, and the first 500 instances of that
-sweep from 142,757 to 87,365 (bare_path, seed 909: 34,037 to 33,826);
-at slack 3 it cut no more nodes on random and 316 (0.9%) on bare_path,
-so it stays off above 2. It is also off where every color class has at
-least n / 2 edges, as in the xor colorings: a class of a proper coloring is a
-matching and loses at most one edge per dead vertex, so there the count
-would start only halfway down the path, and it was measured slower. And
-it is off where the layout, m + colors in use bits, would be wider than
-SUPPLY_FIELD_BITS: every color bit of the walk's table is three layouts
-wide, so each step costs more as the layout grows, and past the bound
-that outweighs the nodes the cut saves.
-
-Where the colors in use are at most n - 1, the cap is the number of
-colors, and once the best length is one short of it only a path that
-spends every color can beat it: the refutation a one-color-short graph
-ends with, and all of has_rainbow_path(g, colors). Such a path takes
-exactly one edge of every color, and two rules use that. The pre-check,
-once per search: the edges of the colors with a single edge in g must
-all lie on the path, so where they are not a linear forest (a vertex
-meets three of them, or they close a cycle) the cap drops to colors - 1
-and the search stops at the first path of that length, the one the full
-search keeps. Forcing, at every node once the best length is colors - 1:
-each unused class must give one edge inside the scope, so a class whose
-only edges there are at v gives the next step. The same carry-field
-count, with v read as left too, finds those classes at a few big-int
-operations per node. Two of them (or an unused class with no edge left)
-cut the node, and one restricts the step to that class's edges at v,
-every one of them where the coloring is improper. Both rules run only
-where the graph is at least FORCING_FLOOR_BITS wide (m + colors in use),
-below which they measured slower, and they open the layout where some
-class has fewer edges than the cap even where the supply gate is shut:
-so on maamoun_meyniel(3) (7 colors, classes of 4 edges on 8 vertices)
-but not on bipartite_f2k(3), whose classes have 8 edges. They take
-maamoun_meyniel(3) from 11,152 nodes to 3,092 (longest) and 3,088
-(exists 7), 808:24 from 4,198 to 1,285, the first 500 random/808
-instances from 87,365 to 53,156 (bare_path/909 stays at 33,826), and the
-40 random instances of seed 5 at n 19..20 from 2,694,113 to 53,126,
-where 5:21 (17 colors, longest 16) goes from 2,582,381 to 423 because
-the pre-check refutes its 17-edge path.
-
+longest_rainbow_path and has_rainbow_path share one recursive kernel, _dfs,
+whose docstring sets out its cuts and the comment above its gate where
+each runs. It searches for rainbow paths longer than a floor from every
+root in ascending DFS order and keeps the first path of the best length,
+or, with `first` set, stops at the first path longer than the floor.
 longest_rainbow_path is one run from floor 0 under the caller's budget,
 and has_rainbow_path(L) one run from floor L - 1 with `first` set. Each
 returns the path the kernel recorded: the first of its length in
 ascending DFS order, so the lexicographically least. Every cut drops only
-subtrees without a path longer than the best length so far: the cap cuts
-nothing until the best length reaches the constant, and the supply cut,
-the pre-check and forcing drop a subtree only where no path in it beats
-the best. So the single longest pass meets every path of the final
-length before it records the first of them. The path needs
-no orientation fix: had its reverse begun at a smaller root, that root's
-search, finished before this one began, would have recorded a path of this
-length first.
+subtrees without a path longer than the best length so far, so the single
+longest pass meets every path of the final length before it records the
+first of them. The path needs no orientation fix: had its reverse begun
+at a smaller root, that root's search, finished before this one began,
+would have recorded a path of this length first.
 
 The spanning searches (paths whose vertex set is a given set, the terminal
 and auxiliary oracles' question) share one recursive kernel, _span_ends. It
@@ -101,12 +42,10 @@ scope, so a node is cut once the unused colors with an edge there are
 fewer than the vertices left. It reads the same carry-field count as
 _dfs, over the layout of the set's own edges. Its gate is the color slack
 of the vertex set, the colors inside it minus the edges a spanning path
-needs: it is on at 1 or less (one less than _dfs's gate), where the
-set's edges plus colors fit SPAN_SUPPLY_FIELD_BITS, a wider bound than
-_dfs's, as the cut saves far more here than it costs. Opened up to slack
-3, it found the same pairs on the first 500 instances of each
-criterion-08 sweep in barely fewer walks (before forcing: random 138,556
-to 135,795, bare_path 49,922 to 49,661), so it stays at 1.
+needs: it is on at 1 or less, where the set's edges plus colors fit
+SPAN_SUPPLY_FIELD_BITS. Opened up to slack 3, it found the same pairs on
+the first 500 instances of each criterion-08 sweep in barely fewer walks,
+so it stays at 1.
 The second is forcing, _dfs's rule where the supply count has no room to
 spare. Of the unused colors, slack + (vertices left) in number, a spanning
 path takes one edge each of as many as there are vertices left; so where
@@ -116,10 +55,6 @@ among those whose only edges in the scope are at v must then give the step
 out of v: the same count, with v read as left too, finds them. Two of them
 cut the node, since the path leaves v once, and one restricts the step to
 that class's edges at v, every one of them where the coloring is improper.
-On the first 500 instances of each criterion-08 sweep it takes the aux
-oracle's walks from 138,556 to 77,096 (random) and from 49,922 to 49,674
-(bare_path), and on the 40 random instances of seed 5 at n 17..18 from
-3,353,183 to 1,390,745.
 The other two score each remaining vertex by its live neighbours among the
 remaining vertices and the current one: with none it can never be entered
 (dead end), and with exactly one it must be the path's last vertex, so at
@@ -278,47 +213,70 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
 
     Keeps the first path of the best length; with `first` set it stops at
     the first path longer than `floor`. `colors` is the number of colors in
-    use. lim = min(n - 1, colors) is the constant that depth + min(free
-    vertices, free colors) equals at every node; the search stops once the
-    best length reaches it. With the color-supply gate open, a node is cut
-    once colors - best length unused color classes have no edge left in
-    its scope: of the colors - depth unused colors, at most best length -
-    depth then have an edge there, so no path below beats the best. Where
-    lim is colors, only a path that spends every color beats a best length
-    of colors - 1, and two rules refute such paths: the pre-check lowers
-    lim to colors - 1 where _spends_every_color says none exists, and, at
-    that best length, a node is cut where two unused classes have their
-    only edges left in scope at v, and steps only along the edges of the
-    class where one has. Every node is counted, and once the count passes
-    `budget` the search stops. Returns (best length, its vertices, nodes
-    expanded, budget exhausted); the vertices are [0] while nothing beat
-    `floor`.
+    use. Every node is counted, and once the count passes `budget` the
+    search stops. Returns (best length, its vertices, nodes expanded,
+    budget exhausted); the vertices are [0] while nothing beat `floor`.
+
+    The cap: both free counts drop by one per step, so depth + min(free
+    vertices, free colors) is the constant lim = min(n - 1, colors), and
+    the search stops once the best length reaches it.
+
+    The other rules run where the gate below opens, over the carry-field
+    layout (_supply_layout). The color-supply cut: a path that goes on from
+    v spends one new color per edge, each on an edge inside the scope (the
+    unvisited vertices and v). So where colors - best length of the unused
+    classes have no edge left in the scope, at most best length - depth of
+    the colors - depth unused colors have one there, no path below beats
+    the best, and the node is cut. The count is exact and costs one big-int
+    addition per node.
+
+    Where lim is colors, only a path that spends every color beats a best
+    length of colors - 1, and such a path takes exactly one edge of every
+    color. Two rules refute it. The pre-check, once per search: the edges
+    of the colors with a single edge must all lie on the path, so where
+    _spends_every_color finds they are not a linear forest, lim drops to
+    colors - 1 and the search stops at the first path of that length, the
+    one the full search keeps. Forcing, at every node once the best length
+    is colors - 1: each unused class must give one edge inside the scope,
+    so a class whose only edges there are at v gives the next step. Two of
+    them (or an unused class with no edge left) cut the node, since the
+    path leaves v once, and one restricts the step to that class's edges
+    at v, every one of them where the coloring is improper.
     """
     n = g.n
     lim = min(n - 1, colors)
     nbrs = g._bits
     stop = sys.maxsize if budget is None else budget
-    # The cap and the color-supply cut share one depth test per node,
-    # depth >= cut_from, so with the gate shut a node costs what it did
-    # without the cut. No depth reaches n. The gate opens at color slack
-    # colors - (n - 1) <= 2 (the spanning kernel's stays at <= 1), where
-    # some class has fewer than n / 2 edges and the layout fits
-    # SUPPLY_FIELD_BITS, at the depth that can first empty a class: its
-    # fewest edges. The walk then reads the layout's table, whose color
-    # bits are guard bits carrying the edges of the row's vertex. From
-    # FORCING_FLOOR_BITS wide, where lim is colors, the pre-check runs,
-    # the gate also opens where some class has fewer than lim edges, and
-    # forcing is on: reach drops from lim to colors - 1. cut_from drops to
-    # 0 once the best length reaches reach, for the cap at lim and for
-    # forcing at colors - 1, where every node is checked.
+    # The gate. Every rule but the cap runs only where
+    # - the color slack colors - (n - 1) is at most 2: at 3 the cut saved
+    #   no nodes on random/808 and 0.9% on bare_path/909;
+    # - and the layout, m + colors bits, lies between LAYOUT_FLOOR_BITS and
+    #   SUPPLY_FIELD_BITS, about where it pays (see there).
+    # There the pre-check runs where lim is colors, and the layout is built
+    # where some class has fewer than n / 2 edges, or where forcing runs:
+    # the pre-check did not refute and some class has fewer than lim edges.
+    # A class of a proper coloring is a matching and loses at most one edge
+    # per dead vertex, so where every class has n / 2 edges or more, as in
+    # the xor colorings, the count starts only halfway down the path, and
+    # that measured slower. So the layout is built for maamoun_meyniel(3)
+    # (classes of 4 edges on 8 vertices, 7 colors), for forcing, and not
+    # for bipartite_f2k(3) (classes of 8 edges, 8 colors).
+    # The cap and the cut share one depth test per node, depth >= cut_from,
+    # so with the gate shut (cut_from n, which no depth reaches) a node
+    # costs what it did without the cut. With it open, cut_from is the
+    # depth that can first empty a class, its fewest edges, and the walk
+    # reads the layout's table. reach is colors - 1 where forcing runs and
+    # lim otherwise; cut_from drops to 0 once the best length reaches it,
+    # for the cap at lim and for forcing at colors - 1, where every node is
+    # checked.
     cut_from = n
     reach = lim
     field = field2 = low = guard = 0
-    width = g.m + colors
-    if colors <= n + 1 and width <= SUPPLY_FIELD_BITS:
+    if (colors <= n + 1
+            and LAYOUT_FLOOR_BITS <= g.m + colors <= SUPPLY_FIELD_BITS):
         classes = _color_classes(nbrs)
-        smallest = min(map(len, classes.values()), default=n)
-        if width >= FORCING_FLOOR_BITS and lim == colors:
+        smallest = min(map(len, classes.values()))
+        if lim == colors:
             if not _spends_every_color(classes):
                 lim = reach = colors - 1
             elif smallest < lim:
@@ -360,17 +318,12 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
                 if (dead ^ dead & cmask).bit_count() >= colors - best_len:
                     return True
             elif nbrs[v]:
-                # Forcing. Only a path that spends every color beats the
-                # best, and its steps from v spend one edge of each unused
-                # class, all in the scope. Read as if v were left too
-                # (any entry of its row carries its edges), the count
-                # gives the unused classes with no edge in the scope but
-                # at v: a dead one cuts the node, two that are not cut it
-                # (the path leaves v once), and one forces the step along
-                # each of its edges at v (more than one where the coloring
-                # is improper). Those steps get a loop of their own: a
-                # filtered row handed to the loop below measured 3-4%
-                # slower on the searches with the gate shut.
+                # Forcing. Read as if v were left too (any entry of its
+                # row carries its edges), the count gives the unused
+                # classes with no edge in the scope but at v. The forced
+                # steps get a loop of their own: a filtered row handed to
+                # the loop below measured 3-4% slower on the searches with
+                # the gate shut.
                 left = cmask | nbrs[v][0][2]
                 spent = ((left >> field | left >> field2) + low) & guard
                 spent ^= spent & cmask
@@ -428,18 +381,19 @@ SUPPLY_FIELD_BITS = 1024
 SPAN_SUPPLY_FIELD_BITS = 4096
 
 
-# The narrowest graph, m + colors in use bits, on which _dfs runs the
-# pre-check and forcing (and opens the layout for them where the supply
-# gate alone would not). Below it both cost more than they save. Longest
-# searches on the graphs with colors <= n - 1 of the first 1000 instances
-# of the random/808, bare_path/909 and random/31 sweeps (n 5..12; Python
-# 3.11, 2-core Xeon), CPU time with the rules on over off, min of 4, per
-# band of m + colors: 1.16 at 4-7 bits (127 graphs), 1.10 at 8-11 (294),
-# 1.02 at 12-15 (265), 1.01 at 16-19 (194), 0.96 at 20-23 (218), 0.92
-# at 24-27 (199), 0.83 at 28-31 (152), 0.65 past 31 (446). Nodes fell in
-# every band from 4 bits on (by 20-51%), so it is the cost per node,
-# not the cut, that sets the floor.
-FORCING_FLOOR_BITS = 20
+# The narrowest graph, m + colors in use bits, on which _dfs builds the
+# layout and runs the pre-check: below it they cost more per node than the
+# nodes they save. Longest searches on the graphs of the first 1000
+# instances of the random/808, bare_path/909 and random/31 sweeps (n 5..12;
+# Python 3.11, 2-core Xeon) whose gate opens with no floor, CPU time with
+# the floor at 1 over past every width, min of 4, per band of m + colors:
+# 2.09 at 4-7 bits (127 graphs), 1.85 at 8-11 (332), 1.75 at 12-15
+# (383), 1.34 at 16-19 (252), 1.04 at 20-23 (253), 0.56 at 24-27 (209),
+# 0.47 at 28-31 (165), 0.15 past 31 (478). Nodes fell in every band from
+# 4 bits on (by 26-93%). In 2-bit bands the crossover is 22:
+# 1.08-1.10 at 20-21 (132 graphs) and 0.79-0.83 at 22-23 (121), two runs
+# of min of 6; the floor stays at 20, within a tenth of it.
+LAYOUT_FLOOR_BITS = 20
 
 
 def _spends_every_color(classes: dict) -> bool:

@@ -12,10 +12,11 @@ only; its step counts follow tie order, so they are not compared.
 
 The decide constructions are checked the same way, on the search layer
 alone: the canonical proper colorings of K5 with 5 or 6 colors (color slack
-1 or 2, where the longest and exists searches build the color-supply
-layout) and the xor constructions. A case is labelled "name:perm_seed",
-name one of CONSTRUCTIONS or "k5.i" for the i-th canonical coloring, and
-decide_mismatches(label) replays it alone.
+1 or 2, but narrower than search.LAYOUT_FLOOR_BITS, so the longest and
+exists searches run on the plain table) and the constructions, of which
+maamoun_meyniel(3) builds the color-supply layout. A case is labelled
+"name:perm_seed", name one of CONSTRUCTIONS or "k5.i" for the i-th
+canonical coloring, and decide_mismatches(label) replays it alone.
 """
 
 import random

@@ -18,7 +18,9 @@ from rturan.constructions import bipartite_f2k, maamoun_meyniel
 from rturan.corpus import (RunConfig, build_claim_context, random_instance,
                            sweep)
 from rturan.errors import GuardError, PathError, PreconditionError
-from rturan.graphs import ColoredGraph, one_factorized_complete
+from rturan.graphs import (ColoredGraph, complete_graph,
+                           one_factorized_complete)
+from rturan.oracle import proper_colorings
 from rturan.search import (SPAN_SUPPLY_FIELD_BITS, SUPPLY_FIELD_BITS,
                            ExistsOutcome, RainbowPath,
                            has_rainbow_path, is_rainbow, longest_rainbow_path,
@@ -66,10 +68,10 @@ def rainbow_sequences(g, length):
             yield perm
 
 
-def seeded_graphs(seed, count, n_max=6, colors=4):
+def seeded_graphs(seed, count, n_max=6, colors=4, n_min=1):
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randrange(1, n_max + 1)
+        n = rng.randrange(n_min, n_max + 1)
         edges = [(u, v, rng.randrange(colors))
                  for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.6]
@@ -229,7 +231,12 @@ def searches_of(graphs):
 
 
 def test_witnesses_are_lexicographically_least(supply_cut):
-    graphs = list(seeded_graphs(31, 60))
+    # the graphs on 7 or 8 vertices are at least LAYOUT_FLOOR_BITS wide,
+    # so their searches build the layout
+    wide = list(seeded_graphs(31, 6, n_min=7, n_max=8, colors=6))
+    assert all(g.m + len(g.used_colors()) >= search.LAYOUT_FLOOR_BITS
+               for g in wide)
+    graphs = list(seeded_graphs(31, 60)) + wide
     # the color-supply cut fired in these searches and changed no answer,
     # so the brute force below checks it too
     outs = supply_cut(searches_of(graphs))
@@ -283,8 +290,8 @@ def test_frozen_node_count_of_the_heaviest_suite_instance(supply_cut):
     assert longest_rainbow_path(g).nodes_expanded == 1_285
 
 
-@pytest.mark.parametrize("seed,kind,nodes", [(808, "random", 53_156),
-                                             (909, "bare_path", 33_826)])
+@pytest.mark.parametrize("seed,kind,nodes", [(808, "random", 57_556),
+                                             (909, "bare_path", 34_140)])
 def test_sweep_longest_node_totals_are_pinned(seed, kind, nodes):
     # the longest searches of the first 500 instances of each criterion-08
     # sweep: a change to the kernel's cuts or to its gate moves these
@@ -322,8 +329,8 @@ def one_color_short(graphs):
 
 
 def test_tight_rules_keep_every_answer_and_cut_nodes(monkeypatch):
-    # the pre-check and forcing against the same searches with both off
-    # (FORCING_FLOOR_BITS past every width), on every one-color-short
+    # the pre-check and forcing against the same searches with the layout
+    # off (LAYOUT_FLOOR_BITS past every width), on every one-color-short
     # instance of both sweeps and of the scale target at n 15..16
     graphs = one_color_short(
         list(suite_graphs(500)) + [g for _, g in scale_sweep(15, 16)])
@@ -339,10 +346,14 @@ def test_tight_rules_keep_every_answer_and_cut_nodes(monkeypatch):
 
     outs, nodes = run()
     with monkeypatch.context() as patch:
-        patch.setattr(search, "FORCING_FLOOR_BITS", sys.maxsize)
+        patch.setattr(search, "LAYOUT_FLOOR_BITS", sys.maxsize)
         plain, plain_nodes = run()
     assert outs == plain
     assert nodes < plain_nodes
+    # the floor shuts the supply cut too, so this shows that the pre-check
+    # and forcing cut nodes: with the cut on at every width and both rules
+    # off, the same searches took 239,983 nodes
+    assert nodes < 239_983
     assert len(graphs) > 150 and all(found is not True
                                      for _, found, _ in outs)
 
@@ -350,7 +361,7 @@ def test_tight_rules_keep_every_answer_and_cut_nodes(monkeypatch):
 def padded(n, singles):
     """n vertices: the single-edge colors `singles` (one (u, v) each,
     colors 0, 1, ...), and two more colors on the other pairs of vertices
-    1..n-1 (improper), so the graph is as wide as FORCING_FLOOR_BITS asks
+    1..n-1 (improper), so the graph is as wide as LAYOUT_FLOOR_BITS asks
     and lim is the number of colors."""
     edges = [(u, v, c) for c, (u, v) in enumerate(singles)]
     taken = {(u, v) for u, v in singles}
@@ -359,7 +370,7 @@ def padded(n, singles):
               for v in range(u + 1, n) if (u, v) not in taken]
     g = ColoredGraph.from_edges(n, edges)
     colors = len(g.used_colors())
-    assert colors < n and g.m + colors >= search.FORCING_FLOOR_BITS
+    assert colors < n and g.m + colors >= search.LAYOUT_FLOOR_BITS
     return g
 
 
@@ -452,15 +463,17 @@ def supply_counts(g, fn, *args):
 
 
 def gated_suite_graphs(count):
-    """Suite instances (proper colorings) whose color slack opens the
-    longest search's color-supply gate (colors in use - (n - 1) <= 2)."""
+    """Suite instances (proper colorings) on which the longest search may
+    build its layout: color slack colors in use - (n - 1) <= 2, and at
+    least LAYOUT_FLOOR_BITS wide (m + colors in use)."""
     return [g for g in suite_graphs(count)
-            if len(g.used_colors()) <= g.n + 1]
+            if len(g.used_colors()) <= g.n + 1
+            and g.m + len(g.used_colors()) >= search.LAYOUT_FLOOR_BITS]
 
 
 def test_supply_count_equals_brute_force_on_proper_colorings():
     nodes = spans = slack2 = forcing = span_forcing = 0
-    for g in gated_suite_graphs(25):
+    for g in gated_suite_graphs(40):
         best, seen, forced = supply_counts(g, longest_rainbow_path, g)
         _, span_seen, span_forced = supply_counts(g, build_aux_oracle, g,
                                                   best.best)
@@ -562,6 +575,26 @@ def test_wide_gated_input_builds_no_layout(monkeypatch):
     monkeypatch.setattr(search, "SUPPLY_FIELD_BITS", 0)
     shut = longest_rainbow_path(g, budget=2000)
     assert (out.best, out.nodes_expanded) == (shut.best, shut.nodes_expanded)
+
+
+def test_narrow_gated_input_builds_no_layout(monkeypatch):
+    # below LAYOUT_FLOOR_BITS the layout costs more per node than it saves:
+    # the K5 colorings (gated at 5 or 6 colors, 15 or 16 bits) and 808:2
+    # (n 8, 12 edges, 5 colors, a class of one edge) search on the plain
+    # table alone
+    g = suite_instance("808:2")
+    colors = len(g.used_colors())
+    assert colors <= g.n + 1 and g.m + colors < search.LAYOUT_FLOOR_BITS
+    assert min(Counter(c for (_, _, c) in g.edges).values()) * 2 < g.n
+
+    def refuse(*args):
+        raise AssertionError("a layout was built")
+
+    monkeypatch.setattr(search, "_supply_layout", refuse)
+    for h in [g, *proper_colorings(complete_graph(5))]:
+        longest_rainbow_path(h)
+        for length in range(1, h.n):
+            has_rainbow_path(h, length)
 
 
 def test_spanning_layout_bound_is_wider_than_the_longest_search_bound():

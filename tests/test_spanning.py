@@ -103,6 +103,60 @@ def test_spanning_searches_match_brute_force(kind):
         check_spanning_searches(g, rng.sample(range(g.n), rng.randint(2, g.n)))
 
 
+def tight_improper_graphs(count):
+    """`count` improper colorings of random graphs on 6 to 8 vertices whose
+    color slack, colors in use - (n - 1), is 0 or 1: a spanning search over
+    all of V runs the supply cut and forcing, and a class may have several
+    edges at a vertex."""
+    rng = random.Random("tight-improper")
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(6, 8)
+        k = n - 1 + rng.randint(0, 1)
+        p = rng.choice((0.6, 0.8))
+        g = ColoredGraph.from_edges(n, [
+            (u, v, rng.randrange(k)) for u in range(n)
+            for v in range(u + 1, n) if rng.random() < p])
+        if len(g.used_colors()) - (n - 1) in (0, 1):
+            graphs.append(g)
+    return graphs
+
+
+def test_spanning_searches_on_tight_improper_colorings_match_brute_force():
+    # every from/between query over V against brute force. The tracer,
+    # on the from queries, counts the nodes where forcing stepped along a
+    # class with two or more edges to unvisited vertices at the current
+    # one (the walk's `one`, read at its return)
+    walk = next(c for c in search._span_ends.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == "walk")
+    several = 0
+
+    def trace(frame, event, arg):
+        if frame.f_code is not walk:
+            return None
+        frame.f_trace_lines = False
+
+        def local(frame, event, arg):
+            nonlocal several
+            at = frame.f_locals
+            if event == "return" and at.get("one"):
+                several += sum(1 for (_, wbit, cbit) in at["steps"]
+                               if cbit & at["one"]
+                               and not wbit & at["vmask"]) > 1
+            return local
+        return local
+
+    for g in tight_improper_graphs(8):
+        check_spanning_searches(g, range(g.n))
+        sys.settrace(trace)
+        try:
+            for u in range(g.n):
+                spanning_rainbow_path_from(g, range(g.n), u)
+        finally:
+            sys.settrace(None)
+    assert several > 50
+
+
 @pytest.mark.parametrize("seed,kind", [(808, "random"), (909, "bare_path")])
 def test_aux_oracle_equals_reference_on_suite_instances(seed, kind):
     # the first 200 instances of each criterion-08 sweep
