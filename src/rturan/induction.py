@@ -35,10 +35,7 @@ from .terminals import terminal_oracle  # noqa: F401
 
 
 def frac_str(q) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 @dataclass(frozen=True)

@@ -252,36 +252,31 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     #   no nodes on random/808 and 0.9% on bare_path/909;
     # - and the layout, m + colors bits, lies between LAYOUT_FLOOR_BITS and
     #   SUPPLY_FIELD_BITS, about where it pays (see there).
-    # There the pre-check runs where lim is colors, and the layout is built
-    # where some class has fewer than n / 2 edges, or where forcing runs:
-    # the pre-check did not refute and some class has fewer than lim edges.
-    # A class of a proper coloring is a matching and loses at most one edge
-    # per dead vertex, so where every class has n / 2 edges or more, as in
-    # the xor colorings, the count starts only halfway down the path, and
-    # that measured slower. So the layout is built for maamoun_meyniel(3)
-    # (classes of 4 edges on 8 vertices, 7 colors), for forcing, and not
-    # for bipartite_f2k(3) (classes of 8 edges, 8 colors).
+    # There the pre-check runs where lim is colors, and then the layout is
+    # built where some class has fewer than lim edges. The walk reads it
+    # from depth `smallest` on, the fewest edges of a class: each dead
+    # vertex takes at most one edge from a class of a proper coloring, so
+    # none is empty higher up. Where smallest is lim or more, the cap stops
+    # every path before that depth, and a layout would never be read.
     # The cap and the cut share one depth test per node, depth >= cut_from,
-    # so with the gate shut (cut_from n, which no depth reaches) a node
-    # costs what it did without the cut. With it open, cut_from is the
-    # depth that can first empty a class, its fewest edges, and the walk
-    # reads the layout's table. reach is colors - 1 where forcing runs and
-    # lim otherwise; cut_from drops to 0 once the best length reaches it,
-    # for the cap at lim and for forcing at colors - 1, where every node is
-    # checked.
+    # so with no layout (cut_from n, which no depth reaches) a node costs
+    # what it did without the cut. With one, cut_from is smallest and the
+    # walk reads the layout's table. reach is colors - 1 where forcing runs
+    # (lim is colors) and lim otherwise; cut_from drops to 0 once the best
+    # length reaches it, for the cap at lim and for forcing at colors - 1,
+    # where every node is checked.
     cut_from = n
     reach = lim
     field = field2 = low = guard = 0
     if (colors <= n + 1
             and LAYOUT_FLOOR_BITS <= g.m + colors <= SUPPLY_FIELD_BITS):
         classes = _color_classes(nbrs)
+        if lim == colors and not _spends_every_color(classes):
+            lim = reach = colors - 1
         smallest = min(map(len, classes.values()))
-        if lim == colors:
-            if not _spends_every_color(classes):
-                lim = reach = colors - 1
-            elif smallest < lim:
+        if smallest < lim:
+            if lim == colors:
                 reach = colors - 1
-        if 2 * smallest < n or reach < lim:
             nbrs, field, low, guard = _supply_layout(nbrs, classes)
             field2 = 2 * field
             cut_from = smallest
@@ -369,7 +364,10 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
 # at 768-1,024, 1.48 at 1,024-1,536, 2.6-3.5 past 2,048. Per node the
 # layout costs 1.5-2.5 times the shut cut up to 1,536 bits and 2.8-3.7
 # past 2,048. So the bound is where the cut stops paying for itself in
-# this kernel.
+# this kernel. Past it a budgeted search runs without the cut, so on a
+# dense graph it may prove less and return a shorter path than one with
+# the cut: at 1,024-1,536 bits, 19 of 70 searches were proven with the
+# layout and 7 without.
 SUPPLY_FIELD_BITS = 1024
 
 # The widest layout _span_prep builds, a memory guard and not a measured

@@ -382,15 +382,9 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
         wanted = later & ~known[u]
         if wanted:
             _span_ends(s, u, wanted, hit)
-    edges = []
-    for a in s.vs:
-        rest = known[a] >> a + 1 << a + 1   # a's partners above a
-        while rest:
-            bbit = rest & -rest
-            rest ^= bbit
-            edges.append((a, bbit.bit_length() - 1))
     return AuxGraph(vertices=tuple(v for v in s.vs if known[v]),
-                    edges=frozenset(edges))
+                    edges=frozenset((a, b) for a in s.vs for b in s.vs
+                                    if a < b and known[a] >> b & 1))
 
 
 def maximum_matching(aux: AuxGraph) -> tuple:

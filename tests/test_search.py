@@ -597,6 +597,29 @@ def test_narrow_gated_input_builds_no_layout(monkeypatch):
             has_rainbow_path(h, length)
 
 
+def test_layout_no_depth_can_read_is_not_built(monkeypatch):
+    # a proper 3-coloring of 13 vertices, 18 edges (21 bits, inside the
+    # band): the path 0..12 in colors 0, 1, 0, 1, ... and six chords in
+    # color 2. Every class has 6 edges, so none can be empty above depth
+    # 6, while the cap stops every path at lim = 3: the cut is never read
+    edges = [(v, v + 1, v % 2) for v in range(12)]
+    edges += [(v, v + 3, 2) for v in (0, 1, 2, 6, 7, 8)]
+    g = ColoredGraph(13, tuple(sorted(edges)), 3)
+    assert search.LAYOUT_FLOOR_BITS <= g.m + 3 <= SUPPLY_FIELD_BITS
+    assert set(Counter(c for (_, _, c) in g.edges).values()) == {6}
+
+    def refuse(*args):
+        raise AssertionError("a layout was built")
+
+    monkeypatch.setattr(search, "_supply_layout", refuse)
+    for floor in (search.LAYOUT_FLOOR_BITS, sys.maxsize):
+        monkeypatch.setattr(search, "LAYOUT_FLOOR_BITS", floor)
+        out = longest_rainbow_path(g)
+        assert (out.best.vertices, out.nodes_expanded) == ((0, 1, 2, 5), 18)
+        found = has_rainbow_path(g, 3)
+        assert (found.found, found.nodes_expanded) == (True, 4)
+
+
 def test_spanning_layout_bound_is_wider_than_the_longest_search_bound():
     # one-factorized K_48: 1,128 edges and 47 colors, slack 0. The longest
     # search would run it with the cut shut, but a spanning search over
