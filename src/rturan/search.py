@@ -12,18 +12,16 @@ its vertex set.
 
 longest_rainbow_path and has_rainbow_path share one recursive kernel, _dfs,
 whose docstring sets out its cuts and the comment above its gate where
-each runs. It searches for rainbow paths longer than a floor from every
-root in ascending DFS order and keeps the first path of the best length,
-or, with `first` set, stops at the first path longer than the floor.
-longest_rainbow_path is one run from floor 0 under the caller's budget,
-and has_rainbow_path(L) one run from floor L - 1 with `first` set. Each
-returns the path the kernel recorded: the first of its length in
-ascending DFS order, so the lexicographically least. Every cut drops only
-subtrees without a path longer than the best length so far, so the single
-longest pass meets every path of the final length before it records the
-first of them. The path needs no orientation fix: had its reverse begun
-at a smaller root, that root's search, finished before this one began,
-would have recorded a path of this length first.
+each runs. It searches for rainbow paths from every root in ascending DFS
+order, keeps the first path of the best length, and stops once that
+length reaches its goal: the cap for the longest path, L for
+has_rainbow_path(L). Each returns the path the kernel recorded: the first
+of its length in ascending DFS order, so the lexicographically least.
+Every cut drops only subtrees without a path longer than the best length
+so far, so the single longest pass meets every path of the final length
+before it records the first of them. The path needs no orientation fix:
+had its reverse begun at a smaller root, that root's search, finished
+before this one began, would have recorded a path of this length first.
 
 The spanning searches (paths whose vertex set is a given set, the terminal
 and auxiliary oracles' question) share one recursive kernel, _span_ends. It
@@ -206,20 +204,23 @@ class ExistsOutcome:
     nodes_expanded: int
 
 
-def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
+def _dfs(g: ColoredGraph, colors: int, length: Optional[int],
          budget: Optional[int]) -> tuple[int, list[int], int, bool]:
-    """Rainbow paths longer than `floor` edges, from every root in ascending
-    DFS order.
+    """Rainbow paths from every root in ascending DFS order: the longest
+    where `length` is None, else one of `length` edges.
 
-    Keeps the first path of the best length; with `first` set it stops at
-    the first path longer than `floor`. `colors` is the number of colors in
-    use. Every node is counted, and once the count passes `budget` the
-    search stops. Returns (best length, its vertices, nodes expanded,
-    budget exhausted); the vertices are [0] while nothing beat `floor`.
+    Keeps the first path of the best length, and ends the search once that
+    length reaches its goal: `length`, or for the longest the cap below.
+    `colors` is the number of colors in use. Every node is counted, and
+    once the count passes `budget` the search stops. Returns (best length,
+    its vertices, nodes expanded, budget exhausted); the vertices are [0]
+    while no path is recorded.
 
     The cap: both free counts drop by one per step, so depth + min(free
     vertices, free colors) is the constant lim = min(n - 1, colors), and
-    the search stops once the best length reaches it.
+    no rainbow path is longer. A longest search that records a path of lim
+    edges ends there, proven: the walk records only a path longer than the
+    best, so nothing after it could be recorded.
 
     The other rules run where the gate below opens, over the carry-field
     layout (_supply_layout). The color-supply cut: a path that goes on from
@@ -235,8 +236,9 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     color. Two rules refute it. The pre-check, once per search: the edges
     of the colors with a single edge must all lie on the path, so where
     _spends_every_color finds they are not a linear forest, lim drops to
-    colors - 1 and the search stops at the first path of that length, the
-    one the full search keeps. Forcing, at every node once the best length
+    colors - 1. The longest search then ends at the first path of that
+    length, the one the full search keeps, and a query for colors edges is
+    refuted before the roots. Forcing, at every node once the best length
     is colors - 1: each unused class must give one edge inside the scope,
     so a class whose only edges there are at v gives the next step. Two of
     them (or an unused class with no edge left) cut the node, since the
@@ -247,7 +249,7 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     lim = min(n - 1, colors)
     nbrs = g._bits
     stop = sys.maxsize if budget is None else budget
-    # The gate. Every rule but the cap runs only where
+    # The gate. The cut, the pre-check and forcing run only where
     # - the color slack colors - (n - 1) is at most 2: at 3 the cut saved
     #   no nodes on random/808 and 0.9% on bare_path/909;
     # - and the layout, m + colors bits, lies between LAYOUT_FLOOR_BITS and
@@ -256,23 +258,21 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
     # built where some class has fewer than lim edges. The walk reads it
     # from depth `smallest` on, the fewest edges of a class: each dead
     # vertex takes at most one edge from a class of a proper coloring, so
-    # none is empty higher up. Where smallest is lim or more, the cap stops
-    # every path before that depth, and a layout would never be read.
-    # The cap and the cut share one depth test per node, depth >= cut_from,
+    # none is empty higher up. Where smallest is lim or more, the search
+    # ends at depth lim at the latest, before a node there reads it.
+    # One depth test per node, depth >= cut_from, guards the layout's reads,
     # so with no layout (cut_from n, which no depth reaches) a node costs
-    # what it did without the cut. With one, cut_from is smallest and the
-    # walk reads the layout's table. reach is colors - 1 where forcing runs
-    # (lim is colors) and lim otherwise; cut_from drops to 0 once the best
-    # length reaches it, for the cap at lim and for forcing at colors - 1,
-    # where every node is checked.
-    cut_from = n
-    reach = lim
+    # what it did without the cut. With one, cut_from is smallest, and it
+    # drops to 0 only for forcing, which checks every node once the best
+    # length reaches `reach`: colors - 1 where forcing runs, else n, which
+    # no length reaches.
+    cut_from = reach = n
     field = field2 = low = guard = 0
     if (colors <= n + 1
             and LAYOUT_FLOOR_BITS <= g.m + colors <= SUPPLY_FIELD_BITS):
         classes = _color_classes(nbrs)
         if lim == colors and not _spends_every_color(classes):
-            lim = reach = colors - 1
+            lim -= 1
         smallest = min(map(len, classes.values()))
         if smallest < lim:
             if lim == colors:
@@ -280,13 +280,15 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
             nbrs, field, low, guard = _supply_layout(nbrs, classes)
             field2 = 2 * field
             cut_from = smallest
-    if reach <= floor:
+    goal = lim if length is None else length
+    if goal > lim:
+        # the pre-check refuted every path of this length
+        return 0, [0], 0, False
+    # the longest search records its root too, so a cap of 0 ends it there
+    best_len = -1 if length is None else length - 1
+    if reach <= best_len:
         cut_from = 0
-        if first and lim <= floor:
-            # the pre-check refuted every path longer than the floor
-            return floor, [0], 0, False
     nodes = 0
-    best_len = floor
     best_seq = [0]
     cur: list[int] = []
 
@@ -298,13 +300,11 @@ def _dfs(g: ColoredGraph, colors: int, floor: int, first: bool,
         if depth > best_len:
             best_len = depth
             best_seq = cur.copy()
-            if first:
+            if depth == goal:
                 return False
-            if reach <= depth:
+            if depth == reach:
                 cut_from = 0
         if depth >= cut_from:
-            if lim <= best_len:
-                return True
             # the unused classes with no edge left in the scope
             # (_supply_layout), inline: a call per node costs most of it
             gone = cmask >> field | cmask >> field2
@@ -496,7 +496,7 @@ def longest_rainbow_path(g: ColoredGraph, budget: Optional[int] = None) -> Searc
     _check_budget(budget)
     if g.n == 0:
         return SearchOutcome(None, True, 0)
-    _, seq, nodes, exhausted = _dfs(g, len(g.used_colors()), 0, False, budget)
+    _, seq, nodes, exhausted = _dfs(g, len(g.used_colors()), None, budget)
     return SearchOutcome(path_from_vertices(g, seq), not exhausted, nodes)
 
 
@@ -517,7 +517,7 @@ def has_rainbow_path(g: ColoredGraph, length: int,
     colors = len(g.used_colors())
     if length > min(g.n - 1, colors):
         return ExistsOutcome(False, None, 0)
-    got, seq, nodes, exhausted = _dfs(g, colors, length - 1, True, budget)
+    got, seq, nodes, exhausted = _dfs(g, colors, length, budget)
     if exhausted:
         return ExistsOutcome(None, None, nodes)
     if got == length:

@@ -208,6 +208,16 @@ def test_longest_budget_refusal(f2k_file, capsys):
         assert out == "" and "budget must be" in err, argv
 
 
+def test_longest_proven_at_the_cap_within_its_budget(tmp_path, capsys):
+    # the rainbow path on 6 vertices ends at the cap on its sixth node
+    path = tmp_path / "path6.txt"
+    path.write_text("6 5 5\n" + "".join(f"{v} {v + 1} {v}\n"
+                                         for v in range(5)))
+    code, out = run(capsys, ["rainbow", "longest", str(path),
+                             "--budget", "6"])
+    assert code == 0 and "proven optimal (6 nodes)" in out
+
+
 def test_exists_decided_both_ways(f2k_file, capsys):
     code, out = run(capsys, ["rainbow", "exists", f2k_file,
                              "--length", "3"])

@@ -192,6 +192,20 @@ def test_pinned_refuses_an_unproven_search_and_an_empty_graph():
     assert out.pinned() is out.best and out.best.length == 3
 
 
+def test_search_ends_where_its_best_reaches_the_cap():
+    # the rainbow path on 6 vertices: the first 5-edge path, from root 0,
+    # reaches the cap min(n - 1, colors) = 5, so the search ends there,
+    # proven, at its sixth node, and a budget of 6 nodes is enough
+    g = ColoredGraph.from_edges(6, [(v, v + 1, v) for v in range(5)])
+    for budget in (6, None):
+        out = longest_rainbow_path(g, budget=budget)
+        assert out.proven_optimal and out.nodes_expanded == 6
+        assert out.best.vertices == tuple(range(6))
+    # with no edge the cap is 0, and the first root's path reaches it
+    out = longest_rainbow_path(ColoredGraph.from_edges(20, []), budget=1)
+    assert out.proven_optimal and out.nodes_expanded == 1
+
+
 def test_longest_budget_counts_the_refused_node():
     g = one_factorized_complete(10)
     out = longest_rainbow_path(g, budget=5)
@@ -290,8 +304,8 @@ def test_frozen_node_count_of_the_heaviest_suite_instance(supply_cut):
     assert longest_rainbow_path(g).nodes_expanded == 1_285
 
 
-@pytest.mark.parametrize("seed,kind,nodes", [(808, "random", 57_556),
-                                             (909, "bare_path", 34_140)])
+@pytest.mark.parametrize("seed,kind,nodes", [(808, "random", 53_442),
+                                             (909, "bare_path", 25_930)])
 def test_sweep_longest_node_totals_are_pinned(seed, kind, nodes):
     # the longest searches of the first 500 instances of each criterion-08
     # sweep: a change to the kernel's cuts or to its gate moves these
@@ -315,10 +329,10 @@ def test_scale_sweep_longest_nodes_are_pinned():
         nodes = longest_rainbow_path(g).nodes_expanded
         total += nodes
         if label == "5:21":
-            assert nodes == 423
+            assert nodes == 378
             out = has_rainbow_path(g, 17)
             assert (out.found, out.nodes_expanded) == (False, 0)
-    assert total == 53_126
+    assert total == 51_203
 
 
 def one_color_short(graphs):
@@ -392,8 +406,8 @@ def test_precheck_against_brute_force(singles, spends):
     assert best.best.vertices == next(rainbow_sequences(g, best.best.length))
     assert next(rainbow_sequences(g, best.best.length + 1), None) is None
     if not spends:
-        # refuted before the roots: lim drops to colors - 1, which the
-        # floor already reaches, so the search expands no node
+        # refuted before the roots: lim drops to colors - 1, below the
+        # asked length, so the search expands no node
         assert out.nodes_expanded == 0
 
 # === the color-supply cut's carry-field count ===
@@ -601,7 +615,8 @@ def test_layout_no_depth_can_read_is_not_built(monkeypatch):
     # a proper 3-coloring of 13 vertices, 18 edges (21 bits, inside the
     # band): the path 0..12 in colors 0, 1, 0, 1, ... and six chords in
     # color 2. Every class has 6 edges, so none can be empty above depth
-    # 6, while the cap stops every path at lim = 3: the cut is never read
+    # 6, while the search ends at its first path of lim = 3 edges: the cut
+    # is never read
     edges = [(v, v + 1, v % 2) for v in range(12)]
     edges += [(v, v + 3, 2) for v in (0, 1, 2, 6, 7, 8)]
     g = ColoredGraph(13, tuple(sorted(edges)), 3)
@@ -615,7 +630,7 @@ def test_layout_no_depth_can_read_is_not_built(monkeypatch):
     for floor in (search.LAYOUT_FLOOR_BITS, sys.maxsize):
         monkeypatch.setattr(search, "LAYOUT_FLOOR_BITS", floor)
         out = longest_rainbow_path(g)
-        assert (out.best.vertices, out.nodes_expanded) == ((0, 1, 2, 5), 18)
+        assert (out.best.vertices, out.nodes_expanded) == ((0, 1, 2, 5), 4)
         found = has_rainbow_path(g, 3)
         assert (found.found, found.nodes_expanded) == (True, 4)
 
