@@ -1,9 +1,9 @@
 """Exact rainbow path search.
 
-All searches are depth-first over simple paths with a used-vertex bitmask and
-a used-color bitmask (Python ints, so palettes of any size work; nothing
+The path walks are depth-first over simple paths with a used-vertex bitmask
+and a used-color bitmask (Python ints, so palettes of any size work; nothing
 special happens at 128 colors). Neighbor lists are visited in ascending
-order, which makes every result deterministic. Both kernels read the
+order, which makes every result deterministic. Every kernel reads the
 neighbour bit table ColoredGraph builds once per graph, on its first search
 (`_bits`: per vertex, one (neighbour, 1 << neighbour, 1 << rank) tuple per
 edge, in ascending order, a color's rank being its place among the colors in
@@ -24,43 +24,24 @@ had its reverse begun at a smaller root, that root's search, finished
 before this one began, would have recorded a path of this length first.
 
 The spanning searches (paths whose vertex set is a given set, the terminal
-and auxiliary oracles' question) share one recursive kernel, _span_ends. It
-walks from a root in ascending order and, at the first path it finds to
-each end still wanted, calls its caller's hook, hit; the hook returns the
-ends its caller no longer wants, and the search stops once none is left.
-spanning_rainbow_path_from and spanning_rainbow_path_between stop at their
-first hit. The auxiliary oracle (terminals.build_aux_oracle) learns pairs
-in its hook, from the path and its end rotations, and drops every end
-whose pair with the root it knows by then, so one search per root answers
-all of that root's endpoint pairs it does not know yet. The wanted set
-only shrinks, so a prune decided against it stays sound after it shrinks.
-Four prunes keep it sound and small. The first is the color-supply cut:
-each remaining vertex needs one more edge, of a new color, inside the
-scope, so a node is cut once the unused colors with an edge there are
-fewer than the vertices left. It reads the same carry-field count as
-_dfs, over the layout of the set's own edges. Its gate is the color slack
-of the vertex set, the colors inside it minus the edges a spanning path
-needs: it is on at 1 or less, where the set's edges plus colors fit
-SPAN_SUPPLY_FIELD_BITS. Opened up to slack 3, it found the same pairs on
-the first 500 instances of each criterion-08 sweep in barely fewer walks,
-so it stays at 1.
-The second is forcing, _dfs's rule where the supply count has no room to
-spare. Of the unused colors, slack + (vertices left) in number, a spanning
-path takes one edge each of as many as there are vertices left; so where
-the unused classes the count finds dead number exactly max(slack, 0), every
-other unused class gives exactly one edge of the rest of the path. A class
-among those whose only edges in the scope are at v must then give the step
-out of v: the same count, with v read as left too, finds them. Two of them
-cut the node, since the path leaves v once, and one restricts the step to
-that class's edges at v, every one of them where the coloring is improper.
-The other two score each remaining vertex by its live neighbours among the
-remaining vertices and the current one: with none it can never be entered
-(dead end), and with exactly one it must be the path's last vertex, so at
-most one such vertex may exist, it must be a wanted end, the color of its
-one edge must still be unused, and if its only way in is the current
-vertex it must be the last vertex left. A vertex with exactly two live
-neighbours that is not a wanted end can only be passed through, so both
-its edges lie on every completion with a hit, and neither color may be
+and auxiliary oracles' question) have two kernels. The vertex walk,
+_span_ends, walks from a root in ascending order and, at the first path it
+finds to each end still wanted, calls its caller's hook, hit; the hook
+returns the ends its caller no longer wants, and the search stops once none
+is left. spanning_rainbow_path_from and spanning_rainbow_path_between stop
+at their first hit. The auxiliary oracle (terminals.build_aux_oracle)
+learns pairs in its hook, from the path and its end rotations, and drops
+every end whose pair with the root it knows by then, so one search per root
+answers all of that root's endpoint pairs it does not know yet. The wanted
+set only shrinks, so a prune decided against it stays sound after it
+shrinks. Two prunes score each remaining vertex by its live neighbours
+among the remaining vertices and the current one: with none it can never
+be entered (dead end), and with exactly one it must be the path's last
+vertex, so at most one such vertex may exist, it must be a wanted end, the
+color of its one edge must still be unused, and if its only way in is the
+current vertex it must be the last vertex left. A vertex with exactly two
+live neighbours that is not a wanted end can only be passed through, so
+both its edges lie on every completion with a hit, and neither color may be
 used yet. A wanted end with two ways is not forced: the path may end there
 through either edge. The search also steps only where a wanted end stays
 unvisited. Every prune cuts only subtrees without a new hit, so each
@@ -80,7 +61,21 @@ re-tested against the wanted ends left, the colors used and the new
 current vertex. The prune makes the decision the full rescan would at
 every node, so the search tree is the same.
 
-Both kernels recurse once per path vertex. A path deeper than the
+The class search, _class_spans, decides the auxiliary oracle's sets of
+color slack 0 or 1 (the colors inside the set minus the edges a spanning
+path needs). There a spanning rainbow path takes one edge of every color
+class inside the set, or of all but one at slack 1. So the search grows a
+linear forest a class at a time. Each node branches on the undecided class
+with the fewest choosable edges, those whose two ends have degree below 2
+and lie in different fragments (each fragment end points at the other end,
+set and undone in O(1)); at slack 1 it may also skip that class, once. It
+cuts a node where a vertex with no edge can take none; where three
+vertices can take one more edge at most, since each must end the path; and
+where the hook's partner masks already hold every pair the path could
+still end. Each leaf is a spanning path with an end pair not yet known,
+handed to hit.
+
+Every kernel recurses once per path vertex or class. A path deeper than the
 interpreter's recursion limit (about a thousand vertices) ends the search
 with GuardError("search", ...), which the command line reports as a
 refusal (exit 3), not as a crash. So does a graph whose table could pass
@@ -370,15 +365,6 @@ def _dfs(g: ColoredGraph, colors: int, length: Optional[int],
 # layout and 7 without.
 SUPPLY_FIELD_BITS = 1024
 
-# The widest layout _span_prep builds, a memory guard and not a measured
-# crossover: over a vertex set of color slack <= 1 the cut saves far more
-# than it costs at every width measured (the first spanning path over
-# V(P*) of gated random_instance graphs at 1,027-1,645 bits took 3-8 ms
-# with the layout, and over 5 s for most with the cut shut). A layout of
-# F bits over about F edges takes about 0.75 F^2 bytes: 13 MB here.
-SPAN_SUPPLY_FIELD_BITS = 4096
-
-
 # The narrowest graph, m + colors in use bits, on which _dfs builds the
 # layout and runs the pre-check: below it they cost more per node than the
 # nodes they save. Longest searches on the graphs of the first 1000
@@ -528,16 +514,12 @@ def has_rainbow_path(g: ColoredGraph, length: int,
 # -- spanning-path machinery (terminal and connection oracles) ---------------
 
 class _SpanSet(NamedTuple):
-    """A vertex set prepared for _span_ends: `vs` is the set in ascending
-    order and `full` its mask. Indexed by vertex ((), 0 or None off the
-    set), `adj` is the graph's bit table filtered to the set, `adj_mask`
-    each row's neighbour mask and `cols` each row as {neighbour bit: color
-    bit}. `slack` is the set's color slack. Where the color-supply cut is
-    open (slack <= 1, and the set's edges plus colors at most
-    SPAN_SUPPLY_FIELD_BITS), `field`, `low` and `guard` are the set's
-    carry-field layout (_supply_layout), `adj` is its table, and `cols`
-    holds the bare guard bits, the color bits a path's color mask tests
-    against; otherwise `field` is 0 and the bits are the graph's."""
+    """A vertex set prepared for the spanning searches: `vs` is the set in
+    ascending order and `full` its mask. Indexed by vertex ((), 0 or None
+    off the set), `adj` is the graph's bit table filtered to the set,
+    `adj_mask` each row's neighbour mask and `cols` each row as {neighbour
+    bit: color bit}. `slack` is the set's color slack, the colors inside it
+    minus the edges a spanning path needs."""
 
     vs: list
     full: int
@@ -545,9 +527,6 @@ class _SpanSet(NamedTuple):
     adj_mask: list
     cols: list
     slack: int
-    field: int
-    low: int
-    guard: int
 
 
 def _span_prep(g: ColoredGraph, vset) -> _SpanSet:
@@ -563,22 +542,14 @@ def _span_prep(g: ColoredGraph, vset) -> _SpanSet:
     adj_mask = [0] * g.n
     cols: list = [None] * g.n
     colors: set = set()
-    ends = 0
     for v in vs:
         row = [t for t in bits[v] if t[1] & full]
         adj[v] = row
         adj_mask[v] = sum(t[1] for t in row)
-        colors.update(t[2] for t in row)
-        ends += len(row)
+        cols[v] = {wbit: cbit for (_, wbit, cbit) in row}
+        colors.update(cols[v].values())
     slack = len(colors) - (len(vs) - 1)
-    field = low = guard = 0
-    if slack <= 1 and ends // 2 + len(colors) <= SPAN_SUPPLY_FIELD_BITS:
-        adj, field, low, guard = _supply_layout(adj, _color_classes(adj))
-    # the bare color bits: a layout's guard bits, below its regions
-    mask = (1 << field) - 1 if field else -1
-    for v in vs:
-        cols[v] = {wbit: cbit & mask for (_, wbit, cbit) in adj[v]}
-    return _SpanSet(vs, full, adj, adj_mask, cols, slack, field, low, guard)
+    return _SpanSet(vs, full, adj, adj_mask, cols, slack)
 
 
 def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
@@ -590,9 +561,7 @@ def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
     returns the mask of ends no longer wanted, this one among them, and the
     search stops once no wanted end is left.
     """
-    _, full, adj, adj_mask, cols, slack, field, low, guard = s
-    field2 = 2 * field
-    need = max(slack, 0)
+    _, full, adj, adj_mask, cols, _ = s
     cur = [start]
     left = wanted
 
@@ -600,7 +569,7 @@ def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
         nonlocal left
         remaining = full & ~vmask
         cur_bit = 1 << v
-        # The cuts the module docstring sets out. Degree prunes, over the
+        # The degree prunes the module docstring sets out, over the
         # vertices in `scan` only: x with no live neighbour in the scope is
         # a dead end; with one it is the path's last vertex; with two,
         # unless x is a wanted end, it is passed through, so neither edge's
@@ -632,49 +601,6 @@ def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
             last = xbit
         # what a child must rescan, less the child itself
         rescan = (adj_mask[v] & remaining) | last | two
-        # Color supply: cut once more than `slack` unused classes (and at
-        # least one) have no edge left in the scope, the remaining vertices
-        # and v (_supply_layout).
-        if field:
-            dead = ((cmask >> field | cmask >> field2) + low) & guard
-            count = (dead ^ dead & cmask).bit_count()
-            if count > need:
-                return False
-            steps = adj[v]
-            if count == need and steps:
-                # Forcing. Every other unused class gives exactly one edge
-                # of the rest of the path. Read as if v were left too (any
-                # entry of its row carries its edges), the count gives
-                # `spent`, the unused classes with no edge in the scope but
-                # at v; those not dead must give the step out of v: two cut
-                # the node, and one takes the step along each of its edges
-                # at v (more than one where the coloring is improper).
-                # Those steps get a loop of their own, so the loop below,
-                # all a node with the gate shut runs, tests no more.
-                out = cmask | steps[0][2]
-                spent = ((out >> field | out >> field2) + low) & guard
-                spent ^= spent & cmask
-                one = spent & ~dead
-                if one:
-                    if one & (one - 1):
-                        return False
-                    for (w, wbit, cbit) in steps:
-                        if not cbit & one or vmask & wbit or cmask & cbit:
-                            continue
-                        if remaining == wbit:
-                            cur.append(w)
-                            left &= ~hit(cur)
-                            cur.pop()
-                            return not left
-                        if not (left & ~(vmask | wbit)):
-                            continue
-                        cur.append(w)
-                        done = walk(w, vmask | wbit, cmask | cbit,
-                                    rescan & ~wbit)
-                        cur.pop()
-                        if done:
-                            return True
-                    return False
         for (w, wbit, cbit) in adj[v]:
             if (vmask & wbit) or (cmask & cbit):
                 continue
@@ -696,6 +622,85 @@ def _span_ends(s: _SpanSet, start: int, wanted: int, hit) -> None:
 
     try:
         walk(start, 1 << start, 0, full & ~(1 << start))
+    except RecursionError:
+        raise too_deep("search", "the path search") from None
+
+
+def _class_spans(s: _SpanSet, known: list, hit) -> None:
+    """Spanning rainbow paths over the prepared vertex set `s`, of color
+    slack 0 or 1, grown a color class at a time (see the module docstring).
+    Calls hit(path), `path` a vertex list, at each path whose end pair is
+    not in `known`, one partner mask per vertex, which hit may grow."""
+    if s.slack < 0:
+        return
+    full = s.full
+    # the other end of a fragment end's fragment; a lone vertex's is itself
+    other = list(range(len(s.adj)))
+    chosen: list = []
+
+    def walk(todo: list, skips: int, ends: int, sat: int) -> None:
+        # ends: the vertices of degree 1 in the chosen edges; sat: degree 2
+        once = twice = 0
+        fewest = sys.maxsize
+        for i, edges in enumerate(todo):
+            count = touch = 0
+            for (v, w, bits) in edges:
+                if not bits & sat and other[v] != w:
+                    count += 1
+                    touch |= bits
+            if count < fewest:
+                if not count and not skips:
+                    return
+                fewest, at = count, i
+            twice |= once & touch
+            once |= touch
+        free = full & ~sat
+        bare = free & ~ends
+        if bare & ~once:
+            return
+        # the vertices whose degree cannot pass 1: each ends the path
+        must = bare & ~twice | ends & ~once
+        if must.bit_count() > 2:
+            return
+        # the end pairs still open: two vertices of `free`, every one of
+        # `must` among them; cut where each is known
+        partners = must if must & (must - 1) else free
+        x = must or free
+        while x:
+            abit = x & -x
+            x ^= abit
+            if partners & ~abit & ~known[abit.bit_length() - 1]:
+                break
+        else:
+            return
+        if not todo:
+            nbrs: list = [[] for _ in other]
+            for (v, w) in chosen:
+                nbrs[v].append(w)
+                nbrs[w].append(v)
+            path, prev = [(ends & -ends).bit_length() - 1], -1
+            for _ in chosen:
+                step = nbrs[path[-1]]
+                path.append(step[step[0] == prev])
+                prev = path[-2]
+            hit(path)
+            return
+        rest = todo[:at] + todo[at + 1:]
+        for (v, w, bits) in todo[at]:
+            if bits & sat or other[v] == w:
+                continue
+            a, b = other[v], other[w]
+            other[a], other[b] = b, a
+            chosen.append((v, w))
+            walk(rest, skips, ends ^ bits, sat | ends & bits)
+            chosen.pop()
+            other[a], other[b] = v, w
+        if skips:
+            walk(rest, skips - 1, ends, sat)
+
+    try:
+        walk([[(v, w, 1 << v | 1 << w) for (v, w) in edges]
+              for edges in _color_classes(s.adj).values()], s.slack, 0, 0)
     except RecursionError:
         raise too_deep("search", "the path search") from None
 

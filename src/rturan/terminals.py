@@ -50,23 +50,21 @@ rules already produce the claimed terminal.
 On top of the terminal set sits an auxiliary graph: two terminals are
 adjacent when one rainbow path on V(P*) has both as its endpoints. The
 rule flavor connects witness endpoints and jump-rotations of witnesses.
-The oracle flavor decides every pair of V(P*) in one pass. V(P*) is
-prepared for the spanning kernel once, and one partner bitmask per vertex,
-shared by every root, is the only record of the pairs known so far; the
-auxiliary graph is read off it at the end. Each spanning path the kernel
-finds is closed under end rotations: a chord from an end q_{s-1} to q_i
-whose color is off the path, or is the color of the cut edge q_i q_{i+1},
-gives the spanning rainbow path q_0..q_i, q_{s-1}..q_{i+1}; the start end
-q_0 rotates the same way. Every rotation that shows a pair not yet known
-is followed in turn. A rotation finds its chord's position in the path it
-rotates and carries that path's color mask, so it builds no position table
-and no reversed copy. The far end rotates before the start, chords in
-ascending neighbour order. Root u, in ascending order, then searches only
-for the later vertices whose pair with u is still unknown, stops once none
-is left, and is skipped when there is none. The pairs stay exact. No pair
-is invented: each one recorded ends a real spanning rainbow path, by
-construction. None is missed: root u's search is exhaustive over its later
-partners not yet known, and drops one only once its pair is known. These
+The oracle flavor decides every pair of V(P*) in one pass. One partner
+bitmask per vertex is the only record of the pairs known so far, and the
+auxiliary graph is read off it at the end. Each spanning path a search
+finds is closed under end rotations: chords at its ends that give other
+spanning rainbow paths, followed while they show pairs not yet known
+(_rotation_pairs). The search depends on the color
+slack of V(P*), the colors inside it minus the edges a spanning path needs.
+At 0 or 1, one class search (search._class_spans) takes an edge of every
+color class, or of all but one at slack 1, and cuts a branch where a
+vertex can take no edge, where three vertices must end the path, or where
+every pair the branch could still end is known. At 2 or more, root u, in ascending order, walks V(P*)
+(search._span_ends) only for the later vertices whose pair with u is still
+unknown, stops once none is left, and is skipped when there is none. No
+pair is invented: each one recorded ends a real spanning rainbow path. None
+is missed: each search is exhaustive over the pairs not yet known. These
 rotations are written apart from the rules' (_jump_rotations,
 _start_rules), so the oracle stays independent of what it checks: the
 oracle's functions call none of the rule layer's, and _jump_rotations
@@ -90,7 +88,8 @@ from functools import lru_cache
 from .errors import PathError, WitnessError, too_deep
 from .graphs import ColoredGraph
 from .profile import PathProfile
-from .search import RainbowPath, _span_ends, _span_prep, path_from_vertices
+from .search import (RainbowPath, _class_spans, _span_ends, _span_prep,
+                     path_from_vertices)
 # unused here, but bound for perfbench's --trace 1, which wraps it here
 from .search import spanning_rainbow_path_between  # noqa: F401
 # unused here, but bound for perfbench's --trace 1, which wraps it here
@@ -307,9 +306,6 @@ def _rotation_pairs(cols: list, path, known: list) -> None:
     for the chord's. The far end of q rotates first, then its start, each
     chord in ascending neighbour order. Only rotations that show a pair
     not yet known are followed, so each pair is rotated at most once.
-    Every pair recorded ends a real spanning rainbow path. This is the
-    oracle's own rotation, written apart from the rules it checks
-    (_jump_rotations, _start_rules).
     """
     s = len(path)
 
@@ -351,21 +347,13 @@ def _rotation_pairs(cols: list, path, known: list) -> None:
 
 
 def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
-    """Auxiliary graph by exhaustive search.
+    """Auxiliary graph by exhaustive search; the module docstring sets out
+    its two searches and why their pairs are exact.
 
-    One partner mask per vertex, shared by every root, holds the pairs
-    known so far; it is the only record of them. Each spanning path the
-    search finds is closed under end rotations (_rotation_pairs), which may
-    fill in pairs for any vertex. Root u, in ascending order, then searches
-    V(pstar) only for the later vertices whose pair with u is still
-    unknown, stops once none is left, and is skipped when there is none.
-    The pairs are exactly those of one search per root over every later
-    vertex. Every pair recorded ends a real spanning rainbow path: the
-    search found it, or a rotation built it. And a pair (u, w), u < w,
-    leaves root u's wanted ends only once it is known, while the search is
-    exhaustive over the ends still wanted. The edges are read off the
-    masks, and the vertices are those with a partner: the ends of the
-    pairs, which are exactly the terminals.
+    One partner mask per vertex, shared by every search, holds the pairs
+    known so far; each spanning path found is closed under end rotations
+    (_rotation_pairs). The edges are read off the masks, and the vertices
+    are those with a partner: the ends of the pairs, the terminals.
     """
     s = _span_prep(g, pstar.vertices)
     if len(s.vs) == 1:
@@ -376,12 +364,18 @@ def build_aux_oracle(g: ColoredGraph, pstar: RainbowPath) -> AuxGraph:
         _rotation_pairs(s.cols, path, known)
         return known[path[0]]
 
-    later = s.full
-    for u in s.vs[:-1]:
-        later &= ~(1 << u)
-        wanted = later & ~known[u]
-        if wanted:
-            _span_ends(s, u, wanted, hit)
+    # at every slack the class search found the same pairs on the first 500
+    # instances of both criterion-08 sweeps, but took bare_path/909, where
+    # 441 sets have slack 2 or more, from 0.16 to 1.04 s (Python 3.11, Xeon)
+    if s.slack <= 1:
+        _class_spans(s, known, hit)
+    else:
+        later = s.full
+        for u in s.vs[:-1]:
+            later &= ~(1 << u)
+            wanted = later & ~known[u]
+            if wanted:
+                _span_ends(s, u, wanted, hit)
     return AuxGraph(vertices=tuple(v for v in s.vs if known[v]),
                     edges=frozenset((a, b) for a in s.vs for b in s.vs
                                     if a < b and known[a] >> b & 1))

@@ -2,8 +2,9 @@
 rturan from this checkout's src, as the tests do through pytest's
 `pythonpath` setting, which reaches only the test process itself.
 
-The supply_cut fixture runs searches with the color-supply cut and again
-without it, and checks that the cut changed only how much they searched."""
+The supply_cut fixture runs searches with the color-supply cut of the
+longest/exists kernel and again without it, and checks that the cut
+changed only how much they searched."""
 
 import os
 from pathlib import Path
@@ -20,9 +21,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @pytest.fixture
 def supply_cut(monkeypatch):
     """check(run): run() returns (output, work), the work counted in search
-    nodes or walk calls. check runs it as it is, then with every
-    carry-field layout the kernels build (search._supply_layout, which they
-    look up by name) given no guard bits, so its count is 0 and neither
+    nodes. check runs it as it is, then with every carry-field layout
+    search._dfs builds (search._supply_layout, which _dfs, its one caller,
+    looks up by name) given no guard bits, so its count is 0 and neither
     the cut nor forcing, which reads the same count, ever fires while the
     tables stay the same. It asserts that the outputs are equal and that
     the cut did strictly less work: so the cut fired. Returns the output."""

@@ -266,6 +266,14 @@ def test_deep_walks_are_refused_not_crashed(tmp_path, capsys):
         for i in range(n)))
     assert main(["engine", "claims", str(cycle)]) == 3
     assert "refused: matching" in capsys.readouterr().err
+    # the aux oracle's class search recurses once per color class: a
+    # rainbow path of 1,100 vertices, P* the whole of it (color slack 0)
+    rainbow = tmp_path / "rainbow.txt"
+    rainbow.write_text("1100 1099 1099\n"
+                       + "".join(f"{i} {i + 1} {i}\n" for i in range(1099)))
+    assert main(["engine", "aux", str(rainbow), "--mode", "oracle",
+                 "--path", ",".join(map(str, range(1100)))]) == 3
+    assert capsys.readouterr().err.startswith("refused: search")
     # the coloring walk recurses once per edge
     path = tmp_path / "path.txt"
     path.write_text("1101 1100 2\n"

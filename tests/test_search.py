@@ -21,8 +21,7 @@ from rturan.errors import GuardError, PathError, PreconditionError
 from rturan.graphs import (ColoredGraph, complete_graph,
                            one_factorized_complete)
 from rturan.oracle import proper_colorings
-from rturan.search import (SPAN_SUPPLY_FIELD_BITS, SUPPLY_FIELD_BITS,
-                           ExistsOutcome, RainbowPath,
+from rturan.search import (SUPPLY_FIELD_BITS, ExistsOutcome, RainbowPath,
                            has_rainbow_path, is_rainbow, longest_rainbow_path,
                            path_from_vertices, spanning_rainbow_path_between,
                            spanning_rainbow_path_from)
@@ -413,35 +412,32 @@ def test_precheck_against_brute_force(singles, spends):
 # === the color-supply cut's carry-field count ===
 
 def supply_counts(g, fn, *args):
-    """fn(*args), for each node where a path kernel computed the
-    color-supply count, (the colors of the classes the count found dead and
-    unused, the colors of those brute force finds, the number of vertices
-    the path has left), and the same triple for each node where a kernel's
-    forcing read the unused classes with no edge in the scope but at the
-    current vertex. Brute force reads the graph: a class is dead when
-    every edge of its color inside the scope (the graph, or the vertex set
-    of a spanning search) has an end the path has left, and unused when no
-    edge of the path has its color."""
-    walks = {next(c for c in kernel.__code__.co_consts
-                  if isinstance(c, types.CodeType) and c.co_name == "walk")
-             for kernel in (search._dfs, search._span_ends)}
+    """fn(*args), for each node where the longest/exists kernel computed
+    the color-supply count, (the colors of the classes the count found dead
+    and unused, the colors of those brute force finds, the number of
+    vertices the path has left), and the same triple for each node where
+    its forcing read the unused classes with no edge in the scope but at
+    the current vertex. Brute force reads the graph: a class is dead when
+    every edge of its color has an end the path has left, and unused when
+    no edge of the path has its color."""
+    walk = next(c for c in search._dfs.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == "walk")
     seen = []
     forced = []
     layouts = {}
 
     def node(frame, record, name, spare):
         at = frame.f_locals
-        table = at.get("adj", at.get("nbrs"))
+        table = at["nbrs"]
         if id(table) not in layouts:
-            # each guard bit's color, and the edges inside the scope
+            # each guard bit's color
             field = at["field"]
-            scope = at.get("full", (1 << g.n) - 1)
             layouts[id(table)] = (
                 {cbit & ((1 << field) - 1): g.color_of(u, w)
                  for u, row in enumerate(table) for (w, _, cbit) in row},
-                [(u, v, c) for (u, v, c) in g.edges
-                 if scope >> u & 1 and scope >> v & 1], table)
-        color_of, edges, _ = layouts[id(table)]
+                table)
+        color_of, _ = layouts[id(table)]
+        edges = g.edges
         bits, cmask, cur = at[name], at["cmask"], at["cur"]
         found = {color_of[b] for b in color_of if b & bits and not b & cmask}
         left = set(cur[:-1])
@@ -454,7 +450,7 @@ def supply_counts(g, fn, *args):
         record.append((found, brute, len(left)))
 
     def trace(frame, event, arg):
-        if frame.f_code not in walks:
+        if frame.f_code is not walk:
             return None
 
         def line(frame, event, arg):
@@ -486,26 +482,20 @@ def gated_suite_graphs(count):
 
 
 def test_supply_count_equals_brute_force_on_proper_colorings():
-    nodes = spans = slack2 = forcing = span_forcing = 0
+    nodes = slack2 = forcing = 0
     for g in gated_suite_graphs(40):
-        best, seen, forced = supply_counts(g, longest_rainbow_path, g)
-        _, span_seen, span_forced = supply_counts(g, build_aux_oracle, g,
-                                                  best.best)
-        for found, brute, _ in seen + span_seen + forced + span_forced:
+        _, seen, forced = supply_counts(g, longest_rainbow_path, g)
+        for found, brute, _ in seen + forced:
             assert found == brute
         nodes += len(seen)
-        spans += len(span_seen)
         forcing += len(forced)
-        span_forcing += len(span_forced)
         if len(g.used_colors()) == g.n + 1:
             slack2 += len(seen)
-    # 808:230, the heaviest gated instance, at color slack 2; its V(P*)
-    # is past the spanning gate, so only its longest search counts
+    # 808:230, the heaviest gated instance, at color slack 2
     g = suite_instance("808:230")
     _, seen, _ = supply_counts(g, longest_rainbow_path, g)
     assert all(found == brute for found, brute, _ in seen)
-    assert nodes > 1000 and spans > 1000 and slack2 > 0
-    assert span_forcing > 100
+    assert nodes > 1000 and slack2 > 0
     assert len(seen) > 10_000
     # forcing, on 808:24 (one color short) and on its exists query for
     # every color
@@ -535,7 +525,7 @@ def test_supply_count_equals_brute_force_on_improper_colorings():
     # cut more than a count of one edge per dead vertex, never less. The
     # 8-vertex graphs are wide enough for forcing, where a class may keep
     # several edges at the current vertex, each a step the search takes.
-    nodes = spans = past_matching = forcing = span_forcing = 0
+    nodes = past_matching = forcing = 0
     rng = random.Random(43)
     wide = [ColoredGraph.from_edges(8, [
         (u, v, rng.randrange(6)) for u in range(8) for v in range(u + 1, 8)
@@ -543,7 +533,7 @@ def test_supply_count_equals_brute_force_on_improper_colorings():
     # in these, a forced class has two edges at the current vertex and only
     # the second leads to the path that every witness check below expects
     wide += [improper_graph(seed) for seed in (205, 227, 295, 312)]
-    for i, g in enumerate([*seeded_graphs(41, 80, n_max=7), *wide]):
+    for g in [*seeded_graphs(41, 80, n_max=7), *wide]:
         out, seen, forced = supply_counts(g, longest_rainbow_path, g)
         nodes += len(seen)
         forcing += len(forced)
@@ -551,21 +541,12 @@ def test_supply_count_equals_brute_force_on_improper_colorings():
             length = out.best.length
             assert out.best.vertices == next(rainbow_sequences(g, length))
             assert next(rainbow_sequences(g, length + 1), None) is None
-            if i < 80:
-                for start in range(g.n):
-                    _, span_seen, span_forced = supply_counts(
-                        g, spanning_rainbow_path_from, g, range(g.n), start)
-                    spans += len(span_seen)
-                    span_forcing += len(span_forced)
-                    seen += span_seen
-                    forced += span_forced
         for found, brute, left in seen + forced:
             assert found == brute
         for found, brute, left in seen:
             past_matching += any(
                 sum(c == d for (_, _, d) in g.edges) > left for c in found)
-    assert nodes > 100 and spans > 1000 and past_matching > 0
-    assert forcing > 100 and span_forcing > 100
+    assert nodes > 100 and past_matching > 0 and forcing > 100
 
 
 def test_wide_gated_input_builds_no_layout(monkeypatch):
@@ -635,19 +616,6 @@ def test_layout_no_depth_can_read_is_not_built(monkeypatch):
         assert (found.found, found.nodes_expanded) == (True, 4)
 
 
-def test_spanning_layout_bound_is_wider_than_the_longest_search_bound():
-    # one-factorized K_48: 1,128 edges and 47 colors, slack 0. The longest
-    # search would run it with the cut shut, but a spanning search over
-    # its vertices still builds the layout; K_92 (4,186 edges, 91 colors)
-    # is past the spanning bound too
-    g = one_factorized_complete(48)
-    assert SUPPLY_FIELD_BITS < g.m + 47 <= SPAN_SUPPLY_FIELD_BITS
-    s = search._span_prep(g, range(48))
-    assert (s.slack, s.field) == (0, g.m + 47)
-    g = one_factorized_complete(92)
-    s = search._span_prep(g, range(92))
-    assert g.m + 91 > SPAN_SUPPLY_FIELD_BITS and (s.slack, s.field) == (0, 0)
-
 def test_deep_search_is_refused():
     g = rainbow_path_graph(3000)
     with pytest.raises(GuardError):
@@ -699,7 +667,7 @@ def test_every_recursive_walk_refuses_deep_inputs():
             assert _catches_recursion_error(outer), \
                 f"{path.name}: {outer.name} lets {inner.name} overflow"
             guarded.add(outer.name)
-    assert {"_dfs", "_span_ends", "_colorings",
+    assert {"_dfs", "_span_ends", "_class_spans", "_colorings",
             "maximum_matching"} <= guarded
 
 
@@ -765,6 +733,14 @@ def test_deep_spanning_search_is_refused():
     g = rainbow_path_graph(1100)
     with pytest.raises(GuardError):
         spanning_rainbow_path_from(g, range(1100), 0)
+
+
+def test_deep_class_search_is_refused():
+    # V(P*), the whole rainbow path of 1,100 vertices, has color slack 0,
+    # so the aux oracle searches it by color class, one level per class
+    g = rainbow_path_graph(1100)
+    with pytest.raises(GuardError, match="path search recursed"):
+        build_aux_oracle(g, path_from_vertices(g, range(1100)))
 
 
 def test_enumerate_guard():
